@@ -66,8 +66,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--timings", action="store_true", help="include real elapsed times")
         p.add_argument("--budget-nodes", type=int, metavar="N", help="search node allowance")
         p.add_argument("--budget-seconds", type=float, metavar="S", help="wall-clock allowance")
-        p.add_argument("--workers", type=int, default=1, metavar="N",
-                       help="worker count (single-worker deterministic mode is always used)")
 
     for name, helptext in [
         ("order", "order of the acting group's image"),
@@ -105,8 +103,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.add_argument("--timings", action="store_true", help="include real elapsed times")
     p.add_argument("--budget-nodes", type=int, metavar="N", help="search node allowance")
-    p.add_argument("--workers", type=int, default=1, metavar="N",
-                   help="worker count (single-worker deterministic mode is always used)")
 
     p = sub.add_parser("catalog", help="list catalog groups and suites")
     p.add_argument("--list", action="store_true", required=True)
@@ -359,9 +355,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
-    if getattr(args, "workers", 1) != 1:
-        print("note: searches are deterministic and single-worker; --workers ignored",
-              file=sys.stderr)
     try:
         if args.command == "verify":
             return _run_verify(args)

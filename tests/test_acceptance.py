@@ -141,7 +141,7 @@ def test_criterion_7_m24_exact_base():
 
 
 def test_criterion_8_property_suites():
-    with _Timed("criterion 8: every verification suite passes", 900):
+    with _Timed("criterion 8: every verification suite passes", 120):
         for name in suite_names():
             if name == "m24-base" and not ALLOW_LONG:
                 continue

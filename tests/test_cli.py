@@ -198,10 +198,10 @@ def test_catalog_list(capsys):
     assert "an-closure" in out
 
 
-def test_workers_flag_is_accepted_with_note(capsys):
+def test_workers_flag_is_rejected(capsys):
     code, out, err = run(capsys, "order", "--catalog", "A5", "--workers", "4")
-    assert (code, out) == (0, "order 60\n")
-    assert "single-worker" in err
+    assert (code, out) == (1, "")
+    assert "--workers" in err
 
 
 def test_unknown_action_spec(capsys):

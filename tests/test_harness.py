@@ -1,16 +1,22 @@
 """Tests for the verification suites and their report plumbing."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from closurelab.actions import natural_action
+from closurelab.actions import ksubsets_action, natural_action, union
 from closurelab.catalog import catalog_group
 from closurelab.harness import (
+    _ORACLE_POOL,
     Claim,
     SuiteResult,
     filtration_closure_orders,
     run_suite,
     suite_names,
 )
+from closurelab.perm import Permutation
+from closurelab.stabchain import PermGroup
+
+from oracles import brute_elements, brute_k_closure
 
 
 def test_suite_names_cover_the_registry():
@@ -100,3 +106,94 @@ def test_filtration_route_matches_engine_on_a_nontrivial_case():
     A = catalog_group("C6")
     for k in (1, 2, 3):
         assert filtration_closure_orders(A, [k]) == [k_closure(A, k).order()]
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_filtration_route_rejects_nonpositive_k(k):
+    with pytest.raises(ValueError, match="k must be at least 1"):
+        filtration_closure_orders(catalog_group("A5"), [k])
+
+
+def _brute_orders(A, k_values):
+    elems = brute_elements([g.images for g in A.group.generators], A.degree)
+    return [len(brute_k_closure(elems, A.degree, k)) for k in k_values]
+
+
+def _oracle_cases():
+    a4 = natural_action(catalog_group("A4").group)
+    return [
+        pytest.param(catalog_group(name), [1, 2, 3, 4], id=name)
+        for name in ("C6", "D4", "A4", "A5")
+    ] + [
+        pytest.param(ksubsets_action(catalog_group("S4").group, 2), [1, 2, 3], id="S4-pairs"),
+        pytest.param(union([a4, a4]), [1, 2, 3], id="A4-twice"),
+        pytest.param(natural_action(PermGroup(4, ())), [1, 2, 3], id="no-generators"),
+        pytest.param(natural_action(PermGroup(1, [Permutation((0,))])), [1, 2], id="degree-1"),
+        pytest.param(catalog_group("D3"), [2, 3, 4, 7], id="k-past-degree"),
+        pytest.param(catalog_group("D4"), [3, 1, 3], id="unordered-repeats"),
+    ]
+
+
+@pytest.mark.parametrize("A,k_values", _oracle_cases())
+def test_filtration_route_matches_brute_oracle(A, k_values):
+    assert filtration_closure_orders(A, k_values) == _brute_orders(A, k_values)
+
+
+# Orders for k = 1..4 as the full scan over every permutation computed them.
+_PINNED_ORACLE_ORDERS = {
+    "C2": [2, 2, 2, 2],
+    "C3": [6, 3, 3, 3],
+    "C4": [24, 4, 4, 4],
+    "C5": [120, 5, 5, 5],
+    "C6": [720, 6, 6, 6],
+    "C7": [5040, 7, 7, 7],
+    "C8": [40320, 8, 8, 8],
+    "D2": [4, 4, 4, 4],
+    "D3": [6, 6, 6, 6],
+    "D4": [24, 8, 8, 8],
+    "D5": [120, 10, 10, 10],
+    "D6": [720, 12, 12, 12],
+    "D7": [5040, 14, 14, 14],
+    "D8": [40320, 16, 16, 16],
+    "S3": [6, 6, 6, 6],
+    "S4": [24, 24, 24, 24],
+    "S5": [120, 120, 120, 120],
+    "S6": [720, 720, 720, 720],
+    "S7": [5040, 5040, 5040, 5040],
+    "S8": [40320, 40320, 40320, 40320],
+    "A4": [24, 24, 12, 12],
+    "A5": [120, 120, 120, 60],
+    "A6": [720, 720, 720, 720],
+    "A7": [5040, 5040, 5040, 5040],
+    "A8": [40320, 40320, 40320, 40320],
+    "PSL(2,4)": [120, 120, 120, 60],
+    "PSL(2,5)": [720, 720, 60, 60],
+    "PSL(2,7)": [40320, 40320, 168, 168],
+}
+
+
+def test_filtration_route_keeps_the_pinned_oracle_orders():
+    assert sorted(_PINNED_ORACLE_ORDERS) == sorted(_ORACLE_POOL)
+    for name, expected in _PINNED_ORACLE_ORDERS.items():
+        assert filtration_closure_orders(catalog_group(name), [1, 2, 3, 4]) == expected, name
+    for name, expected in [("S4", [720, 48, 24, 24]), ("A4", [720, 24, 12, 12])]:
+        A = ksubsets_action(catalog_group(name).group, 2)
+        assert filtration_closure_orders(A, [1, 2, 3, 4]) == expected, name
+
+
+@st.composite
+def generator_sets(draw):
+    degree = draw(st.integers(min_value=1, max_value=6))
+    images = st.permutations(list(range(degree)))
+    gens = draw(st.lists(images, max_size=3))
+    return PermGroup(degree, [Permutation(tuple(g)) for g in gens])
+
+
+@settings(max_examples=40, deadline=None)
+@given(generator_sets(), st.lists(st.integers(min_value=1, max_value=7), min_size=1, max_size=4))
+def test_filtration_orders_are_group_multiples_and_descend(G, k_values):
+    A = natural_action(G)
+    ks = sorted(k_values)
+    orders = filtration_closure_orders(A, ks)
+    assert all(order % G.order() == 0 for order in orders)
+    assert all(x >= y for x, y in zip(orders, orders[1:]))
