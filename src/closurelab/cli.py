@@ -99,10 +99,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("--suite", required=True, metavar="NAME")
     p.add_argument("--allow-long", action="store_true",
-                   help=f"enable long-running entries (or set {LONG_ENV}=1)")
+                   help=f"enable the long-running A7 claim (or set {LONG_ENV}=1)")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.add_argument("--timings", action="store_true", help="include real elapsed times")
-    p.add_argument("--budget-nodes", type=int, metavar="N", help="search node allowance")
 
     p = sub.add_parser("catalog", help="list catalog groups and suites")
     p.add_argument("--list", action="store_true", required=True)
@@ -184,6 +183,9 @@ def _run_command(args) -> int:
     result: dict = {}
     lines: list[str] = []
     csv_rows = None
+    # set when a walk ran out of budget: the steps it finished are printed,
+    # then this is raised, so the exit code is still 3
+    exhausted: BudgetExceededError | None = None
 
     if args.command == "order":
         result = {"order": A.group.order()}
@@ -224,22 +226,24 @@ def _run_command(args) -> int:
             f"gen {g}" for g in result["generators"]
         ]
     elif args.command == "spectrum":
-        report = closure_spectrum(A, k_max=args.k_max, budget_nodes=args.budget_nodes)
-        budget.charge(sum(e.nodes for e in report.entries))
+        report = closure_spectrum(A, k_max=args.k_max, budget=budget)
+        done = [e for e in report.entries if e.error is None]
+        if len(done) < len(report.entries):
+            exhausted = BudgetExceededError(
+                f"closure chain stopped at k {report.entries[-1].k} after {budget.nodes} nodes"
+            )
         result = {
             "minimal_k": report.minimal_k,
             "entries": [
                 {"k": e.k, "order": e.order, "nodes": e.nodes, "error": e.error}
-                for e in report.entries
+                for e in done
             ],
         }
-        lines = [
-            f"k {e.k}: order {e.order}" + (f" ({e.error})" if e.error else "")
-            for e in report.entries
-        ]
-        lines.append(f"minimal k: {report.minimal_k}")
+        lines = [f"k {e.k}: order {e.order}" for e in done]
+        if exhausted is None:
+            lines.append(f"minimal k: {report.minimal_k}")
         csv_rows = [["group", "action", "k", "order", "error"]] + [
-            [name, A.provenance, e.k, e.order, e.error or ""] for e in report.entries
+            [name, A.provenance, e.k, e.order, ""] for e in done
         ]
     elif args.command == "base":
         record = greedy_base(A) if args.greedy else exact_base_size(A, budget)
@@ -258,7 +262,7 @@ def _run_command(args) -> int:
             [name, A.provenance, record.size, record.exhaustive, " ".join(result["witness"])],
         ]
     elif args.command == "ktrans":
-        value, cert = k_trans(A.group, args.max_degree, budget_nodes=args.budget_nodes)
+        value, cert = k_trans(A.group, args.max_degree, budget=budget)
         result = {
             "k": value,
             "certified": cert.certified,
@@ -284,8 +288,7 @@ def _run_command(args) -> int:
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(csv_rows)
         sys.stdout.write(buf.getvalue())
-        return 0
-    if args.json:
+    elif args.json:
         _emit_json(
             {
                 "tool_version": __version__,
@@ -299,22 +302,17 @@ def _run_command(args) -> int:
                 },
             }
         )
-        return 0
-    for line in lines:
-        print(line)
+    else:
+        for line in lines:
+            print(line)
+    if exhausted is not None:
+        raise exhausted
     return 0
 
 
 def _run_verify(args) -> int:
     allow_long = args.allow_long or os.environ.get(LONG_ENV, "") not in ("", "0")
-    try:
-        result = run_suite(args.suite, allow_long=allow_long)
-    except ValueError as exc:
-        if "long-running" in str(exc):
-            raise ClosureLabError(
-                f"suite {args.suite!r} is long-running; pass --allow-long or set {LONG_ENV}=1"
-            ) from exc
-        raise
+    result = run_suite(args.suite, allow_long=allow_long)
     if args.json:
         payload = result.to_dict()
         if not args.timings:

@@ -66,8 +66,13 @@ def k_closure(A: ActionInstance, k: int, budget: Budget | None = None) -> PermGr
     depth-first search assigns images point by point in domain order. A
     partial image of the new point must admit a transporter in G for every
     k-subset of assigned points ending at the new one (shorter tuples are
-    implied by these), with transporter existence memoized per sorted
-    source tuple. Found elements immediately enlarge the known subgroup K,
+    implied by these). The search carries a witness down the path: an
+    element of G agreeing with the partial image so far. When the witness
+    already sends the new point to its candidate image, or one transporter
+    call extends it to the whole prefix, every such k-subset is settled at
+    once; when no element of G realises the prefix past the first k points,
+    the per-subset transporter checks run instead, memoized per source and
+    target tuple. Found elements immediately enlarge the known subgroup K,
     and only candidates minimal in their K-coset under point-image
     lexicographic order are explored, so each coset of the final closure
     contributes one leaf. Budget exhaustion raises an error carrying the
@@ -96,6 +101,10 @@ def _closure_backtrack(G: PermGroup, k: int, budget: Budget) -> PermGroup:
     memo: dict[tuple[tuple[int, ...], tuple[int, ...]], bool] = {}
     h = [0] * n
     used = [False] * n
+    # wit[j] is the image tuple of an element of G agreeing with h on
+    # points 0..j-1, or None when G has no such element.
+    wit: list[tuple[int, ...] | None] = [None] * (n + 1)
+    wit[0] = tuple(range(n))
     # stab_stack[j] is the pointwise stabilizer in the current K of the
     # image prefix h[:j]; entries are rebuilt lazily after K grows or the
     # path changes, and pruning with a stale (smaller) K stays sound.
@@ -111,8 +120,21 @@ def _closure_backtrack(G: PermGroup, k: int, budget: Budget) -> PermGroup:
         return cached
 
     def constraints_ok(j: int, beta: int) -> bool:
-        if j + 1 <= k:
-            return transporter_exists(tuple(range(j + 1)), tuple(h[:j]) + (beta,))
+        # An element of G carrying 0..j to h[:j] + (beta,) carries every
+        # k-subset ending at j to its target, so it settles the node; when
+        # j + 1 <= k the whole prefix is the one constraint.
+        w = wit[j]
+        if w is not None:
+            if w[j] == beta:
+                wit[j + 1] = w
+                return True
+            g = G.tuple_transporter(range(j + 1), tuple(h[:j]) + (beta,))
+            if g is not None:
+                wit[j + 1] = g.images
+                return True
+            if j + 1 <= k:
+                return False
+        wit[j + 1] = None
         for sub in combinations(range(j), k - 1):
             if not transporter_exists(sub + (j,), tuple(h[t] for t in sub) + (beta,)):
                 return False
@@ -152,9 +174,9 @@ def _closure_backtrack(G: PermGroup, k: int, budget: Budget) -> PermGroup:
 
     try:
         dfs(0)
-    except BudgetExceededError:
+    except BudgetExceededError as exc:
         raise BudgetExceededError(
-            f"closure backtrack exhausted its node budget after {budget.nodes} nodes",
+            f"closure backtrack stopped after {budget.nodes} nodes: {exc}",
             partial=K,
         ) from None
     return K
@@ -198,15 +220,16 @@ class ClosureReport:
 
 
 def closure_spectrum(
-    A: ActionInstance, k_max: int | None = None, budget_nodes: int | None = None
+    A: ActionInstance, k_max: int | None = None, budget: Budget | None = None
 ) -> ClosureReport:
     """Orders of the k-closures for k = 1, 2, ... until the chain reaches
     the group itself (recorded as minimal_k) or k_max is hit.
 
     The default k_max is one more than an exact base size of the group in
     its faithful guise, which provably suffices for the chain to bottom
-    out. Each step gets a fresh node budget; a step that exhausts it is
-    recorded with the partial lower-bound subgroup and the walk stops.
+    out. Every step charges the one budget; each entry records the nodes
+    its own step used. A step that exhausts the budget is recorded with
+    the partial lower-bound subgroup and the walk stops.
     """
     G = A.group
     if k_max is None:
@@ -216,8 +239,10 @@ def closure_spectrum(
     target = G.order()
     entries: list[ClosureEntry] = []
     minimal_k = None
+    if budget is None:
+        budget = Budget()
     for k in range(1, k_max + 1):
-        budget = Budget(budget_nodes)
+        nodes_before = budget.nodes
         t0 = time.monotonic()
         error = None
         try:
@@ -230,7 +255,7 @@ def closure_spectrum(
                 k=k,
                 order=H.order(),
                 generators=tuple(H.generators),
-                nodes=budget.nodes,
+                nodes=budget.nodes - nodes_before,
                 elapsed_ms=int((time.monotonic() - t0) * 1000),
                 error=error,
             )
@@ -277,14 +302,15 @@ def k_trans(
     G: PermGroup,
     degree_bound: int,
     order_bound: int = 3000,
-    budget_nodes: int | None = None,
+    budget: Budget | None = None,
 ) -> tuple[int, KTransCertificate]:
     """Largest minimal closure index over the faithful transitive actions
     of G, one per equivalence class.
 
     Actions are the coset actions on core-free subgroups, enumerated up to
     conjugacy. Those of degree at most degree_bound get an exact closure
-    chain walk; larger ones get the cheap upper bound one-past-greedy-base.
+    chain walk, all of them charging the one budget; larger ones get the
+    cheap upper bound one-past-greedy-base.
     When no bound exceeds the best exact value the result is certified
     exact; otherwise it is the largest of all the per-action values, an
     upper bound.
@@ -297,6 +323,8 @@ def k_trans(
             note="trivial group: only the one-point action",
         )
         return 1, cert
+    if budget is None:
+        budget = Budget()
     entries: list[KTransEntry] = []
     exact_max = 0
     bound_max = 0
@@ -308,7 +336,7 @@ def k_trans(
         if not A.faithful:
             continue
         if index <= degree_bound:
-            report = closure_spectrum(A, budget_nodes=budget_nodes)
+            report = closure_spectrum(A, budget=budget)
             if report.minimal_k is None:
                 raise BudgetExceededError(
                     f"closure chain of the degree-{index} action did not finish in budget"

@@ -3,9 +3,9 @@
 Each suite runs a fixed list of claims, every claim pairing a computed
 value against an independently stated expectation, with a citation line
 saying which mathematical fact the claim pins down. Suites are
-deterministic: same inputs, same report. The long-running entries (the
-degree-23 Mathieu closure, the degree-24 exact base, the degree-7
-alternating closure-number sweep) only run when explicitly enabled.
+deterministic: same inputs, same report. The one long-running entry,
+the degree-7 alternating closure-number sweep, only runs when explicitly
+enabled.
 """
 
 from __future__ import annotations
@@ -344,14 +344,13 @@ def _suite_mathieu_complete(rec: _Recorder, allow_long: bool) -> None:
             r.witness is not None and not catalog_group("M11").group.contains(r.witness),
         ))(complete_lemma_check(catalog_group("M11"), 4, out_trivial=True, maximal_in_alt=True)),
     )
-    if allow_long:
-        rec.claim(
-            "m23-5-closure",
-            "the 5-closure of the degree-23 Mathieu action is the group itself, "
-            "order 10200960",
-            10200960,
-            lambda: k_closure(catalog_group("M23"), 5).order(),
-        )
+    rec.claim(
+        "m23-5-closure",
+        "the 5-closure of the degree-23 Mathieu action is the group itself, "
+        "order 10200960",
+        10200960,
+        lambda: k_closure(catalog_group("M23"), 5).order(),
+    )
 
 
 def _suite_m24_base(rec: _Recorder, allow_long: bool) -> None:
@@ -595,8 +594,6 @@ _SUITES = {
     "intransitive-certificates": _suite_intransitive_certificates,
 }
 
-_LONG_ONLY = {"m24-base"}
-
 
 def suite_names() -> tuple[str, ...]:
     """Registered verification suites, alphabetically."""
@@ -606,9 +603,9 @@ def suite_names() -> tuple[str, ...]:
 def run_suite(name: str, allow_long: bool = False) -> SuiteResult:
     """Run one named suite and return its report.
 
-    Unknown names raise ValueError, as does asking for a long-only suite
-    without allow_long. A suite that records no claims is a registration
-    error.
+    Unknown names raise ValueError. allow_long adds the one long-running
+    claim, the closure number of Alt(7). A suite that records no claims is
+    a registration error.
     """
     try:
         fn = _SUITES[name]
@@ -616,8 +613,6 @@ def run_suite(name: str, allow_long: bool = False) -> SuiteResult:
         raise ValueError(
             f"unknown suite {name!r}; registered: {', '.join(suite_names())}"
         ) from None
-    if name in _LONG_ONLY and not allow_long:
-        raise ValueError(f"suite {name!r} is long-running; enable it with allow_long")
     rec = _Recorder()
     fn(rec, allow_long)
     if not rec.claims:

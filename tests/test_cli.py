@@ -150,13 +150,52 @@ def test_verify_unknown_suite(capsys):
 
 
 def test_verify_long_gate(capsys, monkeypatch):
+    import closurelab.cli as cli
+    from closurelab.harness import run_suite
+
+    seen = []
+
+    def recording(name, allow_long=False):
+        seen.append(allow_long)
+        return run_suite("psl-bases")
+
+    monkeypatch.setattr(cli, "run_suite", recording)
     monkeypatch.delenv("CLOSURELAB_ALLOW_LONG", raising=False)
-    code, _, err = run(capsys, "verify", "--suite", "m24-base")
-    assert code == 1
-    assert "--allow-long" in err
-    code, out, _ = run(capsys, "verify", "--suite", "m24-base", "--allow-long")
+    assert run(capsys, "verify", "--suite", "an-closure")[0] == 0
+    assert run(capsys, "verify", "--suite", "an-closure", "--allow-long")[0] == 0
+    monkeypatch.setenv("CLOSURELAB_ALLOW_LONG", "1")
+    assert run(capsys, "verify", "--suite", "an-closure")[0] == 0
+    monkeypatch.setenv("CLOSURELAB_ALLOW_LONG", "0")
+    assert run(capsys, "verify", "--suite", "an-closure")[0] == 0
+    assert seen == [False, True, True, False]
+
+
+def test_formerly_long_suites_need_no_opt_in(capsys, monkeypatch):
+    monkeypatch.delenv("CLOSURELAB_ALLOW_LONG", raising=False)
+    code, out, _ = run(capsys, "verify", "--suite", "m24-base")
     assert code == 0
     assert "suite m24-base: pass" in out
+
+
+def test_verify_budget_nodes_is_rejected(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "psl-bases", "--budget-nodes", "5")
+    assert (code, out) == (1, "")
+    assert "--budget-nodes" in err
+
+
+def test_spectrum_budget_is_per_invocation(capsys):
+    code, out, err = run(capsys, "spectrum", "--catalog", "A5", "--action", "ksubsets:2",
+                         "--budget-nodes", "80")
+    assert code == 3
+    assert out == "k 1: order 3628800\nk 2: order 120\n"
+    assert "budget exceeded" in err
+
+
+def test_ktrans_honours_budget_seconds(capsys):
+    code, out, err = run(capsys, "ktrans", "--catalog", "A5", "--max-degree", "12",
+                         "--budget-seconds", "0.000001")
+    assert (code, out) == (3, "")
+    assert "budget exceeded" in err
 
 
 def test_budget_exhaustion_exit_code(capsys):

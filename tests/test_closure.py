@@ -1,7 +1,9 @@
 """Closure backtrack, closure chains, and the structural certificates."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from closurelab import stabchain
 from closurelab.actions import (
     BlockSystem,
     coset_action,
@@ -10,8 +12,17 @@ from closurelab.actions import (
     subgroups_up_to_conjugacy,
     union,
 )
+from closurelab.basesize import exact_base_size
 from closurelab.budget import Budget
-from closurelab.catalog import alternating, cyclic, dihedral, mathieu, psl_projective, symmetric
+from closurelab.catalog import (
+    alternating,
+    catalog_group,
+    cyclic,
+    dihedral,
+    mathieu,
+    psl_projective,
+    symmetric,
+)
 from closurelab.closure import (
     block_lemma_check,
     closure_spectrum,
@@ -27,6 +38,7 @@ from closurelab.perm import Permutation, parse_cycles
 from closurelab.stabchain import PermGroup
 
 from oracles import brute_elements, brute_k_closure
+from test_harness import generator_sets
 
 
 def group(degree, *cycle_texts):
@@ -117,6 +129,33 @@ def test_k_closure_budget_carries_partial_result():
     assert partial.is_subgroup_of(k_closure(A, 2))
 
 
+@pytest.mark.parametrize("name,k,nodes", [("M22", 6, 164), ("M23", 7, 165), ("M24", 8, 166)])
+def test_mathieu_bplus1_closure_is_cheap(monkeypatch, name, k, nodes):
+    A = catalog_group(name)
+    assert exact_base_size(A).size + 1 == k
+    calls = []
+    real = stabchain.tuple_transporter
+
+    def counting(G, src, dst):
+        calls.append(1)
+        return real(G, src, dst)
+
+    monkeypatch.setattr(stabchain, "tuple_transporter", counting)
+    budget = Budget()
+    H = k_closure(A, k, budget=budget)
+    assert H.same_group(A.group)
+    assert budget.nodes == nodes
+    assert len(calls) <= 1000
+
+
+@settings(max_examples=40, deadline=None)
+@given(generator_sets(), st.integers(min_value=2, max_value=4))
+def test_k_closure_matches_brute_force_on_random_groups(G, k):
+    elems = brute_elements([g.images for g in G.generators], G.degree)
+    H = k_closure(natural_action(G), k)
+    assert {h.images for h in H.elements()} == brute_k_closure(elems, G.degree, k)
+
+
 def test_closure_spectrum_a5():
     report = closure_spectrum(natural_action(alternating(5)))
     assert [e.order for e in report.entries] == [120, 120, 120, 60]
@@ -168,11 +207,28 @@ def test_closure_spectrum_entry_generators_regenerate():
 
 
 def test_closure_spectrum_budget_exhaustion_is_recorded():
-    report = closure_spectrum(natural_action(alternating(5)), budget_nodes=2)
+    report = closure_spectrum(natural_action(alternating(5)), budget=Budget(2))
     last = report.entries[-1]
     assert last.error == "budget exceeded"
     assert report.minimal_k is None
     assert last.order >= 1
+
+
+def test_closure_spectrum_budget_is_shared_by_its_steps():
+    budget = Budget(80)
+    report = closure_spectrum(ksubsets_action(alternating(5), 2), budget=budget)
+    assert [(e.k, e.order, e.nodes, e.error) for e in report.entries[:2]] == [
+        (1, 3628800, 0, None),
+        (2, 120, 71, None),
+    ]
+    assert report.entries[2].error == "budget exceeded"
+    assert report.minimal_k is None
+    assert budget.nodes == 81
+
+
+def test_k_trans_honours_a_time_budget():
+    with pytest.raises(BudgetExceededError):
+        k_trans(alternating(5), 12, budget=Budget(max_seconds=1e-6))
 
 
 def test_psl27_is_3_closed_on_the_projective_line():

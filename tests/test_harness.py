@@ -34,9 +34,22 @@ def test_unknown_suite_raises():
         run_suite("no-such-suite")
 
 
-def test_long_suite_needs_opt_in():
-    with pytest.raises(ValueError):
-        run_suite("m24-base")
+def test_long_suite_needs_opt_in(monkeypatch):
+    import closurelab.harness as harness
+    from closurelab.closure import KTransCertificate
+
+    degrees = []
+
+    def stub(G, degree_bound):
+        degrees.append(G.degree)
+        return 0, KTransCertificate(k=0, certified=False, entries=(), note="stub")
+
+    monkeypatch.setattr(harness, "k_trans", stub)
+    short = run_suite("an-closure")
+    assert "a7-ktrans" not in [c.claim_id for c in short.claims]
+    long = run_suite("an-closure", allow_long=True)
+    assert "a7-ktrans" in [c.claim_id for c in long.claims]
+    assert degrees == [5, 6, 5, 6, 7]
 
 
 def test_partition_suite_passes():
@@ -92,20 +105,6 @@ def test_suites_are_deterministic():
     strip = lambda r: [(c.claim_id, c.expected, c.computed, c.passed) for c in r.claims]
     assert strip(first) == strip(second)
     assert first.passed
-
-
-def test_filtration_route_matches_known_closures():
-    assert filtration_closure_orders(catalog_group("A4"), [1, 2, 3]) == [24, 24, 12]
-    assert filtration_closure_orders(catalog_group("D4"), [1, 2, 3]) == [24, 8, 8]
-    assert filtration_closure_orders(catalog_group("A5"), [4]) == [60]
-
-
-def test_filtration_route_matches_engine_on_a_nontrivial_case():
-    from closurelab.closure import k_closure
-
-    A = catalog_group("C6")
-    for k in (1, 2, 3):
-        assert filtration_closure_orders(A, [k]) == [k_closure(A, k).order()]
 
 
 @pytest.mark.parametrize("k", [0, -1])
