@@ -22,7 +22,7 @@ from .errors import (
     NotASubgroupError,
 )
 from .perm import Domain, Permutation, compose_images, inverse_images, print_cycles
-from .stabchain import PermGroup
+from .stabchain import PermGroup, _generated_images
 
 
 @dataclass(frozen=True)
@@ -516,18 +516,7 @@ def subgroups_up_to_conjugacy(G: PermGroup, order_bound: int = 3000) -> list[Per
     gens = [g.images for g in G.generators if g.images != ident]
 
     def generated(seed: list[tuple[int, ...]]) -> frozenset[tuple[int, ...]]:
-        out = {ident}
-        queue = [ident]
-        head = 0
-        while head < len(queue):
-            x = queue[head]
-            head += 1
-            for s in seed:
-                y = compose_images(x, s)
-                if y not in out:
-                    out.add(y)
-                    queue.append(y)
-        return frozenset(out)
+        return frozenset(_generated_images(seed, degree))
 
     def conjugacy_class(H: frozenset[tuple[int, ...]]) -> set[frozenset[tuple[int, ...]]]:
         cls = {H}

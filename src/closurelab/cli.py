@@ -262,7 +262,12 @@ def _run_command(args) -> int:
             [name, A.provenance, record.size, record.exhaustive, " ".join(result["witness"])],
         ]
     elif args.command == "ktrans":
-        value, cert = k_trans(A.group, args.max_degree, budget=budget)
+        try:
+            value, cert = k_trans(A.group, args.max_degree, budget=budget)
+        except BudgetExceededError as exc:
+            if exc.partial is None:
+                raise
+            exhausted, value, cert = exc, None, exc.partial
         result = {
             "k": value,
             "certified": cert.certified,
@@ -277,9 +282,9 @@ def _run_command(args) -> int:
                 for e in cert.entries
             ],
         }
-        lines = [f"k {value}", f"certified {'yes' if cert.certified else 'no'}"] + [
-            f"  degree {e.degree}: {e.kind} {e.value}" for e in cert.entries
-        ]
+        if exhausted is None:
+            lines = [f"k {value}", f"certified {'yes' if cert.certified else 'no'}"]
+        lines += [f"  degree {e.degree}: {e.kind} {e.value}" for e in cert.entries]
     else:  # pragma: no cover - parser restricts commands
         raise ClosureLabError(f"unhandled command {args.command}")
 

@@ -158,7 +158,7 @@ def _closure_backtrack(G: PermGroup, k: int, budget: Budget) -> PermGroup:
                 K = PermGroup(n, tuple(K.generators) + (p,))
                 stab_stack[:] = [K]
             return
-        ids = _orbit_min_ids(stab_at(j), n)
+        ids = stab_at(j).chain().orbit_ids(0)
         for beta in range(n):
             if used[beta] or ids[beta] != beta:
                 continue
@@ -179,19 +179,12 @@ def _closure_backtrack(G: PermGroup, k: int, budget: Budget) -> PermGroup:
             f"closure backtrack stopped after {budget.nodes} nodes: {exc}",
             partial=K,
         ) from None
+    finally:
+        # dfs refers to itself through its closure cell; clearing the cell
+        # breaks that cycle, so the memo and the stabilizer stack are freed
+        # on return instead of whenever the cyclic collector next runs.
+        del dfs
     return K
-
-
-def _orbit_min_ids(H: PermGroup, n: int) -> list[int]:
-    """ids[p] = least point of p's orbit under H."""
-    ids = list(range(n))
-    if H.order() == 1:
-        return ids
-    for orbit in H.orbits():
-        least = orbit[0]
-        for p in orbit:
-            ids[p] = least
-    return ids
 
 
 # ---------------------------------------------------------------------------
@@ -225,22 +218,24 @@ def closure_spectrum(
     """Orders of the k-closures for k = 1, 2, ... until the chain reaches
     the group itself (recorded as minimal_k) or k_max is hit.
 
-    The default k_max is one more than an exact base size of the group in
-    its faithful guise, which provably suffices for the chain to bottom
-    out. Every step charges the one budget; each entry records the nodes
-    its own step used. A step that exhausts the budget is recorded with
-    the partial lower-bound subgroup and the walk stops.
+    The default k_max is one more than a base size of the group in its
+    faithful guise, which provably suffices for the chain to bottom out;
+    any base does, so a base search cut short by the budget still gives a
+    valid k_max. The base search and every step charge the one budget; each
+    entry records the nodes its own step used. A step that exhausts the
+    budget is recorded with the partial lower-bound subgroup and the walk
+    stops.
     """
     G = A.group
+    if budget is None:
+        budget = Budget()
     if k_max is None:
-        k_max = exact_base_size(natural_action(G)).size + 1
+        k_max = exact_base_size(natural_action(G), budget).size + 1
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     target = G.order()
     entries: list[ClosureEntry] = []
     minimal_k = None
-    if budget is None:
-        budget = Budget()
     for k in range(1, k_max + 1):
         nodes_before = budget.nodes
         t0 = time.monotonic()
@@ -313,7 +308,9 @@ def k_trans(
     cheap upper bound one-past-greedy-base.
     When no bound exceeds the best exact value the result is certified
     exact; otherwise it is the largest of all the per-action values, an
-    upper bound.
+    upper bound. A walk that exhausts the budget raises
+    BudgetExceededError whose partial is an uncertified certificate of the
+    actions finished so far.
     """
     if G.order() == 1:
         cert = KTransCertificate(
@@ -338,8 +335,16 @@ def k_trans(
         if index <= degree_bound:
             report = closure_spectrum(A, budget=budget)
             if report.minimal_k is None:
+                entries.sort(key=lambda e: (e.degree, e.point_stabilizer_order))
                 raise BudgetExceededError(
-                    f"closure chain of the degree-{index} action did not finish in budget"
+                    f"closure chain of the degree-{index} action did not finish in budget",
+                    partial=KTransCertificate(
+                        k=exact_max,
+                        certified=False,
+                        entries=tuple(entries),
+                        note="partial: the budget ran out; k is the largest exact "
+                        "value among the finished actions, a lower bound",
+                    ),
                 )
             entries.append(
                 KTransEntry(
@@ -455,7 +460,7 @@ class IntransitiveVerdict:
 
 
 def intransitive_certificate(
-    A: ActionInstance, k: int, budget_nodes: int | None = None
+    A: ActionInstance, k: int, budget: Budget | None = None
 ) -> IntransitiveVerdict:
     """Certify that an intransitive action of a nonabelian simple group is
     totally k-closed from per-orbit data.
@@ -466,7 +471,7 @@ def intransitive_certificate(
     intransitive on the second (one point per orbit suffices, stabilizers
     of orbit-mates being conjugate), plus each orbit restriction equal to
     its own k-closure; equivalent orbit restrictions share one closure
-    computation.
+    computation. All the closures charge the one budget.
     """
     G = A.group
     orbs = G.orbits()
@@ -501,8 +506,9 @@ def intransitive_certificate(
             for r in class_reps
         ):
             class_reps.append(idx)
+    if budget is None:
+        budget = Budget()
     for r in class_reps:
-        budget = Budget(budget_nodes)
         H = k_closure(insts[r], k, budget=budget)
         if H.order() != insts[r].group.order():
             return IntransitiveVerdict(
@@ -555,7 +561,7 @@ def complete_lemma_check(
     k: int,
     out_trivial: bool,
     maximal_in_alt: bool,
-    budget_nodes: int | None = None,
+    budget: Budget | None = None,
 ) -> LemmaCheckReport:
     """For a group that is exactly k-transitive, not the full symmetric or
     alternating group, with trivial outer automorphism group and maximal in
@@ -563,7 +569,7 @@ def complete_lemma_check(
     the full symmetric group while the (k+1)-closure is the group itself.
     This checks the computable hypotheses, then confirms both closure
     identities by search, producing a witness separating the group from its
-    k-closure."""
+    k-closure. Both closures charge the one budget."""
     G = A.group
     n = G.degree
     full = factorial(n)
@@ -599,7 +605,9 @@ def complete_lemma_check(
             detail="outer-automorphism triviality and maximality in the alternating "
             "group must both be attested",
         )
-    closure_k = k_closure(A, k)
+    if budget is None:
+        budget = Budget()
+    closure_k = k_closure(A, k, budget=budget)
     ck = closure_k.order()
     witness = None
     for j in range(1, n):
@@ -610,7 +618,7 @@ def complete_lemma_check(
             witness = candidate
             break
     try:
-        closure_k1 = k_closure(A, k + 1, budget=Budget(budget_nodes))
+        closure_k1 = k_closure(A, k + 1, budget=budget)
     except BudgetExceededError:
         return report(
             "predicted, unconfirmed",
@@ -665,12 +673,15 @@ class BlockLemmaRecord:
 
 
 def block_lemma_check(
-    A: ActionInstance, S: BlockSystem, k: int, budget_nodes: int | None = None
+    A: ActionInstance, S: BlockSystem, k: int, budget: Budget | None = None
 ) -> BlockLemmaRecord:
-    """Check the four block-system closure properties for one action."""
+    """Check the four block-system closure properties for one action; all
+    its closures charge the one budget."""
     if not 2 <= k <= S.num_blocks:
         raise ValueError("k must be between 2 and the number of blocks")
-    U = k_closure(A, k, budget=Budget(budget_nodes))
+    if budget is None:
+        budget = Budget()
+    U = k_closure(A, k, budget=budget)
     AU = ActionInstance(
         group=U, domain=A.domain, provenance=f"closure({k},{A.provenance})", source_order=U.order()
     )
@@ -685,12 +696,12 @@ def block_lemma_check(
     if preserved:
         QU = quotient_action(AU, S)
         QA = quotient_action(A, S)
-        quotient_ok = QU.group.is_subgroup_of(k_closure(QA, k, budget=Budget(budget_nodes)))
+        quotient_ok = QU.group.is_subgroup_of(k_closure(QA, k, budget=budget))
         block = list(S.blocks[0])
         stab_U = natural_action(setwise_block_stabilizer(AU, S, [0]))
         stab_G = natural_action(setwise_block_stabilizer(A, S, [0]))
         restriction_ok = restriction(stab_U, block).group.is_subgroup_of(
-            k_closure(restriction(stab_G, block), k, budget=Budget(budget_nodes))
+            k_closure(restriction(stab_G, block), k, budget=budget)
         )
         premise = False
         for combo in combinations(range(S.num_blocks), k):
@@ -719,21 +730,24 @@ class RestrictionLemmaRecord:
 
 
 def restriction_lemma_check(
-    A: ActionInstance, k: int, budget_nodes: int | None = None
+    A: ActionInstance, k: int, budget: Budget | None = None
 ) -> RestrictionLemmaRecord:
     """For an intransitive action, the restriction of the k-closure to each
-    orbit is contained in the k-closure of the restriction."""
+    orbit is contained in the k-closure of the restriction; all the
+    closures charge the one budget."""
     orbs = A.group.orbits()
     if len(orbs) < 2:
         raise ValueError("the action is transitive; restriction containment is about orbits")
-    U = k_closure(A, k, budget=Budget(budget_nodes))
+    if budget is None:
+        budget = Budget()
+    U = k_closure(A, k, budget=budget)
     AU = ActionInstance(
         group=U, domain=A.domain, provenance=f"closure({k},{A.provenance})", source_order=U.order()
     )
     contained = []
     for orbit in orbs:
         inner = restriction(AU, orbit).group
-        outer = k_closure(restriction(A, orbit), k, budget=Budget(budget_nodes))
+        outer = k_closure(restriction(A, orbit), k, budget=budget)
         contained.append(inner.is_subgroup_of(outer))
     return RestrictionLemmaRecord(
         orbit_count=len(orbs), contained=tuple(contained), holds=all(contained)

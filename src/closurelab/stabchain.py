@@ -11,6 +11,12 @@ level from the bottom, that every Schreier generator sifts to the identity,
 adjoining any nontrivial residue as a new strong generator. No
 randomization, so chains (and all downstream reports) are reproducible
 functions of the generator list.
+
+A pointwise stabilizer is never rebuilt from scratch. The chain rebased at
+the fixed points already holds it: the levels below that prefix are a
+verified chain for the stabilizer (Holt, Eick and O'Brien, Handbook of
+Computational Group Theory, 2005, section 4.4), so the stabilizer is that
+tail, generated by the tail's strong generators.
 """
 
 from __future__ import annotations
@@ -29,6 +35,42 @@ class _Level:
         self.beta = beta
         self.gens: list[tuple[int, ...]] = []
         self.transversal: dict[int, tuple[int, ...]] = {}
+
+
+def _orbit_ids(gens, degree: int) -> tuple[int, ...]:
+    """Per point, the least point of its orbit under the group gens generate."""
+    ids = [-1] * degree
+    for start in range(degree):
+        if ids[start] >= 0:
+            continue
+        # start is the least point of its orbit by scan order
+        ids[start] = start
+        orbit = [start]
+        for pt in orbit:
+            for g in gens:
+                img = g[pt]
+                if ids[img] < 0:
+                    ids[img] = start
+                    orbit.append(img)
+    return tuple(ids)
+
+
+def _generated_images(gens, degree: int, limit: int | None = None) -> dict[tuple[int, ...], None]:
+    """Every element of the group gens generate, as image tuples keyed in
+    breadth-first order of discovery (identity first); more than limit
+    elements raise DegreeLimitError."""
+    identity = identity_images(degree)
+    seen = {identity: None}
+    queue = [identity]
+    for x in queue:
+        for g in gens:
+            y = compose_images(x, g)
+            if y not in seen:
+                if limit is not None and len(seen) >= limit:
+                    raise DegreeLimitError(f"element enumeration exceeds limit {limit}")
+                seen[y] = None
+                queue.append(y)
+    return seen
 
 
 def _orbit_transversal(beta: int, gens: list[tuple[int, ...]], degree: int) -> dict[int, tuple[int, ...]]:
@@ -98,11 +140,9 @@ class StabilizerChain:
                     seen.append(g)
         return seen
 
-    def generators_fixing(self, pts) -> list[tuple[int, ...]]:
-        """Strong generators fixing every point of pts (a stabilizer's gens
-        when pts is a prefix of the base)."""
-        pts = list(pts)
-        return [g for g in self.strong_generators() if all(g[p] == p for p in pts)]
+    def tail(self, depth: int) -> "StabilizerChain":
+        """The chain of the pointwise stabilizer of the first depth base points."""
+        return StabilizerChain(self.degree, self.levels[depth:])
 
     def orbit_ids(self, level_idx: int) -> tuple[int, ...]:
         """Per point, the least point of its orbit under level level_idx's group.
@@ -111,40 +151,10 @@ class StabilizerChain:
         Used by the transporter search to prune infeasible branches.
         """
         cached = self._orbit_ids.get(level_idx)
-        if cached is not None:
-            return cached
-        if level_idx >= len(self.levels):
-            ids = tuple(range(self.degree))
-        else:
-            gens = []
-            have = set()
-            for level in self.levels[level_idx:]:
-                for g in level.gens:
-                    if g not in have:
-                        have.add(g)
-                        gens.append(g)
-            rep = list(range(self.degree))
-            seen = [False] * self.degree
-            for start in range(self.degree):
-                if seen[start]:
-                    continue
-                orbit = [start]
-                seen[start] = True
-                head = 0
-                while head < len(orbit):
-                    pt = orbit[head]
-                    head += 1
-                    for g in gens:
-                        img = g[pt]
-                        if not seen[img]:
-                            seen[img] = True
-                            orbit.append(img)
-                # start is the least point of its orbit by scan order
-                for pt in orbit:
-                    rep[pt] = start
-            ids = tuple(rep)
-        self._orbit_ids[level_idx] = ids
-        return ids
+        if cached is None:
+            cached = _orbit_ids(self.tail(level_idx).strong_generators(), self.degree)
+            self._orbit_ids[level_idx] = cached
+        return cached
 
 
 def build_chain(
@@ -287,6 +297,7 @@ class PermGroup:
         self._known_order = known_order
         self._chain: StabilizerChain | None = None
         self._rebased: dict[tuple[int, ...], StabilizerChain] = {}
+        self._orbit_ids: tuple[int, ...] | None = None
 
     @staticmethod
     def trivial(degree: int) -> "PermGroup":
@@ -325,55 +336,36 @@ class PermGroup:
     def is_trivial(self) -> bool:
         return all(g.is_identity() for g in self.generators)
 
+    def _ids(self) -> tuple[int, ...]:
+        if self._orbit_ids is None:
+            self._orbit_ids = _orbit_ids([g.images for g in self.generators], self.degree)
+        return self._orbit_ids
+
     def orbits(self) -> list[list[int]]:
         """Orbit partition of 0..degree-1; each orbit sorted, sorted by least point."""
-        gens = [g.images for g in self.generators]
-        seen = [False] * self.degree
-        out = []
-        for start in range(self.degree):
-            if seen[start]:
-                continue
-            orbit = [start]
-            seen[start] = True
-            head = 0
-            while head < len(orbit):
-                pt = orbit[head]
-                head += 1
-                for g in gens:
-                    img = g[pt]
-                    if not seen[img]:
-                        seen[img] = True
-                        orbit.append(img)
-            out.append(sorted(orbit))
-        return out
+        out: dict[int, list[int]] = {}
+        for p, least in enumerate(self._ids()):
+            out.setdefault(least, []).append(p)
+        return list(out.values())
 
     def is_transitive(self) -> bool:
         return self.degree <= 1 or len(self.orbits()) == 1
 
     def orbit_of(self, pt: int) -> list[int]:
-        gens = [g.images for g in self.generators]
-        orbit = [pt]
-        seen = {pt}
-        head = 0
-        while head < len(orbit):
-            p = orbit[head]
-            head += 1
-            for g in gens:
-                img = g[p]
-                if img not in seen:
-                    seen.add(img)
-                    orbit.append(img)
-        return sorted(orbit)
+        ids = self._ids()
+        return [p for p in range(self.degree) if ids[p] == ids[pt]]
 
     def pointwise_stabilizer(self, pts) -> "PermGroup":
-        """The subgroup fixing every point of pts, via a chain based there."""
-        pts = list(pts)
+        """The subgroup fixing every point of pts: the tail of the chain
+        rebased at pts, below its len(pts) prefix levels."""
+        pts = list(dict.fromkeys(pts))
         for p in pts:
             if not 0 <= p < self.degree:
                 raise ValueError(f"point {p} outside 0..{self.degree - 1}")
-        chain = self.chain(preferred_base=pts)
-        gens = [Permutation(g) for g in chain.generators_fixing(pts)]
-        return PermGroup(self.degree, gens)
+        tail = self.chain(preferred_base=pts).tail(len(pts))
+        stab = PermGroup(self.degree, [Permutation(g) for g in tail.strong_generators()])
+        stab._chain = tail
+        return stab
 
     def tuple_transporter(self, src, dst) -> Permutation | None:
         return tuple_transporter(self, src, dst)
@@ -385,21 +377,7 @@ class PermGroup:
         desk-scale groups only; order() is the scalable alternative.
         """
         gens = [g.images for g in self.generators]
-        identity = identity_images(self.degree)
-        seen = {identity}
-        queue = [identity]
-        head = 0
-        while head < len(queue):
-            x = queue[head]
-            head += 1
-            for g in gens:
-                y = compose_images(x, g)
-                if y not in seen:
-                    if len(seen) >= limit:
-                        raise DegreeLimitError(f"element enumeration exceeds limit {limit}")
-                    seen.add(y)
-                    queue.append(y)
-        return [Permutation(x) for x in queue]
+        return [Permutation(x) for x in _generated_images(gens, self.degree, limit)]
 
     def same_group(self, other: "PermGroup") -> bool:
         """Equality as subgroups of the same symmetric group."""

@@ -194,8 +194,38 @@ def test_spectrum_budget_is_per_invocation(capsys):
 def test_ktrans_honours_budget_seconds(capsys):
     code, out, err = run(capsys, "ktrans", "--catalog", "A5", "--max-degree", "12",
                          "--budget-seconds", "0.000001")
-    assert (code, out) == (3, "")
+    # only the greedy bounds above the degree bound finish: they take no search
+    assert code == 3
+    assert out == (
+        "  degree 15: bound 3\n  degree 20: bound 3\n  degree 30: bound 3\n  degree 60: bound 2\n"
+    )
     assert "budget exceeded" in err
+
+
+def test_ktrans_prints_the_finished_actions_when_the_budget_runs_out(capsys):
+    argv = ["ktrans", "--catalog", "A5", "--max-degree", "12", "--budget-nodes", "200"]
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == (
+        "  degree 12: exact 3\n"
+        "  degree 15: bound 3\n"
+        "  degree 20: bound 3\n"
+        "  degree 30: bound 3\n"
+        "  degree 60: bound 2\n"
+    )
+    assert "budget exceeded" in err
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 3
+    result = json.loads(out)["result"]
+    assert result["k"] is None
+    assert result["certified"] is False
+    assert [(e["degree"], e["kind"], e["value"]) for e in result["entries"]] == [
+        (12, "exact", 3),
+        (15, "bound", 3),
+        (20, "bound", 3),
+        (30, "bound", 3),
+        (60, "bound", 2),
+    ]
 
 
 def test_budget_exhaustion_exit_code(capsys):

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from closurelab import stabchain
+from closurelab import closure as closure_module, stabchain
 from closurelab.actions import (
     BlockSystem,
     coset_action,
@@ -24,6 +24,7 @@ from closurelab.catalog import (
     symmetric,
 )
 from closurelab.closure import (
+    KTransCertificate,
     block_lemma_check,
     closure_spectrum,
     complete_lemma_check,
@@ -226,9 +227,52 @@ def test_closure_spectrum_budget_is_shared_by_its_steps():
     assert budget.nodes == 81
 
 
+def test_closure_spectrum_default_k_max_charges_the_budget():
+    # greedy finds a base of 4 pairs, the information bound is 3, so the
+    # exact base search behind the default k_max has to search
+    A = ksubsets_action(symmetric(6), 2)
+    base_budget = Budget()
+    assert exact_base_size(natural_action(A.group), base_budget).size == 4
+    assert base_budget.nodes > 0
+    budget = Budget()
+    report = closure_spectrum(A, budget=budget)
+    assert report.minimal_k == 2
+    assert budget.nodes == base_budget.nodes + sum(e.nodes for e in report.entries)
+
+
+def test_closure_spectrum_hands_its_budget_to_the_base_search(monkeypatch):
+    seen = []
+    real = closure_module.exact_base_size
+
+    def spy(A, budget=None):
+        seen.append(budget)
+        return real(A, budget)
+
+    monkeypatch.setattr(closure_module, "exact_base_size", spy)
+    budget = Budget(max_seconds=60)
+    closure_spectrum(natural_action(alternating(5)), budget=budget)
+    assert seen == [budget]
+
+
 def test_k_trans_honours_a_time_budget():
     with pytest.raises(BudgetExceededError):
         k_trans(alternating(5), 12, budget=Budget(max_seconds=1e-6))
+
+
+def test_k_trans_exhaustion_keeps_the_finished_actions():
+    # the degree-12 walk takes 163 nodes, the degree-10 one 110 more
+    with pytest.raises(BudgetExceededError) as info:
+        k_trans(alternating(5), 12, budget=Budget(200))
+    cert = info.value.partial
+    assert isinstance(cert, KTransCertificate)
+    assert not cert.certified
+    assert [(e.degree, e.kind, e.value) for e in cert.entries] == [
+        (12, "exact", 3),
+        (15, "bound", 3),
+        (20, "bound", 3),
+        (30, "bound", 3),
+        (60, "bound", 2),
+    ]
 
 
 def test_psl27_is_3_closed_on_the_projective_line():
@@ -338,6 +382,49 @@ def test_complete_lemma_check_guards():
     assert wrong_k.transitivity == 4
     unattested = complete_lemma_check(mathieu("M11"), 4, out_trivial=False, maximal_in_alt=True)
     assert unattested.status == "hypotheses-fail"
+
+
+def _closures_share_one_budget(check, per_closure_nodes):
+    """check(budget) runs the closures; each fits the cap, their sum does not."""
+    total = sum(per_closure_nodes)
+    assert max(per_closure_nodes) <= total - 1
+    with pytest.raises(BudgetExceededError):
+        check(Budget(total - 1))
+    budget = Budget(total)
+    check(budget)
+    assert budget.nodes == total
+
+
+def test_intransitive_certificate_closures_share_one_budget():
+    nat = natural_action(alternating(5))
+    pairs = ksubsets_action(alternating(5), 2)
+    U = union([nat, pairs])
+    _closures_share_one_budget(lambda b: intransitive_certificate(U, 4, budget=b), [6, 39])
+
+
+def test_block_lemma_check_closures_share_one_budget():
+    c6 = natural_action(cyclic(6))
+    S = BlockSystem.from_blocks([[0, 3], [1, 4], [2, 5]], 6)
+    _closures_share_one_budget(lambda b: block_lemma_check(c6, S, 2, budget=b), [16, 4])
+
+
+def test_restriction_lemma_check_closures_share_one_budget():
+    nat = natural_action(alternating(5))
+    pairs = ksubsets_action(alternating(5), 2)
+    U = union([nat, pairs])
+    _closures_share_one_budget(lambda b: restriction_lemma_check(U, 3, budget=b), [118, 39])
+
+
+def test_complete_lemma_check_charges_the_given_budget():
+    # the (k+1)-closure search takes 19 nodes; a second check on the same
+    # budget finds too few left
+    A = psl_projective(2, 7)
+    budget = Budget(30)
+    first = complete_lemma_check(A, 2, out_trivial=True, maximal_in_alt=True, budget=budget)
+    assert first.status == "confirmed"
+    assert budget.nodes == 19
+    second = complete_lemma_check(A, 2, out_trivial=True, maximal_in_alt=True, budget=budget)
+    assert second.status == "predicted, unconfirmed"
 
 
 def test_complete_lemma_check_confirms_psl27():

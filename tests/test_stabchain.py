@@ -1,7 +1,11 @@
 """Stabilizer chains against brute-force enumeration."""
 
-import pytest
+from itertools import permutations
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from closurelab import stabchain
 from closurelab.errors import DegreeLimitError
 from closurelab.perm import Permutation, parse_cycles
 from closurelab.stabchain import PermGroup, build_chain, tuple_transporter
@@ -12,6 +16,7 @@ from oracles import (
     brute_pointwise_stabilizer,
     brute_transporter,
 )
+from test_harness import generator_sets
 
 
 def group(degree, *cycle_texts, name=None):
@@ -130,6 +135,61 @@ def test_pointwise_stabilizer_matches_brute():
 def test_pointwise_stabilizer_of_nothing_is_whole_group():
     G = S4()
     assert G.pointwise_stabilizer([]).order() == 24
+
+
+def test_pointwise_stabilizer_builds_one_chain(monkeypatch):
+    calls = []
+    real = stabchain.build_chain
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("preferred_base"))
+        return real(*args, **kwargs)
+
+    G = A5()
+    G.order()
+    monkeypatch.setattr(stabchain, "build_chain", counting)
+    H = G.pointwise_stabilizer([0, 0])
+    assert H.order() == 12
+    assert calls == [(0,)]
+    # the stabilizer's own stabilizer is derived the same way
+    assert H.pointwise_stabilizer([1]).order() == 3
+    assert calls == [(0,), (1,)]
+
+
+def _check_against_brute(H, want, degree):
+    assert H.order() == len(want)
+    for images in permutations(range(degree)):
+        assert H.contains(Permutation(images)) == (images in want)
+    orbits = brute_orbits(list(want), degree)
+    assert H.orbits() == orbits
+    for orbit in orbits:
+        for p in orbit:
+            assert H.orbit_of(p) == orbit
+    for src in permutations(range(degree), min(2, degree)):
+        for dst in permutations(range(degree), len(src)):
+            got = H.tuple_transporter(src, dst)
+            if brute_transporter(want, src, dst) is None:
+                assert got is None
+            else:
+                assert got is not None and got.images in want
+                assert all(got(s) == d for s, d in zip(src, dst))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    generator_sets(),
+    st.lists(st.integers(min_value=0, max_value=5), max_size=4),
+    st.lists(st.integers(min_value=0, max_value=5), max_size=2),
+)
+def test_derived_stabilizer_matches_brute(G, first, second):
+    n = G.degree
+    first = [p % n for p in first]
+    second = [p % n for p in second]
+    elems = brute_elements([g.images for g in G.generators], n)
+    H = G.pointwise_stabilizer(first)
+    _check_against_brute(H, brute_pointwise_stabilizer(elems, first), n)
+    K = H.pointwise_stabilizer(second)
+    _check_against_brute(K, brute_pointwise_stabilizer(elems, first + second), n)
 
 
 def test_transporter_agrees_with_brute_search():
