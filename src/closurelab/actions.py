@@ -14,7 +14,6 @@ from itertools import combinations
 
 from .budget import DEFAULT_MAX_DEGREE
 from .errors import (
-    BudgetExceededError,
     DegreeLimitError,
     DegreeMismatchError,
     IntransitiveActionError,
@@ -505,11 +504,13 @@ def subgroups_up_to_conjugacy(G: PermGroup, order_bound: int = 3000) -> list[Per
     Seeds with the cyclic subgroups, then closes under single-element
     extension of class representatives; every subgroup shows up because it
     is reachable by adjoining generators one at a time along a chain of
-    subgroups. Element-set fingerprints deduplicate across classes.
+    subgroups. Element-set fingerprints deduplicate across classes. Since
+    <H, hxh'> = <H, x> for h, h' in H, one x per double coset HxH is
+    extended. Groups of order above order_bound raise DegreeLimitError.
     """
     N = G.order()
     if N > order_bound:
-        raise BudgetExceededError(f"group order {N} exceeds subgroup enumeration bound {order_bound}")
+        raise DegreeLimitError(f"group order {N} exceeds subgroup enumeration bound {order_bound}")
     degree = G.degree
     ident = tuple(range(degree))
     elems = sorted(p.images for p in G.elements(limit=order_bound + 1))
@@ -569,7 +570,16 @@ def subgroups_up_to_conjugacy(G: PermGroup, order_bound: int = 3000) -> list[Per
         for x in elems:
             if x in covered:
                 continue
-            covered.update(compose_images(h, x) for h in H)
+            # mark the double coset HxH, the closure of x under
+            # multiplication by H's generators on either side
+            covered.add(x)
+            double = [x]
+            for y in double:
+                for g in H_gens:
+                    for z in (compose_images(g, y), compose_images(y, g)):
+                        if z not in covered:
+                            covered.add(z)
+                            double.append(z)
             K = generated(H_gens + [x])
             register(K, H_gens + [x])
 

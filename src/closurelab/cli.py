@@ -41,8 +41,6 @@ from .harness import run_suite, suite_names
 from .perm import print_cycles
 from .stabchain import PermGroup
 
-LONG_ENV = "CLOSURELAB_ALLOW_LONG"
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -98,8 +96,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("--suite", required=True, metavar="NAME")
-    p.add_argument("--allow-long", action="store_true",
-                   help=f"enable the long-running A7 claim (or set {LONG_ENV}=1)")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.add_argument("--timings", action="store_true", help="include real elapsed times")
 
@@ -316,8 +312,7 @@ def _run_command(args) -> int:
 
 
 def _run_verify(args) -> int:
-    allow_long = args.allow_long or os.environ.get(LONG_ENV, "") not in ("", "0")
-    result = run_suite(args.suite, allow_long=allow_long)
+    result = run_suite(args.suite)
     if args.json:
         payload = result.to_dict()
         if not args.timings:

@@ -61,8 +61,11 @@ def k_closure(A: ActionInstance, k: int, budget: Budget | None = None) -> PermGr
     """The largest group with the same ordered k-tuple orbits as A's group.
 
     Shortcuts: k = 1 gives the direct product of symmetric groups on the
-    orbits; k at least the degree gives the group back; a k-transitive
-    group has the full symmetric group as its k-closure. Otherwise a
+    orbits, of order the product of the orbit-size factorials; k at least
+    the degree gives the group back; a k-transitive group has the full
+    symmetric group, of order n!, as its k-closure. The two symmetric
+    shortcuts return groups that carry their order, so order() on them
+    builds no chain. Otherwise a
     depth-first search assigns images point by point in domain order. A
     partial image of the new point must admit a transporter in G for every
     k-subset of assigned points ending at the new one (shorter tuples are
@@ -84,13 +87,15 @@ def k_closure(A: ActionInstance, k: int, budget: Budget | None = None) -> PermGr
     n = G.degree
     if k == 1:
         gens = []
+        order = 1
         for orbit in G.orbits():
             gens.extend(_symmetric_on(orbit, n))
-        return PermGroup(n, tuple(gens))
+            order *= factorial(len(orbit))
+        return PermGroup(n, tuple(gens), known_order=order)
     if k >= n:
         return G
     if transitivity_degree(G) >= k:
-        return PermGroup(n, tuple(_symmetric_on(range(n), n)))
+        return PermGroup(n, tuple(_symmetric_on(range(n), n)), known_order=factorial(n))
     return _closure_backtrack(G, k, budget if budget is not None else Budget())
 
 

@@ -3,9 +3,7 @@
 Each suite runs a fixed list of claims, every claim pairing a computed
 value against an independently stated expectation, with a citation line
 saying which mathematical fact the claim pins down. Suites are
-deterministic: same inputs, same report. The one long-running entry,
-the degree-7 alternating closure-number sweep, only runs when explicitly
-enabled.
+deterministic: same inputs, same report.
 """
 
 from __future__ import annotations
@@ -205,7 +203,7 @@ def _lex_rank(images: tuple[int, ...]) -> int:
 # the suites
 
 
-def _suite_an_closure(rec: _Recorder, allow_long: bool) -> None:
+def _suite_an_closure(rec: _Recorder) -> None:
     cite = "the natural alternating group of degree n has closure number n-1"
     a5 = catalog_group("A5")
     report5 = closure_spectrum(a5)
@@ -231,16 +229,15 @@ def _suite_an_closure(rec: _Recorder, allow_long: bool) -> None:
         (5, True),
         lambda: (lambda v: (v[0], v[1].certified))(k_trans(catalog_group("A6").group, 15)),
     )
-    if allow_long:
-        rec.claim(
-            "a7-ktrans",
-            "over every faithful transitive action of Alt(7) the largest minimal closure index is 6",
-            (6, True),
-            lambda: (lambda v: (v[0], v[1].certified))(k_trans(catalog_group("A7").group, 21)),
-        )
+    rec.claim(
+        "a7-ktrans",
+        "over every faithful transitive action of Alt(7) the largest minimal closure index is 6",
+        (6, True),
+        lambda: (lambda v: (v[0], v[1].certified))(k_trans(catalog_group("A7").group, 21)),
+    )
 
 
-def _suite_symmetric_collapse(rec: _Recorder, allow_long: bool) -> None:
+def _suite_symmetric_collapse(rec: _Recorder) -> None:
     for n in (5, 6, 7):
         rec.claim(
             f"a{n}-at-{n - 2}",
@@ -251,7 +248,7 @@ def _suite_symmetric_collapse(rec: _Recorder, allow_long: bool) -> None:
         )
 
 
-def _suite_halasi_bases(rec: _Recorder, allow_long: bool) -> None:
+def _suite_halasi_bases(rec: _Recorder) -> None:
     cite = "base sizes of symmetric and alternating groups acting on k-subsets"
     for name, k, expected in [
         ("S5", 2, 3),
@@ -277,7 +274,7 @@ def _suite_halasi_bases(rec: _Recorder, allow_long: bool) -> None:
         )
 
 
-def _suite_partition_bases(rec: _Recorder, allow_long: bool) -> None:
+def _suite_partition_bases(rec: _Recorder) -> None:
     cite = "base sizes of symmetric and alternating groups on uniform partitions"
     for n, a, b, sym_expected, alt_expected in [
         (6, 2, 3, 4, 3),
@@ -296,7 +293,7 @@ def _suite_partition_bases(rec: _Recorder, allow_long: bool) -> None:
         )
 
 
-def _suite_psl_bases(rec: _Recorder, allow_long: bool) -> None:
+def _suite_psl_bases(rec: _Recorder) -> None:
     for n, q in [(2, 5), (3, 2), (3, 3), (4, 2)]:
         expected = n + 1 - (1 if q == 2 else 0)
         rec.claim(
@@ -331,7 +328,7 @@ def _psl_witness_summary(n: int, q: int):
     return (len(base_points), "trivial stabilizer")
 
 
-def _suite_mathieu_complete(rec: _Recorder, allow_long: bool) -> None:
+def _suite_mathieu_complete(rec: _Recorder) -> None:
     rec.claim(
         "m11-complete",
         "the degree-11 Mathieu group is exactly 4-transitive; its 4-closure is "
@@ -353,7 +350,7 @@ def _suite_mathieu_complete(rec: _Recorder, allow_long: bool) -> None:
     )
 
 
-def _suite_m24_base(rec: _Recorder, allow_long: bool) -> None:
+def _suite_m24_base(rec: _Recorder) -> None:
     rec.claim(
         "m24-exact-base",
         "the degree-24 Mathieu action has minimal base size 7, met with an "
@@ -378,7 +375,7 @@ def _pool_action(name: str, subset_k):
     return ksubsets_action(A.group, subset_k), f"{name} on {subset_k}-subsets"
 
 
-def _suite_eq1_monotone(rec: _Recorder, allow_long: bool) -> None:
+def _suite_eq1_monotone(rec: _Recorder) -> None:
     rng = random.Random(SUITE_SEED)
     picks = sorted(rng.sample(range(len(_MONOTONE_POOL)), 12))
     for idx in picks:
@@ -414,7 +411,7 @@ _BPLUS1_POOL = [
 ]
 
 
-def _suite_bplus1_collapse(rec: _Recorder, allow_long: bool) -> None:
+def _suite_bplus1_collapse(rec: _Recorder) -> None:
     for name in _BPLUS1_POOL:
         A = catalog_group(name)
         if A.degree > 30:
@@ -441,7 +438,7 @@ _ORACLE_POOL = [
 ]
 
 
-def _suite_closure_oracle(rec: _Recorder, allow_long: bool) -> None:
+def _suite_closure_oracle(rec: _Recorder) -> None:
     for name in _ORACLE_POOL:
         A = catalog_group(name)
         if A.degree > 8:
@@ -467,7 +464,7 @@ def _suite_closure_oracle(rec: _Recorder, allow_long: bool) -> None:
 _BLOCK_POOL = ["C4", "C6", "D4", "D6", "C8", "C9"]
 
 
-def _suite_block_lemma(rec: _Recorder, allow_long: bool) -> None:
+def _suite_block_lemma(rec: _Recorder) -> None:
     cases = []
     for name in _BLOCK_POOL:
         A = catalog_group(name)
@@ -515,7 +512,7 @@ def _union_examples():
     ]
 
 
-def _suite_induced_restriction(rec: _Recorder, allow_long: bool) -> None:
+def _suite_induced_restriction(rec: _Recorder) -> None:
     examples = _union_examples()
     psl = catalog_group("PSL(2,7)")
     examples.append(("two-projective-lines", union([natural_action(psl.group)] * 2)))
@@ -530,7 +527,7 @@ def _suite_induced_restriction(rec: _Recorder, allow_long: bool) -> None:
             )
 
 
-def _suite_base_reduction(rec: _Recorder, allow_long: bool) -> None:
+def _suite_base_reduction(rec: _Recorder) -> None:
     for name in ["A5", "A6", "PSL(2,7)"]:
         G = catalog_group(name).group
         for H in subgroups_up_to_conjugacy(G):
@@ -555,7 +552,7 @@ def _suite_base_reduction(rec: _Recorder, allow_long: bool) -> None:
                 )
 
 
-def _suite_intransitive_certificates(rec: _Recorder, allow_long: bool) -> None:
+def _suite_intransitive_certificates(rec: _Recorder) -> None:
     expectations = {
         "two-natural-copies": ("certified", "closure equals the group"),
         "natural-plus-pairs": ("certified", "closure equals the group"),
@@ -600,12 +597,11 @@ def suite_names() -> tuple[str, ...]:
     return tuple(sorted(_SUITES))
 
 
-def run_suite(name: str, allow_long: bool = False) -> SuiteResult:
+def run_suite(name: str) -> SuiteResult:
     """Run one named suite and return its report.
 
-    Unknown names raise ValueError. allow_long adds the one long-running
-    claim, the closure number of Alt(7). A suite that records no claims is
-    a registration error.
+    Unknown names raise ValueError. A suite that records no claims is a
+    registration error.
     """
     try:
         fn = _SUITES[name]
@@ -614,7 +610,7 @@ def run_suite(name: str, allow_long: bool = False) -> SuiteResult:
             f"unknown suite {name!r}; registered: {', '.join(suite_names())}"
         ) from None
     rec = _Recorder()
-    fn(rec, allow_long)
+    fn(rec)
     if not rec.claims:
         raise RuntimeError(f"suite {name!r} registered no claims")
     return SuiteResult(suite=name, claims=tuple(rec.claims))

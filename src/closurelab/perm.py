@@ -10,6 +10,7 @@ Degree is fixed per permutation; mixing degrees is an error, never padding.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import CycleParseError, DegreeMismatchError
 
@@ -19,6 +20,9 @@ from .errors import CycleParseError, DegreeMismatchError
 
 def compose_images(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     """Image tuple of p-then-q."""
+    if len(p) > 1:
+        # itemgetter gathers in C; with one index it returns a scalar
+        return itemgetter(*p)(q)
     return tuple(q[i] for i in p)
 
 

@@ -27,14 +27,26 @@ from .perm import Permutation, compose_images, identity_images, inverse_images
 
 
 class _Level:
-    """One chain level: base point, strong generators, transversal."""
+    """One chain level: base point, strong generators, transversal, and the
+    inverses of transversal elements that queries on the finished chain have
+    needed so far. build_chain neither reads nor fills them, so they never
+    outlive the transversal they invert."""
 
-    __slots__ = ("beta", "gens", "transversal")
+    __slots__ = ("beta", "gens", "transversal", "inverses")
 
     def __init__(self, beta: int):
         self.beta = beta
         self.gens: list[tuple[int, ...]] = []
         self.transversal: dict[int, tuple[int, ...]] = {}
+        self.inverses: dict[int, tuple[int, ...]] = {}
+
+
+def _rep_inverse(level: _Level, pt: int) -> tuple[int, ...]:
+    """Inverse of the transversal element of level carrying its base point to pt."""
+    inv = level.inverses.get(pt)
+    if inv is None:
+        inv = level.inverses[pt] = inverse_images(level.transversal[pt])
+    return inv
 
 
 def _orbit_ids(gens, degree: int) -> tuple[int, ...]:
@@ -118,11 +130,10 @@ class StabilizerChain:
         g = images
         for idx, level in enumerate(self.levels):
             pt = g[level.beta]
-            u = level.transversal.get(pt)
-            if u is None:
+            if pt not in level.transversal:
                 return g, idx
             if pt != level.beta:
-                g = compose_images(g, inverse_images(u))
+                g = compose_images(g, _rep_inverse(level, pt))
         return g, len(self.levels)
 
     def contains_images(self, images: tuple[int, ...]) -> bool:
@@ -282,6 +293,11 @@ class PermGroup:
     Generators are kept exactly as supplied (order, duplicates, identities)
     because induced actions align generator lists positionally; the chain
     ignores identity generators internally.
+
+    known_order is trusted as the group order until a chain exists: order()
+    returns it without building one, and the chain, built lazily for
+    membership, stabilizers and transporters, stops as soon as it reaches
+    it. So callers pass exact values only.
     """
 
     def __init__(self, degree: int, generators, name: str | None = None, known_order: int | None = None):
@@ -326,6 +342,8 @@ class PermGroup:
         return tuple(strong) if strong else self.generators
 
     def order(self) -> int:
+        if self._chain is None and self._known_order is not None:
+            return self._known_order
         return self.chain().order()
 
     def contains(self, p: Permutation) -> bool:
@@ -466,9 +484,8 @@ def tuple_transporter(G: PermGroup, src, dst) -> Permutation | None:
         else:
             candidates = sorted(level.transversal)
         for gamma in candidates:
-            u = level.transversal[gamma]
-            w2 = compose_images(u, w)
-            winv2 = compose_images(winv, inverse_images(u))
+            w2 = compose_images(level.transversal[gamma], w)
+            winv2 = compose_images(winv, _rep_inverse(level, gamma))
             if not feasible(level_idx + 1, winv2):
                 continue
             found = search(level_idx + 1, w2, winv2)

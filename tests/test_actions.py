@@ -1,7 +1,11 @@
 """Induced actions, block systems, and subgroup enumeration."""
 
+import json
+from pathlib import Path
+
 import pytest
 
+from closurelab import actions
 from closurelab.actions import (
     ActionInstance,
     BlockSystem,
@@ -23,8 +27,9 @@ from closurelab.actions import (
     transitivity_degree,
     union,
 )
+from closurelab.catalog import catalog_group, symmetric
 from closurelab.errors import (
-    BudgetExceededError,
+    DegreeLimitError,
     IntransitiveActionError,
     InvalidPartitionError,
     NotASubgroupError,
@@ -308,8 +313,39 @@ def test_subgroup_classes_match_brute_enumeration():
 
 
 def test_subgroup_enumeration_respects_bound():
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(DegreeLimitError, match="10"):
         subgroups_up_to_conjugacy(A5(), order_bound=10)
+
+
+PINNED_SUBGROUPS = Path(__file__).parent / "subgroup_representatives.json"
+
+
+def _pinned_group(name):
+    return symmetric(4) if name == "S4" else catalog_group(name).group
+
+
+@pytest.mark.parametrize("name", ["A5", "A6", "PSL(2,7)", "PSL(2,8)", "S4"])
+def test_subgroup_representatives_are_pinned(name):
+    # (order, generator images) of every representative, recorded before the
+    # enumeration skipped double cosets; the skip must not change one of them
+    want = json.loads(PINNED_SUBGROUPS.read_text(encoding="utf-8"))[name]
+    reps = subgroups_up_to_conjugacy(_pinned_group(name))
+    got = [[H.order(), [list(g.images) for g in H.generators]] for H in reps]
+    assert got == want
+
+
+def test_subgroup_enumeration_skips_double_cosets(monkeypatch):
+    calls = []
+    real = actions._generated_images
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(actions, "_generated_images", counting)
+    assert len(subgroups_up_to_conjugacy(catalog_group("A6").group)) == 22
+    # 359 cyclic seeds plus the extensions <H, x>, one per double coset HxH
+    assert len(calls) <= 1063
 
 
 def test_transitivity_degree():

@@ -149,29 +149,27 @@ def test_verify_unknown_suite(capsys):
     assert "unknown suite" in err
 
 
-def test_verify_long_gate(capsys, monkeypatch):
+def test_verify_allow_long_is_rejected(capsys, monkeypatch):
     import closurelab.cli as cli
     from closurelab.harness import run_suite
 
     seen = []
 
-    def recording(name, allow_long=False):
-        seen.append(allow_long)
+    def recording(name):
+        seen.append(name)
         return run_suite("psl-bases")
 
     monkeypatch.setattr(cli, "run_suite", recording)
-    monkeypatch.delenv("CLOSURELAB_ALLOW_LONG", raising=False)
-    assert run(capsys, "verify", "--suite", "an-closure")[0] == 0
-    assert run(capsys, "verify", "--suite", "an-closure", "--allow-long")[0] == 0
+    code, out, err = run(capsys, "verify", "--suite", "an-closure", "--allow-long")
+    assert (code, out) == (1, "")
+    assert "--allow-long" in err
+    # the environment variable that once opened the gate changes nothing
     monkeypatch.setenv("CLOSURELAB_ALLOW_LONG", "1")
     assert run(capsys, "verify", "--suite", "an-closure")[0] == 0
-    monkeypatch.setenv("CLOSURELAB_ALLOW_LONG", "0")
-    assert run(capsys, "verify", "--suite", "an-closure")[0] == 0
-    assert seen == [False, True, True, False]
+    assert seen == ["an-closure"]
 
 
-def test_formerly_long_suites_need_no_opt_in(capsys, monkeypatch):
-    monkeypatch.delenv("CLOSURELAB_ALLOW_LONG", raising=False)
+def test_formerly_long_suites_need_no_opt_in(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "m24-base")
     assert code == 0
     assert "suite m24-base: pass" in out
@@ -277,3 +275,11 @@ def test_unknown_action_spec(capsys):
     code, _, err = run(capsys, "order", "--catalog", "A5", "--action", "mystery")
     assert code == 1
     assert "mystery" in err
+
+
+def test_ktrans_subgroup_enumeration_bound_is_a_size_limit(capsys):
+    # M11 has order 7920, above the enumeration bound; no budget ran out
+    code, out, err = run(capsys, "ktrans", "--catalog", "M11", "--max-degree", "12")
+    assert (code, out) == (1, "")
+    assert "budget" not in err
+    assert "3000" in err

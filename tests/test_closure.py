@@ -1,5 +1,7 @@
 """Closure backtrack, closure chains, and the structural certificates."""
 
+from math import factorial
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -147,6 +149,41 @@ def test_mathieu_bplus1_closure_is_cheap(monkeypatch, name, k, nodes):
     assert H.same_group(A.group)
     assert budget.nodes == nodes
     assert len(calls) <= 1000
+
+
+@settings(max_examples=40, deadline=None)
+@given(generator_sets(max_degree=7), st.integers(min_value=1, max_value=3))
+def test_k_closure_order_matches_a_fresh_chain(G, k):
+    H = k_closure(natural_action(G), k)
+    fresh = stabchain.build_chain(PermGroup(G.degree, H.generators))
+    assert H.order() == fresh.order()
+
+
+@pytest.mark.parametrize(
+    "G,k,order",
+    [
+        (cyclic(24), 1, factorial(24)),
+        (psl_projective(2, 23).group, 2, factorial(24)),
+        (group(7, "(1 2 3)(4 5)", "(6 7)"), 1, 6 * 2 * 2),
+    ],
+)
+def test_symmetric_closure_order_builds_no_chain(monkeypatch, G, k, order):
+    # the k = 1 and k-transitive shortcuts carry their order
+    H = k_closure(natural_action(G), k)
+    calls = []
+    real = stabchain.build_chain
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(stabchain, "build_chain", counting)
+    assert H.order() == order
+    assert calls == []
+    # membership still builds the chain, and it agrees with the known order
+    assert H.contains(parse_cycles("(1 2)", G.degree))
+    assert calls == [1]
+    assert H.chain().order() == order
 
 
 @settings(max_examples=40, deadline=None)

@@ -34,7 +34,7 @@ def test_unknown_suite_raises():
         run_suite("no-such-suite")
 
 
-def test_long_suite_needs_opt_in(monkeypatch):
+def test_an_closure_suite_includes_a7(monkeypatch):
     import closurelab.harness as harness
     from closurelab.closure import KTransCertificate
 
@@ -45,11 +45,9 @@ def test_long_suite_needs_opt_in(monkeypatch):
         return 0, KTransCertificate(k=0, certified=False, entries=(), note="stub")
 
     monkeypatch.setattr(harness, "k_trans", stub)
-    short = run_suite("an-closure")
-    assert "a7-ktrans" not in [c.claim_id for c in short.claims]
-    long = run_suite("an-closure", allow_long=True)
-    assert "a7-ktrans" in [c.claim_id for c in long.claims]
-    assert degrees == [5, 6, 5, 6, 7]
+    result = run_suite("an-closure")
+    assert "a7-ktrans" in [c.claim_id for c in result.claims]
+    assert degrees == [5, 6, 7]
 
 
 def test_partition_suite_passes():
@@ -181,8 +179,8 @@ def test_filtration_route_keeps_the_pinned_oracle_orders():
 
 
 @st.composite
-def generator_sets(draw):
-    degree = draw(st.integers(min_value=1, max_value=6))
+def generator_sets(draw, max_degree=6):
+    degree = draw(st.integers(min_value=1, max_value=max_degree))
     images = st.permutations(list(range(degree)))
     gens = draw(st.lists(images, max_size=3))
     return PermGroup(degree, [Permutation(tuple(g)) for g in gens])

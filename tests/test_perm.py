@@ -1,12 +1,13 @@
 """Permutation arithmetic, cycle text, and domains."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from closurelab.perm import (
     Domain,
     Permutation,
     compose,
+    compose_images,
     parse_cycles,
     print_cycles,
 )
@@ -135,3 +136,22 @@ def test_composition_associates_with_call(p, q):
     r = p * q
     for i in range(p.degree):
         assert r(i) == q(p(i))
+
+
+@st.composite
+def image_pairs(draw):
+    degree = draw(st.integers(min_value=0, max_value=9))
+    p = draw(st.permutations(list(range(degree))))
+    q = draw(st.permutations(list(range(degree))))
+    return tuple(p), tuple(q)
+
+
+@example(((), ()))
+@example(((0,), (0,)))
+@example(((1, 0), (1, 0)))
+@given(image_pairs())
+def test_compose_images_is_p_then_q(pair):
+    p, q = pair
+    got = compose_images(p, q)
+    assert type(got) is tuple
+    assert got == tuple(q[i] for i in p)

@@ -192,6 +192,20 @@ def test_derived_stabilizer_matches_brute(G, first, second):
     _check_against_brute(K, brute_pointwise_stabilizer(elems, first + second), n)
 
 
+@settings(max_examples=30, deadline=None)
+@given(generator_sets(), st.lists(st.integers(min_value=0, max_value=5), max_size=3))
+def test_answers_after_chain_rebuilds_match_brute(G, pts):
+    # queries cache transversal inverses on the chain they use; a rebase
+    # builds a new chain, and inverses cached before it must not leak
+    n = G.degree
+    elems = brute_elements([g.images for g in G.generators], n)
+    _check_against_brute(G, elems, n)
+    pts = [p % n for p in pts]
+    H = G.pointwise_stabilizer(pts)
+    _check_against_brute(H, brute_pointwise_stabilizer(elems, pts), n)
+    _check_against_brute(G, elems, n)
+
+
 def test_transporter_agrees_with_brute_search():
     from itertools import permutations, product
 
