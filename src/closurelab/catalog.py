@@ -327,17 +327,6 @@ def psl_order(n: int, q: int) -> int:
     return out // gcd(n, q - 1)
 
 
-def _mat_mul(F: FiniteField, A, B):
-    n = len(A)
-    return tuple(
-        tuple(
-            _dot(F, tuple(A[i][t] for t in range(n)), tuple(B[t][j] for t in range(n)))
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-
-
 def _dot(F: FiniteField, u, v) -> int:
     acc = 0
     for x, y in zip(u, v):

@@ -42,6 +42,19 @@ from .perm import print_cycles
 from .stabchain import PermGroup
 
 
+def _allowance(kind):
+    """An argparse type for a budget: a number of the given kind, at least 0."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not value >= 0:  # also rejects nan
+            raise argparse.ArgumentTypeError(f"must be at least 0, not {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="closurelab",
@@ -62,8 +75,10 @@ def _build_parser() -> argparse.ArgumentParser:
             )
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--timings", action="store_true", help="include real elapsed times")
-        p.add_argument("--budget-nodes", type=int, metavar="N", help="search node allowance")
-        p.add_argument("--budget-seconds", type=float, metavar="S", help="wall-clock allowance")
+        p.add_argument("--budget-nodes", type=_allowance(int), metavar="N",
+                       help="search node allowance")
+        p.add_argument("--budget-seconds", type=_allowance(float), metavar="S",
+                       help="wall-clock allowance")
 
     for name, helptext in [
         ("order", "order of the acting group's image"),

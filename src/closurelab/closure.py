@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cache, partial
 from itertools import combinations
 from math import factorial
 
@@ -33,28 +34,12 @@ from .actions import (
 from .basesize import exact_base_size, greedy_base
 from .budget import Budget
 from .errors import BudgetExceededError, SimplicityError
-from .perm import Permutation, compose
-from .stabchain import PermGroup
+from .perm import Permutation, _symmetric_on, compose, compose_images
+from .stabchain import PermGroup, _canonical_image, _orbitals, build_chain
 
 
 # ---------------------------------------------------------------------------
 # the closure backtrack
-
-
-def _symmetric_on(points, degree) -> list[Permutation]:
-    """Generators of the full symmetric group on a point subset, embedded."""
-    pts = sorted(points)
-    gens = []
-    if len(pts) >= 2:
-        tr = list(range(degree))
-        tr[pts[0]], tr[pts[1]] = tr[pts[1]], tr[pts[0]]
-        gens.append(Permutation(tuple(tr)))
-    if len(pts) >= 3:
-        cyc = list(range(degree))
-        for i, p in enumerate(pts):
-            cyc[p] = pts[(i + 1) % len(pts)]
-        gens.append(Permutation(tuple(cyc)))
-    return gens
 
 
 def k_closure(A: ActionInstance, k: int, budget: Budget | None = None) -> PermGroup:
@@ -65,21 +50,29 @@ def k_closure(A: ActionInstance, k: int, budget: Budget | None = None) -> PermGr
     the degree gives the group back; a k-transitive group has the full
     symmetric group, of order n!, as its k-closure. The two symmetric
     shortcuts return groups that carry their order, so order() on them
-    builds no chain. Otherwise a
-    depth-first search assigns images point by point in domain order. A
-    partial image of the new point must admit a transporter in G for every
-    k-subset of assigned points ending at the new one (shorter tuples are
-    implied by these). The search carries a witness down the path: an
-    element of G agreeing with the partial image so far. When the witness
-    already sends the new point to its candidate image, or one transporter
-    call extends it to the whole prefix, every such k-subset is settled at
-    once; when no element of G realises the prefix past the first k points,
-    the per-subset transporter checks run instead, memoized per source and
-    target tuple. Found elements immediately enlarge the known subgroup K,
-    and only candidates minimal in their K-coset under point-image
-    lexicographic order are explored, so each coset of the final closure
-    contributes one leaf. Budget exhaustion raises an error carrying the
-    subgroup found so far, a valid lower bound.
+    builds no chain. Otherwise a depth-first search assigns images point
+    by point in domain order, and no node runs a search: every check is a
+    lookup in stabilizer chains of G.
+
+    Forward checking keeps candidates to a domain per point. The k-closure
+    lies in the 2-closure, so each pair (i, j) must go into the orbit of G
+    containing (i, j); assigning an image narrows the domain of every later
+    point, and a point left with no unused image fails the node. The search
+    also carries a witness down the path, an element of G agreeing with the
+    partial image so far. It extends to the new point exactly when the
+    candidate, pulled back by it, lies in that point's orbit under the
+    pointwise stabilizer of the earlier points, read off the chain with base
+    0, 1, ..., n-1, and the extension settles every k-subset at once. Past
+    the first k points, a prefix that no element of G realises is checked
+    per k-subset of assigned points ending at the new one (shorter tuples
+    are implied by these): source and target must have the same canonical
+    image, their least image under G, memoised per tuple for the one search.
+
+    Found elements immediately enlarge the known subgroup K, and only
+    candidates minimal in their K-coset under point-image lexicographic
+    order are explored, so each coset of the final closure contributes one
+    leaf. Budget exhaustion raises an error carrying the subgroup found so
+    far, a valid lower bound.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -102,48 +95,65 @@ def k_closure(A: ActionInstance, k: int, budget: Budget | None = None) -> PermGr
 def _closure_backtrack(G: PermGroup, k: int, budget: Budget) -> PermGroup:
     n = G.degree
     K = G
-    found: list[Permutation] = []
-    memo: dict[tuple[tuple[int, ...], tuple[int, ...]], bool] = {}
     h = [0] * n
-    used = [False] * n
+    # Level j of the chain with base 0..n-1 holds the orbit of j under the
+    # pointwise stabilizer of 0..j-1 in G. It is built here rather than
+    # cached on G, so it is freed on return.
+    strong = PermGroup(n, [Permutation(g) for g in G.chain().strong_generators()])
+    natural = build_chain(strong, preferred_base=range(n), known_order=G.order()).levels
     # wit[j] is the image tuple of an element of G agreeing with h on
     # points 0..j-1, or None when G has no such element.
     wit: list[tuple[int, ...] | None] = [None] * (n + 1)
     wit[0] = tuple(range(n))
+    canonical = cache(partial(_canonical_image, G))
+    # Forward checking on orbitals: the k-closure lies in the 2-closure, so
+    # every leaf maps each pair (i, q) into the orbital of (i, q). dom[j][q]
+    # is the bitmask of images left to q by the assignments to 0..j-1; it
+    # holds none of h[:j], as no off-diagonal orbital meets the diagonal.
+    orbital = _orbitals(G)
+    dom: list[list[int]] = [[(1 << n) - 1] * n]
     # stab_stack[j] is the pointwise stabilizer in the current K of the
     # image prefix h[:j]; entries are rebuilt lazily after K grows or the
     # path changes, and pruning with a stale (smaller) K stays sound.
     stab_stack: list[PermGroup] = [K]
 
-    def transporter_exists(src: tuple[int, ...], dst: tuple[int, ...]) -> bool:
-        key = (src, dst)
-        cached = memo.get(key)
-        if cached is None:
-            cached = G.tuple_transporter(src, dst) is not None
-            memo[key] = cached
-            memo[(dst, src)] = cached
-        return cached
-
     def constraints_ok(j: int, beta: int) -> bool:
         # An element of G carrying 0..j to h[:j] + (beta,) carries every
         # k-subset ending at j to its target, so it settles the node; when
-        # j + 1 <= k the whole prefix is the one constraint.
+        # j + 1 <= k the whole prefix is the one constraint. With wit[j] = w,
+        # such an element is u * w for u in level j of the natural chain,
+        # which must carry j to w^-1(beta).
         w = wit[j]
         if w is not None:
-            if w[j] == beta:
-                wit[j + 1] = w
-                return True
-            g = G.tuple_transporter(range(j + 1), tuple(h[:j]) + (beta,))
-            if g is not None:
-                wit[j + 1] = g.images
+            x = w.index(beta)
+            u = natural[j].transversal.get(x)
+            if u is not None:
+                wit[j + 1] = compose_images(u, w)
                 return True
             if j + 1 <= k:
                 return False
         wit[j + 1] = None
         for sub in combinations(range(j), k - 1):
-            if not transporter_exists(sub + (j,), tuple(h[t] for t in sub) + (beta,)):
+            if canonical(sub + (j,)) != canonical(tuple(h[t] for t in sub) + (beta,)):
                 return False
         return True
+
+    def forward(j: int, beta: int) -> list[int] | None:
+        # Narrow the domain of every later point by the orbital it forms with
+        # j; None when some point is left no image. allowed[o] has bit g set
+        # when (beta, g) lies in orbital o; it is built per call, as a table
+        # for every point would take n^3 bits.
+        allowed: dict[int, int] = {}
+        for g, o in enumerate(orbital[beta]):
+            allowed[o] = allowed.get(o, 0) | 1 << g
+        here = dom[j]
+        row = orbital[j]
+        nxt = here[:]
+        for q in range(j + 1, n):
+            nxt[q] = here[q] & allowed.get(row[q], 0)
+            if not nxt[q]:
+                return None
+        return nxt
 
     def stab_at(j: int) -> PermGroup:
         while len(stab_stack) <= j:
@@ -159,22 +169,26 @@ def _closure_backtrack(G: PermGroup, k: int, budget: Budget) -> PermGroup:
         if j == n:
             p = Permutation(tuple(h))
             if not K.contains(p):
-                found.append(p)
                 K = PermGroup(n, tuple(K.generators) + (p,))
                 stab_stack[:] = [K]
             return
         ids = stab_at(j).chain().orbit_ids(0)
+        # only images in j's domain that are least in their orbit under the
+        # stabilizer are nodes
+        here = dom[j][j]
         for beta in range(n):
-            if used[beta] or ids[beta] != beta:
+            if not here >> beta & 1 or ids[beta] != beta:
                 continue
             budget.charge()
             if not constraints_ok(j, beta):
                 continue
+            nxt = forward(j, beta)
+            if nxt is None:
+                continue
             h[j] = beta
-            used[beta] = True
+            dom[j + 1 :] = [nxt]
             del stab_stack[j + 1 :]
             dfs(j + 1)
-            used[beta] = False
         del stab_stack[j + 1 :]
 
     try:
@@ -186,8 +200,8 @@ def _closure_backtrack(G: PermGroup, k: int, budget: Budget) -> PermGroup:
         ) from None
     finally:
         # dfs refers to itself through its closure cell; clearing the cell
-        # breaks that cycle, so the memo and the stabilizer stack are freed
-        # on return instead of whenever the cyclic collector next runs.
+        # breaks that cycle, so the tables and the stabilizer stack are
+        # freed on return instead of whenever the cyclic collector next runs.
         del dfs
     return K
 

@@ -203,6 +203,12 @@ def _lex_rank(images: tuple[int, ...]) -> int:
 # the suites
 
 
+def _k_trans_verdict(G, degree_bound: int) -> tuple[int, bool]:
+    """k_trans's value for G and whether it is certified exact."""
+    k, cert = k_trans(G, degree_bound)
+    return k, cert.certified
+
+
 def _suite_an_closure(rec: _Recorder) -> None:
     cite = "the natural alternating group of degree n has closure number n-1"
     a5 = catalog_group("A5")
@@ -221,19 +227,19 @@ def _suite_an_closure(rec: _Recorder) -> None:
         "a5-ktrans",
         "over every faithful transitive action of Alt(5) the largest minimal closure index is 4",
         (4, True),
-        lambda: (lambda v: (v[0], v[1].certified))(k_trans(a5.group, 12)),
+        lambda: _k_trans_verdict(a5.group, 12),
     )
     rec.claim(
         "a6-ktrans",
         "over every faithful transitive action of Alt(6) the largest minimal closure index is 5",
         (5, True),
-        lambda: (lambda v: (v[0], v[1].certified))(k_trans(catalog_group("A6").group, 15)),
+        lambda: _k_trans_verdict(catalog_group("A6").group, 15),
     )
     rec.claim(
         "a7-ktrans",
         "over every faithful transitive action of Alt(7) the largest minimal closure index is 6",
         (6, True),
-        lambda: (lambda v: (v[0], v[1].certified))(k_trans(catalog_group("A7").group, 21)),
+        lambda: _k_trans_verdict(catalog_group("A7").group, 21),
     )
 
 

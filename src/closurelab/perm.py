@@ -108,6 +108,22 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
     return Permutation(compose_images(p.images, q.images))
 
 
+def _symmetric_on(points, degree) -> list[Permutation]:
+    """Generators of the full symmetric group on a point subset, embedded."""
+    pts = sorted(points)
+    gens = []
+    if len(pts) >= 2:
+        tr = list(range(degree))
+        tr[pts[0]], tr[pts[1]] = tr[pts[1]], tr[pts[0]]
+        gens.append(Permutation(tuple(tr)))
+    if len(pts) >= 3:
+        cyc = list(range(degree))
+        for i, p in enumerate(pts):
+            cyc[p] = pts[(i + 1) % len(pts)]
+        gens.append(Permutation(tuple(cyc)))
+    return gens
+
+
 def parse_cycles(text: str, degree: int) -> Permutation:
     """Parse disjoint cycles of 1-based points, separated by spaces or commas.
 

@@ -427,6 +427,58 @@ def pointwise_stabilizer(G: PermGroup, pts) -> PermGroup:
     return G.pointwise_stabilizer(pts)
 
 
+def _canonical_image(G: PermGroup, t: tuple[int, ...]) -> tuple[int, ...]:
+    """The least image of the injective tuple t under G.
+
+    Entry by entry: the first entry goes to the least point m_1 of its
+    G-orbit, by the inverse of the transversal element of the chain rebased
+    at m_1, applied to the whole tuple; the next entry then goes to the least
+    point of its orbit under the stabilizer of m_1, and so on. Once the
+    stabilizer of the image so far is trivial, the rest of the tuple is
+    fixed. Two tuples lie in one G-orbit exactly when their canonical images
+    are equal.
+    """
+    ids = G.chain().orbit_ids(0)
+    image: list[int] = []
+    rest = tuple(t)
+    while rest:
+        x = rest[0]
+        image.append(ids[x])
+        rest = rest[1:]
+        if not rest:
+            break
+        depth = len(image)
+        chain = G.chain(preferred_base=image)
+        u = chain.levels[depth - 1].transversal[x]
+        rest = tuple(u.index(y) for y in rest)
+        if len(chain.levels) == depth:
+            image.extend(rest)
+            break
+        ids = chain.orbit_ids(depth)
+    return tuple(image)
+
+
+def _orbitals(G: PermGroup) -> list[list[int]]:
+    """rows[a][b] numbers the orbit of G containing the pair (a, b).
+
+    The number is read from the pair's canonical image (m, m'): m is the
+    least point of a's orbit, and m' that of u^-1(b) under the stabilizer
+    of m, where u carries m to a. The diagonal (m, m) numbers the orbit of
+    the point a.
+    """
+    n = G.degree
+    ids = G.chain().orbit_ids(0)
+    number: dict[int, int] = {}
+    rows = []
+    for a in range(n):
+        m = ids[a]
+        chain = G.chain(preferred_base=(m,))
+        inv = inverse_images(chain.levels[0].transversal[a])
+        below = chain.orbit_ids(1)
+        rows.append([number.setdefault(m * n + below[inv[b]], len(number)) for b in range(n)])
+    return rows
+
+
 def tuple_transporter(G: PermGroup, src, dst) -> Permutation | None:
     """Some g in G with src^g = dst, or None if no such element exists.
 

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from closurelab.cli import main
 
 
@@ -181,9 +183,20 @@ def test_verify_budget_nodes_is_rejected(capsys):
     assert "--budget-nodes" in err
 
 
+@pytest.mark.parametrize("flag,value", [("--budget-nodes", "-5"), ("--budget-seconds", "-1"),
+                                        ("--budget-seconds", "nan")])
+def test_negative_budgets_are_usage_errors(capsys, flag, value):
+    code, out, err = run(capsys, "closure", "--catalog", "PSL(2,8)", "--action", "ksubsets:2",
+                         "--k", "2", flag, value)
+    assert (code, out) == (1, "")
+    assert flag in err
+    assert "budget exceeded" not in err
+
+
 def test_spectrum_budget_is_per_invocation(capsys):
+    # k = 2 takes 19 nodes and k = 3 takes 12: each step fits in 25, the two do not
     code, out, err = run(capsys, "spectrum", "--catalog", "A5", "--action", "ksubsets:2",
-                         "--budget-nodes", "80")
+                         "--budget-nodes", "25")
     assert code == 3
     assert out == "k 1: order 3628800\nk 2: order 120\n"
     assert "budget exceeded" in err
@@ -201,7 +214,8 @@ def test_ktrans_honours_budget_seconds(capsys):
 
 
 def test_ktrans_prints_the_finished_actions_when_the_budget_runs_out(capsys):
-    argv = ["ktrans", "--catalog", "A5", "--max-degree", "12", "--budget-nodes", "200"]
+    # the degree-12 walk takes 35 nodes, the degree-10 one 31 more
+    argv = ["ktrans", "--catalog", "A5", "--max-degree", "12", "--budget-nodes", "50"]
     code, out, err = run(capsys, *argv)
     assert code == 3
     assert out == (

@@ -8,7 +8,13 @@ from hypothesis import given, settings, strategies as st
 from closurelab import stabchain
 from closurelab.errors import DegreeLimitError
 from closurelab.perm import Permutation, parse_cycles
-from closurelab.stabchain import PermGroup, build_chain, tuple_transporter
+from closurelab.stabchain import (
+    PermGroup,
+    _canonical_image,
+    _orbitals,
+    build_chain,
+    tuple_transporter,
+)
 
 from oracles import (
     brute_elements,
@@ -235,6 +241,32 @@ def test_transporter_on_longer_tuples():
         assert (got is None) == (want is None)
         if got is not None:
             assert all(got(s) == d for s, d in zip(src, dst))
+
+
+@settings(max_examples=60, deadline=None)
+@given(generator_sets(), st.data())
+def test_canonical_image_is_the_least_image(G, data):
+    n = G.degree
+    length = data.draw(st.integers(min_value=1, max_value=min(4, n)))
+    src = tuple(data.draw(st.permutations(range(n)))[:length])
+    dst = tuple(data.draw(st.permutations(range(n)))[:length])
+    elems = brute_elements([g.images for g in G.generators], n)
+    least = min(tuple(e[p] for p in src) for e in elems)
+    assert _canonical_image(G, src) == least
+    same = _canonical_image(G, src) == _canonical_image(G, dst)
+    assert same == (brute_transporter(elems, src, dst) is not None)
+
+
+@settings(max_examples=40, deadline=None)
+@given(generator_sets())
+def test_orbital_numbers_match_canonical_images(G):
+    rows = _orbitals(G)
+    images = {}
+    for a in range(G.degree):
+        for b in range(G.degree):
+            image = _canonical_image(G, (a, b) if a != b else (a,))
+            assert images.setdefault(rows[a][b], image) == image
+    assert len(set(images.values())) == len(images)
 
 
 def test_transporter_identity_shortcut():
