@@ -111,14 +111,6 @@ class BlockSystem:
     def num_blocks(self) -> int:
         return len(self.blocks)
 
-    @property
-    def is_singletons(self) -> bool:
-        return len(self.blocks) == self.degree
-
-    @property
-    def is_universal(self) -> bool:
-        return len(self.blocks) == 1
-
     def labels(self, domain: Domain) -> tuple[str, ...]:
         return tuple(
             "{" + ",".join(domain.labels[p] for p in block) + "}" for block in self.blocks
@@ -329,7 +321,7 @@ def _coset_canonical(H_chain, x: tuple[int, ...]) -> tuple[int, ...]:
     return y
 
 
-def coset_action(G: PermGroup, H: PermGroup, max_degree: int = DEFAULT_MAX_DEGREE) -> ActionInstance:
+def coset_action(G: PermGroup, H: PermGroup) -> ActionInstance:
     """G acting on the right cosets of H by right multiplication.
 
     Cosets are identified by a canonical representative (the element with
@@ -342,8 +334,8 @@ def coset_action(G: PermGroup, H: PermGroup, max_degree: int = DEFAULT_MAX_DEGRE
     if not all(G.contains(h) for h in H.generators):
         raise NotASubgroupError("H has a generator outside G")
     index = G.order() // H.order()
-    if index > max_degree:
-        raise DegreeLimitError(f"index {index} exceeds guard {max_degree}")
+    if index > DEFAULT_MAX_DEGREE:
+        raise DegreeLimitError(f"index {index} exceeds guard {DEFAULT_MAX_DEGREE}")
     chain = H.chain()
     gens = [g.images for g in G.generators]
 
@@ -371,13 +363,6 @@ def coset_action(G: PermGroup, H: PermGroup, max_degree: int = DEFAULT_MAX_DEGRE
     return ActionInstance(
         PermGroup(len(ordered), images), Domain(labels), f"cosets({name})", G.order()
     )
-
-
-def identity_coset_point(G: PermGroup, H: PermGroup, A: ActionInstance) -> int:
-    """The domain point of coset_action(G, H) that is the coset H itself."""
-    rep = _coset_canonical(H.chain(), tuple(range(G.degree)))
-    label = "H" + print_cycles(Permutation(rep))
-    return A.domain.labels.index(label)
 
 
 def restriction(A: ActionInstance, points) -> ActionInstance:
@@ -456,25 +441,19 @@ def actions_equivalent(a: ActionInstance, b: ActionInstance) -> bool:
 def transitivity_degree(A) -> int:
     """Largest m such that the action is m-transitive (0 if intransitive).
 
-    Accepts an ActionInstance or a PermGroup. Computed by fixing points
-    0, 1, 2, ... in order and checking at each step that the stabilizer so
-    far is transitive on the rest; m-transitivity does not depend on which
-    points are fixed, so this single chain decides it.
+    Accepts an ActionInstance or a PermGroup. Read off the chain with base
+    0, 1, ..., n-1: level j holds the orbit of j under the pointwise
+    stabilizer of 0, ..., j-1, so G is m-transitive exactly when the first m
+    levels have orbits of sizes n, n-1, ..., n-m+1. m-transitivity does not
+    depend on which points are fixed, so this one chain decides it; the
+    closure backtrack reads the same chain.
     """
     G = A.group if isinstance(A, ActionInstance) else A
     n = G.degree
+    levels = G.chain(preferred_base=range(n)).levels
     m = 0
-    fixed: list[int] = []
-    H = G
-    while m < n:
-        rest = [p for p in range(n) if p not in fixed]
-        if len(rest) != len(H.orbit_of(rest[0])):
-            break
-        fixed.append(rest[0])
+    while m < n and len(levels[m].transversal) == n - m:
         m += 1
-        if m == n:
-            break
-        H = G.pointwise_stabilizer(fixed)
     return m
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .actions import ActionInstance, ksubsets_action, partitions_action
-from .budget import Budget, default_budget_nodes
+from .budget import Budget
 from .catalog import alternating, symmetric
 from .errors import BudgetExceededError, NotFaithfulError, ValidationError
 
@@ -83,7 +83,7 @@ def exact_base_size(A: ActionInstance, budget: Budget | None = None) -> BaseReco
     """
     _require_faithful(A)
     G = A.group
-    budget = budget if budget is not None else Budget(default_budget_nodes())
+    budget = budget if budget is not None else Budget()
     seed = greedy_base(A)
     if seed.exhaustive:
         return seed

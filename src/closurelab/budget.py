@@ -19,15 +19,21 @@ DEFAULT_MAX_DEGREE = 5000
 
 
 def default_budget_nodes() -> int:
-    """Node allowance from the environment, else the built-in default."""
+    """Node allowance from the environment, else the built-in default.
+
+    The variable follows the rule of the --budget-nodes flag: an integer at
+    least 0 is honoured, and anything else raises ValueError.
+    """
     raw = os.environ.get(ENV_BUDGET_NODES)
     if raw is None:
         return DEFAULT_BUDGET_NODES
     try:
         value = int(raw)
     except ValueError:
-        return DEFAULT_BUDGET_NODES
-    return value if value > 0 else DEFAULT_BUDGET_NODES
+        value = -1
+    if value < 0:
+        raise ValueError(f"{ENV_BUDGET_NODES} must be an integer at least 0, not {raw!r}")
+    return value
 
 
 class Budget:
@@ -53,6 +59,3 @@ class Budget:
             raise BudgetExceededError(
                 f"time budget exhausted (> {self.max_seconds:g}s)", partial=partial
             )
-
-    def elapsed_ms(self) -> int:
-        return int((time.monotonic() - self._t0) * 1000)

@@ -116,9 +116,6 @@ class FiniteField:
     def neg(self, a: int) -> int:
         return next(b for b in range(self.q) if self._add[a][b] == 0)
 
-    def sub(self, a: int, b: int) -> int:
-        return self._add[a][self.neg(b)]
-
     def mul(self, a: int, b: int) -> int:
         return self._mul[a][b]
 
@@ -347,7 +344,6 @@ def psl_projective(
     n: int,
     q: int,
     allow_nonsimple: bool = False,
-    max_degree: int = DEFAULT_MAX_DEGREE,
 ) -> ActionInstance:
     """PSL(n, q) acting on the points of projective (n-1)-space.
 
@@ -365,8 +361,8 @@ def psl_projective(
         raise SimplicityError(f"PSL({n},{q}) is not simple; pass allow_nonsimple to build it")
     F = FiniteField(q)
     P = ProjectivePointDomain.build(F, n)
-    if P.count > max_degree:
-        raise DegreeLimitError(f"projective domain has {P.count} points, limit {max_degree}")
+    if P.count > DEFAULT_MAX_DEGREE:
+        raise DegreeLimitError(f"projective domain has {P.count} points, limit {DEFAULT_MAX_DEGREE}")
     lam = F.primitive_element()
     ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
     transvection = tuple(

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 from itertools import combinations
 from math import factorial
 
@@ -35,7 +35,7 @@ from .basesize import exact_base_size, greedy_base
 from .budget import Budget
 from .errors import BudgetExceededError, SimplicityError
 from .perm import Permutation, _symmetric_on, compose, compose_images
-from .stabchain import PermGroup, _canonical_image, _orbitals, build_chain
+from .stabchain import PermGroup, _canonical_image, _orbitals
 
 
 # ---------------------------------------------------------------------------
@@ -97,15 +97,14 @@ def _closure_backtrack(G: PermGroup, k: int, budget: Budget) -> PermGroup:
     K = G
     h = [0] * n
     # Level j of the chain with base 0..n-1 holds the orbit of j under the
-    # pointwise stabilizer of 0..j-1 in G. It is built here rather than
-    # cached on G, so it is freed on return.
-    strong = PermGroup(n, [Permutation(g) for g in G.chain().strong_generators()])
-    natural = build_chain(strong, preferred_base=range(n), known_order=G.order()).levels
+    # pointwise stabilizer of 0..j-1 in G. It is the chain transitivity_degree
+    # read in k_closure, cached on G.
+    natural = G.chain(preferred_base=range(n)).levels
     # wit[j] is the image tuple of an element of G agreeing with h on
     # points 0..j-1, or None when G has no such element.
     wit: list[tuple[int, ...] | None] = [None] * (n + 1)
     wit[0] = tuple(range(n))
-    canonical = cache(partial(_canonical_image, G))
+    canonical = cache(lambda t: _canonical_image(G, t)[0])
     # Forward checking on orbitals: the k-closure lies in the 2-closure, so
     # every leaf maps each pair (i, q) into the orbital of (i, q). dom[j][q]
     # is the bitmask of images left to q by the assignments to 0..j-1; it

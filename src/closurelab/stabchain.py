@@ -159,7 +159,7 @@ class StabilizerChain:
         """Per point, the least point of its orbit under level level_idx's group.
 
         Level len(levels) is the trivial group (every orbit a singleton).
-        Used by the transporter search to prune infeasible branches.
+        Canonical tuple images read the least point of an orbit here.
         """
         cached = self._orbit_ids.get(level_idx)
         if cached is None:
@@ -172,7 +172,6 @@ def build_chain(
     G: "PermGroup",
     preferred_base=None,
     known_order: int | None = None,
-    max_degree: int = DEFAULT_MAX_DEGREE,
 ) -> StabilizerChain:
     """Deterministic Schreier-Sims for G, optionally forcing a base prefix.
 
@@ -182,8 +181,8 @@ def build_chain(
     the transversal product reaches it, which is sound because the product
     never exceeds the group order.
     """
-    if G.degree > max_degree:
-        raise DegreeLimitError(f"degree {G.degree} exceeds guard {max_degree}")
+    if G.degree > DEFAULT_MAX_DEGREE:
+        raise DegreeLimitError(f"degree {G.degree} exceeds guard {DEFAULT_MAX_DEGREE}")
     degree = G.degree
     identity = identity_images(degree)
     gens = [p.images for p in G.generators if p.images != identity]
@@ -351,9 +350,6 @@ class PermGroup:
             raise DegreeMismatchError(f"element degree {p.degree} != group degree {self.degree}")
         return self.chain().contains_images(p.images)
 
-    def is_trivial(self) -> bool:
-        return all(g.is_identity() for g in self.generators)
-
     def _ids(self) -> tuple[int, ...]:
         if self._orbit_ids is None:
             self._orbit_ids = _orbit_ids([g.images for g in self.generators], self.degree)
@@ -427,35 +423,40 @@ def pointwise_stabilizer(G: PermGroup, pts) -> PermGroup:
     return G.pointwise_stabilizer(pts)
 
 
-def _canonical_image(G: PermGroup, t: tuple[int, ...]) -> tuple[int, ...]:
-    """The least image of the injective tuple t under G.
+def _canonical_image(G: PermGroup, t: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The least image of the injective tuple t under G, and an element of G
+    (as images) carrying t to it.
 
     Entry by entry: the first entry goes to the least point m_1 of its
     G-orbit, by the inverse of the transversal element of the chain rebased
     at m_1, applied to the whole tuple; the next entry then goes to the least
-    point of its orbit under the stabilizer of m_1, and so on. Once the
-    stabilizer of the image so far is trivial, the rest of the tuple is
-    fixed. Two tuples lie in one G-orbit exactly when their canonical images
-    are equal.
+    point of its orbit under the stabilizer of m_1, and so on. The element is
+    the product of those inverses. Once the stabilizer of the image so far is
+    trivial, the rest of the tuple is fixed. Two tuples lie in one G-orbit
+    exactly when their canonical images are equal.
     """
+    g = identity_images(G.degree)
     ids = G.chain().orbit_ids(0)
     image: list[int] = []
     rest = tuple(t)
     while rest:
-        x = rest[0]
-        image.append(ids[x])
-        rest = rest[1:]
-        if not rest:
+        x, rest = rest[0], rest[1:]
+        m = ids[x]
+        image.append(m)
+        if x == m and not rest:
+            # a last entry that is already least needs no factor and no chain
             break
         depth = len(image)
         chain = G.chain(preferred_base=image)
-        u = chain.levels[depth - 1].transversal[x]
-        rest = tuple(u.index(y) for y in rest)
+        if x != m:
+            inv = _rep_inverse(chain.levels[depth - 1], x)
+            g = compose_images(g, inv)
+            rest = tuple(inv[y] for y in rest)
         if len(chain.levels) == depth:
             image.extend(rest)
             break
         ids = chain.orbit_ids(depth)
-    return tuple(image)
+    return tuple(image), g
 
 
 def _orbitals(G: PermGroup) -> list[list[int]]:
@@ -484,11 +485,10 @@ def tuple_transporter(G: PermGroup, src, dst) -> Permutation | None:
 
     src must be injective (repeated constraints collapse to their distinct
     entries); a non-injective dst can never be reached from an injective
-    tuple, so the answer is None. The search walks the chain level by level,
-    always trying the least available image of the level's base point first,
-    pruning any branch where some dst entry leaves the orbit of its src
-    entry under the level's stabilizer. The witness is therefore canonical
-    for a fixed chain.
+    tuple, so the answer is None. There is no search: src and dst lie in one
+    orbit exactly when their canonical images agree, and then g_src * g_dst^-1
+    carries src to dst, where each g carries its tuple to the canonical image.
+    The witness is therefore deterministic for a fixed group.
     """
     src = tuple(src)
     dst = tuple(dst)
@@ -504,46 +504,8 @@ def tuple_transporter(G: PermGroup, src, dst) -> Permutation | None:
         return None
     if src == dst:
         return Permutation.identity(G.degree)
-
-    chain = G.chain()
-    levels = chain.levels
-    degree = G.degree
-    identity = identity_images(degree)
-    pos_of = {p: j for j, p in enumerate(src)}
-
-    def feasible(level_idx: int, winv: tuple[int, ...]) -> bool:
-        ids = chain.orbit_ids(level_idx)
-        for j, s in enumerate(src):
-            if ids[s] != ids[winv[dst[j]]]:
-                return False
-        return True
-
-    if not feasible(0, identity):
+    image, g_src = _canonical_image(G, src)
+    other, g_dst = _canonical_image(G, dst)
+    if image != other:
         return None
-
-    def search(level_idx: int, w: tuple[int, ...], winv: tuple[int, ...]):
-        if level_idx == len(levels):
-            for j, s in enumerate(src):
-                if w[s] != dst[j]:
-                    return None
-            return w
-        level = levels[level_idx]
-        j = pos_of.get(level.beta)
-        if j is not None:
-            # The base point's image is pinned by the constraint itself.
-            gamma = winv[dst[j]]
-            candidates = [gamma] if gamma in level.transversal else []
-        else:
-            candidates = sorted(level.transversal)
-        for gamma in candidates:
-            w2 = compose_images(level.transversal[gamma], w)
-            winv2 = compose_images(winv, _rep_inverse(level, gamma))
-            if not feasible(level_idx + 1, winv2):
-                continue
-            found = search(level_idx + 1, w2, winv2)
-            if found is not None:
-                return found
-        return None
-
-    result = search(0, identity, identity)
-    return Permutation(result) if result is not None else None
+    return Permutation(compose_images(g_src, inverse_images(g_dst)))

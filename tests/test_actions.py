@@ -4,6 +4,7 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from closurelab import actions
 from closurelab.actions import (
@@ -11,7 +12,6 @@ from closurelab.actions import (
     BlockSystem,
     actions_equivalent,
     coset_action,
-    identity_coset_point,
     is_invariant,
     is_primitive,
     ksubsets_action,
@@ -42,7 +42,9 @@ from oracles import (
     brute_elements,
     brute_maximal_block_systems,
     brute_setwise_stabilizer,
+    brute_transitivity_degree,
 )
+from test_harness import generator_sets
 
 
 def group(degree, *cycle_texts, name=None):
@@ -93,7 +95,7 @@ def test_minimal_block_system_cyclic_cosets():
 def test_minimal_block_system_primitive_gives_universal():
     A = natural_action(A5())
     for beta in range(1, 5):
-        assert minimal_block_system(A, (0, beta)).is_universal
+        assert minimal_block_system(A, (0, beta)).num_blocks == 1
 
 
 def test_minimal_block_system_validation():
@@ -137,8 +139,8 @@ def test_primitive_action_lists_singleton_system():
     A = natural_action(A5())
     systems = maximal_block_systems(A)
     assert len(systems) == 1
-    assert systems[0].is_singletons
-    assert is_primitive(A) == any(S.is_singletons for S in maximal_block_systems(A))
+    assert systems[0].num_blocks == A.degree
+    assert is_primitive(A) == any(S.num_blocks == A.degree for S in maximal_block_systems(A))
 
 
 def test_quotient_action_collapses_blocks():
@@ -206,9 +208,8 @@ def test_coset_action_recovers_natural_degree():
     assert A.degree == 5
     assert A.group.order() == 60
     assert A.faithful
-    pt = identity_coset_point(G, H, A)
-    stab = A.group.pointwise_stabilizer([pt])
-    assert stab.order() == 12
+    assert A.group.is_transitive()
+    assert A.group.pointwise_stabilizer([0]).order() == 12
 
 
 def test_coset_action_degree_twelve():
@@ -349,8 +350,6 @@ def test_subgroup_enumeration_skips_double_cosets(monkeypatch):
 
 
 def test_transitivity_degree():
-    from oracles import brute_transitivity_degree
-
     cases = [
         (group(5, "(1 2 3 4 5)", "(1 2 3)"), 3),
         (group(5, "(1 2 3 4 5)", "(1 2)"), 5),
@@ -364,3 +363,10 @@ def test_transitivity_degree():
         elems = brute_elements([g.images for g in G.generators], G.degree)
         assert brute_transitivity_degree(elems, G.degree) == want
     assert transitivity_degree(ksubsets_action(A5(), 2)) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(generator_sets())
+def test_transitivity_degree_matches_brute(G):
+    elems = brute_elements([g.images for g in G.generators], G.degree)
+    assert transitivity_degree(G) == brute_transitivity_degree(elems, G.degree)

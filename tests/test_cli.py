@@ -193,6 +193,29 @@ def test_negative_budgets_are_usage_errors(capsys, flag, value):
     assert "budget exceeded" not in err
 
 
+@pytest.mark.parametrize("value", ["-5", "abc", "1.5", ""])
+def test_invalid_budget_environment_is_a_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("CLOSURELAB_BUDGET_NODES", value)
+    code, out, err = run(capsys, "closure", "--catalog", "PSL(2,8)", "--action", "ksubsets:2",
+                         "--k", "2", "--json")
+    assert (code, out) == (1, "")
+    assert "CLOSURELAB_BUDGET_NODES" in err
+    assert repr(value) in err
+    assert "budget exceeded" not in err
+
+
+@pytest.mark.parametrize("value,code", [("0", 3), ("51", 3), ("52", 0)])
+def test_budget_environment_is_honoured_like_the_flag(capsys, monkeypatch, value, code):
+    # the PSL(2,8) pairs closure takes 52 nodes
+    argv = ["closure", "--catalog", "PSL(2,8)", "--action", "ksubsets:2", "--k", "2"]
+    monkeypatch.setenv("CLOSURELAB_BUDGET_NODES", value)
+    got, _, err = run(capsys, *argv)
+    assert got == code
+    assert ("budget exceeded" in err) == (code == 3)
+    monkeypatch.delenv("CLOSURELAB_BUDGET_NODES")
+    assert run(capsys, *argv, "--budget-nodes", value)[0] == code
+
+
 def test_spectrum_budget_is_per_invocation(capsys):
     # k = 2 takes 19 nodes and k = 3 takes 12: each step fits in 25, the two do not
     code, out, err = run(capsys, "spectrum", "--catalog", "A5", "--action", "ksubsets:2",

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from closurelab import stabchain
+from closurelab.budget import DEFAULT_MAX_DEGREE
 from closurelab.errors import DegreeLimitError
 from closurelab.perm import Permutation, parse_cycles
 from closurelab.stabchain import (
@@ -66,7 +67,6 @@ def test_membership_agrees_with_enumeration():
 def test_trivial_group():
     G = PermGroup.trivial(5)
     assert G.order() == 1
-    assert G.is_trivial()
     assert G.contains(Permutation.identity(5))
     assert not G.contains(parse_cycles("(1 2)", 5))
 
@@ -115,7 +115,7 @@ def test_chain_with_known_order_hint():
 
 def test_degree_guard():
     with pytest.raises(DegreeLimitError):
-        build_chain(PermGroup.trivial(10), max_degree=9)
+        build_chain(PermGroup.trivial(DEFAULT_MAX_DEGREE + 1))
 
 
 def test_chain_is_deterministic():
@@ -252,9 +252,17 @@ def test_canonical_image_is_the_least_image(G, data):
     dst = tuple(data.draw(st.permutations(range(n)))[:length])
     elems = brute_elements([g.images for g in G.generators], n)
     least = min(tuple(e[p] for p in src) for e in elems)
-    assert _canonical_image(G, src) == least
-    same = _canonical_image(G, src) == _canonical_image(G, dst)
-    assert same == (brute_transporter(elems, src, dst) is not None)
+    image, g = _canonical_image(G, src)
+    assert image == least
+    assert g in elems and tuple(g[p] for p in src) == image
+    same = image == _canonical_image(G, dst)[0]
+    want = brute_transporter(elems, src, dst)
+    assert same == (want is not None)
+    got = tuple_transporter(G, src, dst)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got.images in elems
+        assert all(got(s) == d for s, d in zip(src, dst))
 
 
 @settings(max_examples=40, deadline=None)
@@ -264,7 +272,7 @@ def test_orbital_numbers_match_canonical_images(G):
     images = {}
     for a in range(G.degree):
         for b in range(G.degree):
-            image = _canonical_image(G, (a, b) if a != b else (a,))
+            image = _canonical_image(G, (a, b) if a != b else (a,))[0]
             assert images.setdefault(rows[a][b], image) == image
     assert len(set(images.values())) == len(images)
 
