@@ -21,7 +21,7 @@ from .errors import (
     NotASubgroupError,
 )
 from .perm import Domain, Permutation, compose_images, inverse_images, print_cycles
-from .stabchain import PermGroup, _generated_images
+from .stabchain import PermGroup, _generated_images, build_chain
 
 
 @dataclass(frozen=True)
@@ -327,7 +327,8 @@ def coset_action(G: PermGroup, H: PermGroup) -> ActionInstance:
     Cosets are identified by a canonical representative (the element with
     least base-image tuple, via H's chain), enumerated breadth-first and
     then ordered by representative. Faithful exactly when H has trivial
-    core in G.
+    core in G. When H is a representative from subgroups_up_to_conjugacy(G),
+    the image knows its order |G| / |core|, and asking for it builds no chain.
     """
     if H.degree != G.degree:
         raise DegreeMismatchError(f"subgroup degree {H.degree} != group degree {G.degree}")
@@ -360,8 +361,12 @@ def coset_action(G: PermGroup, H: PermGroup) -> ActionInstance:
         )
     labels = tuple("H" + print_cycles(Permutation(rep)) for rep in ordered)
     name = H.name if H.name else "H"
+    core = _core_order(G, H)
     return ActionInstance(
-        PermGroup(len(ordered), images), Domain(labels), f"cosets({name})", G.order()
+        PermGroup(len(ordered), images, known_order=None if core is None else G.order() // core),
+        Domain(labels),
+        f"cosets({name})",
+        G.order(),
     )
 
 
@@ -485,7 +490,13 @@ def subgroups_up_to_conjugacy(G: PermGroup, order_bound: int = 3000) -> list[Per
     is reachable by adjoining generators one at a time along a chain of
     subgroups. Element-set fingerprints deduplicate across classes. Since
     <H, hxh'> = <H, x> for h, h' in H, one x per double coset HxH is
-    extended. Groups of order above order_bound raise DegreeLimitError.
+    extended, and an extension whose stabilizer chain reaches the order of
+    G is G, whose element set is at hand, so it is never closed up by
+    multiplication. Groups of order above order_bound raise
+    DegreeLimitError.
+
+    Each representative H records the order of its core in G, the
+    intersection of its class, which is the kernel of G on the cosets of H.
     """
     N = G.order()
     if N > order_bound:
@@ -493,6 +504,7 @@ def subgroups_up_to_conjugacy(G: PermGroup, order_bound: int = 3000) -> list[Per
     degree = G.degree
     ident = tuple(range(degree))
     elems = sorted(p.images for p in G.elements(limit=order_bound + 1))
+    whole = frozenset(elems)
     gens = [g.images for g in G.generators if g.images != ident]
 
     def generated(seed: list[tuple[int, ...]]) -> frozenset[tuple[int, ...]]:
@@ -514,7 +526,7 @@ def subgroups_up_to_conjugacy(G: PermGroup, order_bound: int = 3000) -> list[Per
         return cls
 
     known: set[frozenset[tuple[int, ...]]] = set()
-    reps: list[tuple[frozenset[tuple[int, ...]], list[tuple[int, ...]]]] = []
+    reps: list[tuple[frozenset[tuple[int, ...]], list[tuple[int, ...]], int]] = []
 
     def register(H: frozenset[tuple[int, ...]], seed_gens: list[tuple[int, ...]]) -> None:
         if H in known:
@@ -531,7 +543,7 @@ def subgroups_up_to_conjugacy(G: PermGroup, order_bound: int = 3000) -> list[Per
                     canon_gens.append(x)
                     closure = set(generated(canon_gens))
             seed_gens = canon_gens
-        reps.append((canon, seed_gens))
+        reps.append((canon, seed_gens, len(frozenset.intersection(*cls))))
 
     register(frozenset([ident]), [])
     for x in elems:
@@ -541,7 +553,7 @@ def subgroups_up_to_conjugacy(G: PermGroup, order_bound: int = 3000) -> list[Per
 
     head = 0
     while head < len(reps):
-        H, H_gens = reps[head]
+        H, H_gens, _ = reps[head]
         head += 1
         if len(H) == N:
             continue
@@ -559,12 +571,27 @@ def subgroups_up_to_conjugacy(G: PermGroup, order_bound: int = 3000) -> list[Per
                         if z not in covered:
                             covered.add(z)
                             double.append(z)
-            K = generated(H_gens + [x])
-            register(K, H_gens + [x])
+            K_gens = H_gens + [x]
+            # the chain stops once its order reaches N, and that order
+            # never exceeds |<H, x>|; only a proper subgroup is closed up
+            seed = PermGroup(degree, [Permutation(g) for g in K_gens])
+            if build_chain(seed, known_order=N).order() == N:
+                register(whole, K_gens)
+            else:
+                register(generated(K_gens), K_gens)
 
     reps.sort(key=lambda item: (len(item[0]), tuple(sorted(item[0]))))
     out = []
-    for H, H_gens in reps:
-        perms = [Permutation(g) for g in H_gens]
-        out.append(PermGroup(degree, perms, known_order=len(H)))
+    for H, H_gens, core in reps:
+        rep = PermGroup(degree, [Permutation(g) for g in H_gens], known_order=len(H))
+        rep._core = (G, core)  # read by _core_order only
+        out.append(rep)
     return out
+
+
+def _core_order(G: PermGroup, H: PermGroup) -> int | None:
+    """The order of the core of H in G if subgroups_up_to_conjugacy(G)
+    returned H, else None; G must be the very object enumerated, as the
+    core of H in another group may differ."""
+    enumerated_in, order = getattr(H, "_core", (None, None))
+    return order if enumerated_in is G else None

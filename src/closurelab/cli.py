@@ -43,7 +43,7 @@ from .stabchain import PermGroup
 
 
 def _allowance(kind):
-    """An argparse type for a budget: a number of the given kind, at least 0."""
+    """An argparse type for a budget or a bound: a number of the given kind, at least 0."""
 
     def parse(text: str):
         value = kind(text)
@@ -106,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ktrans", help="largest minimal closure index over faithful transitive actions")
     add_common(p)
-    p.add_argument("--max-degree", type=int, required=True, metavar="D",
+    p.add_argument("--max-degree", type=_allowance(int), required=True, metavar="D",
                    help="walk closure chains exactly up to this degree")
 
     p = sub.add_parser("verify", help="run a named verification suite")

@@ -22,6 +22,7 @@ from math import factorial
 from .actions import (
     ActionInstance,
     BlockSystem,
+    _core_order,
     actions_equivalent,
     coset_action,
     natural_action,
@@ -104,7 +105,7 @@ def _closure_backtrack(G: PermGroup, k: int, budget: Budget) -> PermGroup:
     # points 0..j-1, or None when G has no such element.
     wit: list[tuple[int, ...] | None] = [None] * (n + 1)
     wit[0] = tuple(range(n))
-    canonical = cache(lambda t: _canonical_image(G, t)[0])
+    canonical = cache(lambda t: _canonical_image(G, t, False)[0])
     # Forward checking on orbitals: the k-closure lies in the 2-closure, so
     # every leaf maps each pair (i, q) into the orbital of (i, q). dom[j][q]
     # is the bitmask of images left to q by the assignments to 0..j-1; it
@@ -321,9 +322,11 @@ def k_trans(
     of G, one per equivalence class.
 
     Actions are the coset actions on core-free subgroups, enumerated up to
-    conjugacy. Those of degree at most degree_bound get an exact closure
-    chain walk, all of them charging the one budget; larger ones get the
-    cheap upper bound one-past-greedy-base.
+    conjugacy. The enumeration records the core of each class, so no
+    unfaithful action is built, and a faithful image knows its order |G|.
+    Those of degree at most degree_bound get an exact closure chain walk,
+    all of them charging the one budget; larger ones get the cheap upper
+    bound one-past-greedy-base.
     When no bound exceeds the best exact value the result is certified
     exact; otherwise it is the largest of all the per-action values, an
     upper bound. A walk that exhausts the budget raises
@@ -344,12 +347,10 @@ def k_trans(
     exact_max = 0
     bound_max = 0
     for H in subgroups_up_to_conjugacy(G, order_bound):
+        if _core_order(G, H) > 1:
+            continue
         index = G.order() // H.order()
-        if index == 1:
-            continue
         A = coset_action(G, H)
-        if not A.faithful:
-            continue
         if index <= degree_bound:
             report = closure_spectrum(A, budget=budget)
             if report.minimal_k is None:

@@ -423,9 +423,12 @@ def pointwise_stabilizer(G: PermGroup, pts) -> PermGroup:
     return G.pointwise_stabilizer(pts)
 
 
-def _canonical_image(G: PermGroup, t: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _canonical_image(
+    G: PermGroup, t: tuple[int, ...], element: bool = True
+) -> tuple[tuple[int, ...], tuple[int, ...] | None]:
     """The least image of the injective tuple t under G, and an element of G
-    (as images) carrying t to it.
+    (as images) carrying t to it, or None for the element when element is
+    false.
 
     Entry by entry: the first entry goes to the least point m_1 of its
     G-orbit, by the inverse of the transversal element of the chain rebased
@@ -433,9 +436,11 @@ def _canonical_image(G: PermGroup, t: tuple[int, ...]) -> tuple[tuple[int, ...],
     point of its orbit under the stabilizer of m_1, and so on. The element is
     the product of those inverses. Once the stabilizer of the image so far is
     trivial, the rest of the tuple is fixed. Two tuples lie in one G-orbit
-    exactly when their canonical images are equal.
+    exactly when their canonical images are equal. Without the element,
+    nothing is composed and the last entry needs no chain: its image is the
+    least point of its orbit.
     """
-    g = identity_images(G.degree)
+    g = identity_images(G.degree) if element else None
     ids = G.chain().orbit_ids(0)
     image: list[int] = []
     rest = tuple(t)
@@ -443,14 +448,15 @@ def _canonical_image(G: PermGroup, t: tuple[int, ...]) -> tuple[tuple[int, ...],
         x, rest = rest[0], rest[1:]
         m = ids[x]
         image.append(m)
-        if x == m and not rest:
-            # a last entry that is already least needs no factor and no chain
+        if not rest and (x == m or g is None):
+            # a last entry needs a factor only when it moves and g is kept
             break
         depth = len(image)
         chain = G.chain(preferred_base=image)
         if x != m:
             inv = _rep_inverse(chain.levels[depth - 1], x)
-            g = compose_images(g, inv)
+            if g is not None:
+                g = compose_images(g, inv)
             rest = tuple(inv[y] for y in rest)
         if len(chain.levels) == depth:
             image.extend(rest)

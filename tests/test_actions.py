@@ -345,8 +345,51 @@ def test_subgroup_enumeration_skips_double_cosets(monkeypatch):
 
     monkeypatch.setattr(actions, "_generated_images", counting)
     assert len(subgroups_up_to_conjugacy(catalog_group("A6").group)) == 22
-    # 359 cyclic seeds plus the extensions <H, x>, one per double coset HxH
-    assert len(calls) <= 1063
+    # 359 cyclic seeds plus the extensions <H, x>, one per double coset HxH,
+    # less those whose chain already has the order of the group
+    assert len(calls) <= 911
+
+
+@pytest.mark.parametrize("name", ["A6", "PSL(2,7)"])
+def test_subgroup_enumeration_never_closes_up_to_the_group(monkeypatch, name):
+    G = catalog_group(name).group
+    sizes = []
+    real = actions._generated_images
+
+    def counting(*args, **kwargs):
+        out = real(*args, **kwargs)
+        sizes.append(len(out))
+        return out
+
+    monkeypatch.setattr(actions, "_generated_images", counting)
+    reps = subgroups_up_to_conjugacy(G)
+    assert reps[-1].order() == G.order()
+    # G's element set is already at hand; only proper subgroups are closed
+    assert sizes and max(sizes) < G.order()
+
+
+@pytest.mark.parametrize("G", [
+    group(3, "(1 2)", "(1 2 3)"),
+    group(4, "(1 2 3)", "(2 3 4)"),
+    symmetric(4),
+    D8(),
+    C6(),
+    A5(),
+], ids=["S3", "A4", "S4", "D8", "C6", "A5"])
+def test_class_core_orders_are_exact(G):
+    # the core of H is the kernel of G on the cosets of H, so its order is
+    # |G| over the order of the image, here from a chain built afresh; the
+    # image itself trusts the order it was given
+    for H in subgroups_up_to_conjugacy(G):
+        image = coset_action(G, H).group
+        fresh = PermGroup(image.degree, image.generators)
+        assert actions._core_order(G, H) == G.order() // fresh.order()
+        assert image.order() == fresh.order()
+    # the recorded core belongs to the group that was enumerated
+    H = subgroups_up_to_conjugacy(G)[1]
+    other = PermGroup(G.degree, G.generators)
+    assert actions._core_order(other, H) is None
+    assert coset_action(other, H).group._known_order is None
 
 
 def test_transitivity_degree():

@@ -130,6 +130,12 @@ def test_ktrans_command(capsys):
     assert "certified yes" in out
 
 
+def test_negative_max_degree_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "ktrans", "--catalog", "A5", "--max-degree", "-1")
+    assert (code, out) == (1, "")
+    assert "--max-degree" in err
+
+
 def test_verify_pass(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "partition-bases")
     assert code == 0

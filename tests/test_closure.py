@@ -347,6 +347,20 @@ def test_k_trans_s3():
     assert {e.degree for e in cert.entries} == {3, 6}
 
 
+@pytest.mark.parametrize("G,degree_bound", [(symmetric(3), 6), (symmetric(4), 8)])
+def test_k_trans_skips_exactly_the_unfaithful_classes(G, degree_bound):
+    # faithfulness read from a chain of each coset image built afresh,
+    # independent of the core orders k_trans relies on
+    want = []
+    for H in subgroups_up_to_conjugacy(G):
+        image = coset_action(G, H).group
+        if image.degree > 1 and PermGroup(image.degree, image.generators).order() == G.order():
+            want.append((image.degree, H.order()))
+    _, cert = k_trans(G, degree_bound)
+    assert sorted((e.degree, e.point_stabilizer_order) for e in cert.entries) == sorted(want)
+    assert all(e.kind == ("exact" if e.degree <= degree_bound else "bound") for e in cert.entries)
+
+
 def test_k_trans_trivial_group():
     value, cert = k_trans(PermGroup.trivial(1), 10)
     assert value == 1
