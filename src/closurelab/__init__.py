@@ -24,15 +24,7 @@ from .errors import (
 )
 from .budget import Budget, default_budget_nodes
 from .perm import Domain, Permutation, compose, parse_cycles, print_cycles
-from .stabchain import (
-    PermGroup,
-    StabilizerChain,
-    build_chain,
-    contains,
-    order,
-    pointwise_stabilizer,
-    tuple_transporter,
-)
+from .stabchain import PermGroup, StabilizerChain, build_chain
 from .actions import (
     ActionInstance,
     BlockSystem,
@@ -112,7 +104,6 @@ __all__ = [
     "closure_spectrum",
     "complete_lemma_check",
     "compose",
-    "contains",
     "coset_action",
     "default_budget_nodes",
     "exact_base_size",
@@ -127,11 +118,9 @@ __all__ = [
     "mathieu",
     "maximal_block_systems",
     "natural_action",
-    "order",
     "parse_cycles",
     "partition_base_check",
     "partitions_action",
-    "pointwise_stabilizer",
     "print_cycles",
     "psl_frame_base",
     "psl_projective",
@@ -142,6 +131,5 @@ __all__ = [
     "run_suite",
     "suite_names",
     "symmetric",
-    "tuple_transporter",
     "union",
 ]

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .budget import DEFAULT_MAX_DEGREE
+from .budget import DEFAULT_MAX_DEGREE, DEFAULT_ORDER_BOUND
 from .errors import (
     DegreeLimitError,
     DegreeMismatchError,
@@ -115,11 +115,6 @@ class BlockSystem:
         return tuple(
             "{" + ",".join(domain.labels[p] for p in block) + "}" for block in self.blocks
         )
-
-
-def orbits(A: ActionInstance) -> list[list[int]]:
-    """Orbit partition of the domain, each orbit sorted, ordered by least point."""
-    return A.group.orbits()
 
 
 def is_invariant(G: PermGroup, S: BlockSystem) -> bool:
@@ -238,13 +233,7 @@ def quotient_action(A: ActionInstance, S: BlockSystem) -> ActionInstance:
         raise InvalidPartitionError("partition is not invariant under the group")
     images = []
     for g in G.generators:
-        img = []
-        for block in S.blocks:
-            j = S.block_of(g(block[0]))
-            if {g(p) for p in block} != set(S.blocks[j]):
-                raise InvalidPartitionError("partition is not invariant under the group")
-            img.append(j)
-        images.append(Permutation(tuple(img)))
+        images.append(Permutation(tuple(S.block_of(g(block[0])) for block in S.blocks)))
     domain = Domain(S.labels(A.domain))
     group = PermGroup(S.num_blocks, images)
     return ActionInstance(group, domain, f"blocks({S.num_blocks}x{len(S.blocks[0])})", A.source_order)
@@ -482,7 +471,9 @@ def setwise_block_stabilizer(A: ActionInstance, S: BlockSystem, block_indices) -
     return PermGroup(n, [Permutation(h.images[:n]) for h in stab.generators])
 
 
-def subgroups_up_to_conjugacy(G: PermGroup, order_bound: int = 3000) -> list[PermGroup]:
+def subgroups_up_to_conjugacy(
+    G: PermGroup, order_bound: int = DEFAULT_ORDER_BOUND
+) -> list[PermGroup]:
     """One representative per conjugacy class of subgroups, sorted by order.
 
     Seeds with the cyclic subgroups, then closes under single-element

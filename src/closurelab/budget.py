@@ -16,6 +16,9 @@ from .errors import BudgetExceededError
 ENV_BUDGET_NODES = "CLOSURELAB_BUDGET_NODES"
 DEFAULT_BUDGET_NODES = 20_000_000
 DEFAULT_MAX_DEGREE = 5000
+# Largest group order whose elements are enumerated one by one: subgroup
+# classes, and the conjugacy classes of the simplicity check.
+DEFAULT_ORDER_BOUND = 3000
 
 
 def default_budget_nodes() -> int:

@@ -17,7 +17,7 @@ import zlib
 from dataclasses import dataclass
 from importlib import resources
 from itertools import product
-from math import gcd
+from math import factorial, gcd
 
 from .actions import ActionInstance, transitivity_degree
 from .budget import DEFAULT_MAX_DEGREE
@@ -57,8 +57,6 @@ class FiniteField:
         self.q = q
         self.p = p
         self.e = e
-        self.zero = 0
-        self.one = 1
         self._add = [[0] * q for _ in range(q)]
         self._mul = [[0] * q for _ in range(q)]
         for a in range(q):
@@ -241,7 +239,7 @@ def symmetric(n: int) -> PermGroup:
     if n > 2:
         gens.append(Permutation(tuple(list(range(1, n)) + [0])))
     G = PermGroup(n, tuple(gens), name=f"S{n}")
-    _validate_order(G, _factorial(n), f"S{n}")
+    _validate_order(G, factorial(n), f"S{n}")
     return G
 
 
@@ -260,7 +258,7 @@ def alternating(n: int) -> PermGroup:
         else:
             big = Permutation(tuple([0] + list(range(2, n)) + [1]))
         G = PermGroup(n, (three, big), name=f"A{n}")
-    _validate_order(G, _factorial(n) // 2, f"A{n}")
+    _validate_order(G, factorial(n) // 2, f"A{n}")
     return G
 
 
@@ -298,13 +296,6 @@ def dihedral(n: int) -> PermGroup:
         G = PermGroup(n, (rot, ref), name=f"D{n}")
     _validate_order(G, 2 * n, f"D{n}")
     return G
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 def _validate_order(G: PermGroup, expected: int, name: str) -> None:

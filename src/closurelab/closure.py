@@ -33,10 +33,10 @@ from .actions import (
     transitivity_degree,
 )
 from .basesize import exact_base_size, greedy_base
-from .budget import Budget
-from .errors import BudgetExceededError, SimplicityError
-from .perm import Permutation, _symmetric_on, compose, compose_images
-from .stabchain import PermGroup, _canonical_image, _orbitals
+from .budget import DEFAULT_ORDER_BOUND, Budget
+from .errors import BudgetExceededError, DegreeLimitError, SimplicityError
+from .perm import Permutation, _symmetric_on, compose, compose_images, inverse_images
+from .stabchain import PermGroup, _canonical_image, _generated_images, _orbitals
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +105,7 @@ def _closure_backtrack(G: PermGroup, k: int, budget: Budget) -> PermGroup:
     # points 0..j-1, or None when G has no such element.
     wit: list[tuple[int, ...] | None] = [None] * (n + 1)
     wit[0] = tuple(range(n))
-    canonical = cache(lambda t: _canonical_image(G, t, False)[0])
+    canonical = cache(lambda t: _canonical_image(G, t))
     # Forward checking on orbitals: the k-closure lies in the 2-closure, so
     # every leaf maps each pair (i, q) into the orbital of (i, q). dom[j][q]
     # is the bitmask of images left to q by the assignments to 0..j-1; it
@@ -315,7 +315,7 @@ class KTransCertificate:
 def k_trans(
     G: PermGroup,
     degree_bound: int,
-    order_bound: int = 3000,
+    order_bound: int = DEFAULT_ORDER_BOUND,
     budget: Budget | None = None,
 ) -> tuple[int, KTransCertificate]:
     """Largest minimal closure index over the faithful transitive actions
@@ -399,7 +399,7 @@ def k_trans(
 
 
 # ---------------------------------------------------------------------------
-# simplicity probing
+# simplicity
 
 
 def _normal_closure_order(G: PermGroup, x: Permutation) -> int:
@@ -418,41 +418,40 @@ def _normal_closure_order(G: PermGroup, x: Permutation) -> int:
 
 
 def require_nonabelian_simple(G: PermGroup) -> None:
-    """Desk-scale simplicity screen: reject if abelian or if the normal
-    closure of any probe element (generators, their pairwise products and
-    commutators, a few chain representatives) is proper. A group passing
-    this can still hide a proper normal subgroup avoiding all probes, but
-    none of the stock groups at this scale do."""
+    """Exact simplicity check: raise SimplicityError unless G is nonabelian
+    and the normal closure of one element from every nontrivial conjugacy
+    class is G. Every normal subgroup is a union of classes, so this decides
+    simplicity. The classes are read off the element set, so a group of
+    order above DEFAULT_ORDER_BOUND raises DegreeLimitError."""
     order = G.order()
     if order == 1:
         raise SimplicityError("the trivial group is not nonabelian simple")
+    if order > DEFAULT_ORDER_BOUND:
+        raise DegreeLimitError(
+            f"group order {order} exceeds simplicity check bound {DEFAULT_ORDER_BOUND}"
+        )
     gens = [g for g in G.generators if not g.is_identity()]
     if all(compose(a, b) == compose(b, a) for a in gens for b in gens):
         raise SimplicityError("group is abelian")
-    probes: list[Permutation] = []
-    for i, a in enumerate(gens):
-        probes.append(a)
-        for b in gens[i + 1 :]:
-            probes.append(compose(a, b))
-            probes.append(compose(compose(a.inverse(), b.inverse()), compose(a, b)))
-    level = G.chain().levels[0]
-    extra = 0
-    for images in level.transversal.values():
-        if extra >= 6:
-            break
-        p = Permutation(images)
-        if not p.is_identity():
-            probes.append(p)
-            extra += 1
-    seen = set()
-    for x in probes:
-        if x.is_identity() or x.images in seen:
+    conjugators = [(inverse_images(g.images), g.images) for g in gens]
+    seen = {tuple(range(G.degree))}
+    for x in _generated_images([g.images for g in gens], G.degree):
+        if x in seen:
             continue
-        seen.add(x.images)
-        closure_order = _normal_closure_order(G, x)
+        # x represents a new class; its conjugates are the orbit of x
+        # under conjugation by the generators
+        seen.add(x)
+        members = [x]
+        for y in members:
+            for inv, g in conjugators:
+                c = compose_images(compose_images(inv, y), g)
+                if c not in seen:
+                    seen.add(c)
+                    members.append(c)
+        closure_order = _normal_closure_order(G, Permutation(x))
         if closure_order != order:
             raise SimplicityError(
-                f"normal closure of a probe element has order {closure_order}, "
+                f"normal closure of a conjugacy class has order {closure_order}, "
                 f"proper in {order}"
             )
 
@@ -484,13 +483,15 @@ def intransitive_certificate(
     """Certify that an intransitive action of a nonabelian simple group is
     totally k-closed from per-orbit data.
 
-    Requires: the group passes the simplicity screen, and it acts
-    faithfully on every orbit. The certificate then needs, for every
-    ordered orbit pair, a point stabilizer from the first orbit that is
-    intransitive on the second (one point per orbit suffices, stabilizers
-    of orbit-mates being conjugate), plus each orbit restriction equal to
-    its own k-closure; equivalent orbit restrictions share one closure
-    computation. All the closures charge the one budget.
+    Requires: the group is nonabelian simple, which
+    require_nonabelian_simple checks exactly (an order above
+    DEFAULT_ORDER_BOUND raises DegreeLimitError), and it acts faithfully on
+    every orbit. The certificate then needs, for every ordered orbit pair,
+    a point stabilizer from the first orbit that is intransitive on the
+    second (one point per orbit suffices, stabilizers of orbit-mates being
+    conjugate), plus each orbit restriction equal to its own k-closure;
+    equivalent orbit restrictions share one closure computation. All the
+    closures charge the one budget.
     """
     G = A.group
     orbs = G.orbits()

@@ -44,8 +44,9 @@ class ValidationError(ClosureLabError):
 
 
 class SimplicityError(ClosureLabError):
-    """A certificate requiring a nonabelian simple group was asked of some
-    group that fails the desk-scale simplicity probe."""
+    """A certificate requiring a nonabelian simple group was asked of a
+    group that is not one: it is trivial or abelian, or the normal closure
+    of some conjugacy class is a proper subgroup."""
 
 
 class BudgetExceededError(ClosureLabError):

@@ -3,8 +3,8 @@
 A chain for G fixes a base b_0, b_1, ... and stores, per level l, the
 strong generators that fix b_0..b_{l-1} pointwise together with a
 transversal for the orbit of b_l under them. Everything else in the
-package (order, membership, transporters, stabilizers, and through them
-closures and base sizes) reduces to chain queries.
+package (order, membership, stabilizers, canonical tuple images, and
+through them closures and base sizes) reduces to chain queries.
 
 The construction is the deterministic textbook algorithm: verify, level by
 level from the bottom, that every Schreier generator sifts to the identity,
@@ -295,8 +295,8 @@ class PermGroup:
 
     known_order is trusted as the group order until a chain exists: order()
     returns it without building one, and the chain, built lazily for
-    membership, stabilizers and transporters, stops as soon as it reaches
-    it. So callers pass exact values only.
+    membership, stabilizers and canonical tuple images, stops as soon as it
+    reaches it. So callers pass exact values only.
     """
 
     def __init__(self, degree: int, generators, name: str | None = None, known_order: int | None = None):
@@ -381,9 +381,6 @@ class PermGroup:
         stab._chain = tail
         return stab
 
-    def tuple_transporter(self, src, dst) -> Permutation | None:
-        return tuple_transporter(self, src, dst)
-
     def elements(self, limit: int = 2_000_000):
         """All elements by breadth-first closure; guarded by limit.
 
@@ -409,38 +406,18 @@ class PermGroup:
         return f"PermGroup(degree={self.degree}, {label})"
 
 
-def order(G: PermGroup) -> int:
-    """Group order via the chain's transversal-size product."""
-    return G.order()
-
-
-def contains(G: PermGroup, p: Permutation) -> bool:
-    """Membership by sifting to the identity residue."""
-    return G.contains(p)
-
-
-def pointwise_stabilizer(G: PermGroup, pts) -> PermGroup:
-    return G.pointwise_stabilizer(pts)
-
-
-def _canonical_image(
-    G: PermGroup, t: tuple[int, ...], element: bool = True
-) -> tuple[tuple[int, ...], tuple[int, ...] | None]:
-    """The least image of the injective tuple t under G, and an element of G
-    (as images) carrying t to it, or None for the element when element is
-    false.
+def _canonical_image(G: PermGroup, t: tuple[int, ...]) -> tuple[int, ...]:
+    """The least image of the injective tuple t under G.
 
     Entry by entry: the first entry goes to the least point m_1 of its
     G-orbit, by the inverse of the transversal element of the chain rebased
     at m_1, applied to the whole tuple; the next entry then goes to the least
-    point of its orbit under the stabilizer of m_1, and so on. The element is
-    the product of those inverses. Once the stabilizer of the image so far is
-    trivial, the rest of the tuple is fixed. Two tuples lie in one G-orbit
-    exactly when their canonical images are equal. Without the element,
-    nothing is composed and the last entry needs no chain: its image is the
-    least point of its orbit.
+    point of its orbit under the stabilizer of m_1, and so on. The last entry
+    needs no chain: its image is the least point of its orbit. Once the
+    stabilizer of the image so far is trivial, the rest of the tuple is
+    fixed. Two tuples lie in one G-orbit exactly when their canonical images
+    are equal.
     """
-    g = identity_images(G.degree) if element else None
     ids = G.chain().orbit_ids(0)
     image: list[int] = []
     rest = tuple(t)
@@ -448,21 +425,18 @@ def _canonical_image(
         x, rest = rest[0], rest[1:]
         m = ids[x]
         image.append(m)
-        if not rest and (x == m or g is None):
-            # a last entry needs a factor only when it moves and g is kept
+        if not rest:
             break
         depth = len(image)
         chain = G.chain(preferred_base=image)
         if x != m:
             inv = _rep_inverse(chain.levels[depth - 1], x)
-            if g is not None:
-                g = compose_images(g, inv)
             rest = tuple(inv[y] for y in rest)
         if len(chain.levels) == depth:
             image.extend(rest)
             break
         ids = chain.orbit_ids(depth)
-    return tuple(image), g
+    return tuple(image)
 
 
 def _orbitals(G: PermGroup) -> list[list[int]]:
@@ -484,34 +458,3 @@ def _orbitals(G: PermGroup) -> list[list[int]]:
         below = chain.orbit_ids(1)
         rows.append([number.setdefault(m * n + below[inv[b]], len(number)) for b in range(n)])
     return rows
-
-
-def tuple_transporter(G: PermGroup, src, dst) -> Permutation | None:
-    """Some g in G with src^g = dst, or None if no such element exists.
-
-    src must be injective (repeated constraints collapse to their distinct
-    entries); a non-injective dst can never be reached from an injective
-    tuple, so the answer is None. There is no search: src and dst lie in one
-    orbit exactly when their canonical images agree, and then g_src * g_dst^-1
-    carries src to dst, where each g carries its tuple to the canonical image.
-    The witness is therefore deterministic for a fixed group.
-    """
-    src = tuple(src)
-    dst = tuple(dst)
-    if len(src) != len(dst):
-        raise ValueError(f"tuple length mismatch: {len(src)} vs {len(dst)}")
-    if len(set(src)) != len(src):
-        raise ValueError("src tuple must have pairwise distinct entries")
-    for t in (src, dst):
-        for p in t:
-            if not 0 <= p < G.degree:
-                raise ValueError(f"point {p} outside 0..{G.degree - 1}")
-    if len(set(dst)) != len(dst):
-        return None
-    if src == dst:
-        return Permutation.identity(G.degree)
-    image, g_src = _canonical_image(G, src)
-    other, g_dst = _canonical_image(G, dst)
-    if image != other:
-        return None
-    return Permutation(compose_images(g_src, inverse_images(g_dst)))

@@ -18,7 +18,6 @@ from closurelab.actions import (
     maximal_block_systems,
     minimal_block_system,
     natural_action,
-    orbits,
     partitions_action,
     quotient_action,
     restriction,
@@ -73,8 +72,8 @@ def as_sets(system):
 
 def test_orbits_of_small_action():
     A = natural_action(group(3, "(1 2)"))
-    assert orbits(A) == [[0, 1], [2]]
-    assert orbits(natural_action(group(4, "(1 2 3)", "(2 3 4)"))) == [[0, 1, 2, 3]]
+    assert A.group.orbits() == [[0, 1], [2]]
+    assert natural_action(group(4, "(1 2 3)", "(2 3 4)")).group.orbits() == [[0, 1, 2, 3]]
 
 
 def test_minimal_block_system_diagonals():
@@ -241,7 +240,7 @@ def test_restriction_and_union_round_trip():
     pairs = ksubsets_action(G, 2)
     U = union([nat, pairs])
     assert U.degree == 15
-    assert [len(o) for o in orbits(U)] == [5, 10]
+    assert [len(o) for o in U.group.orbits()] == [5, 10]
     assert U.domain.labels[0] == "1:1"
     assert U.domain.labels[5] == "2:{1,2}"
     back = restriction(U, range(5, 15))

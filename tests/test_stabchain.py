@@ -14,7 +14,6 @@ from closurelab.stabchain import (
     _canonical_image,
     _orbitals,
     build_chain,
-    tuple_transporter,
 )
 
 from oracles import (
@@ -173,12 +172,8 @@ def _check_against_brute(H, want, degree):
             assert H.orbit_of(p) == orbit
     for src in permutations(range(degree), min(2, degree)):
         for dst in permutations(range(degree), len(src)):
-            got = H.tuple_transporter(src, dst)
-            if brute_transporter(want, src, dst) is None:
-                assert got is None
-            else:
-                assert got is not None and got.images in want
-                assert all(got(s) == d for s, d in zip(src, dst))
+            same = _canonical_image(H, src) == _canonical_image(H, dst)
+            assert same == (brute_transporter(want, src, dst) is not None)
 
 
 @settings(max_examples=30, deadline=None)
@@ -212,35 +207,19 @@ def test_answers_after_chain_rebuilds_match_brute(G, pts):
     _check_against_brute(G, elems, n)
 
 
-def test_transporter_agrees_with_brute_search():
-    from itertools import permutations, product
-
+def test_canonical_images_agree_with_brute_search():
+    # two tuples share a canonical image exactly when some element of the
+    # group carries one to the other
     for G in (A5(), group(6, "(1 2 3 4 5 6)", "(2 6)(3 5)")):
         elems = brute_elements([g.images for g in G.generators], G.degree)
-        pts = range(G.degree)
-        for k in (1, 2):
-            for src in permutations(pts, k):
-                for dst in product(pts, repeat=k):
-                    got = tuple_transporter(G, src, dst)
+        for k in (1, 2, 3):
+            tuples = list(permutations(range(G.degree), k))
+            images = {t: _canonical_image(G, t) for t in tuples}
+            for src in tuples:
+                assert images[src] == min(tuple(e[p] for p in src) for e in elems)
+                for dst in tuples:
                     want = brute_transporter(elems, src, dst)
-                    if want is None:
-                        assert got is None
-                    else:
-                        assert got is not None
-                        assert got.images in elems
-                        assert all(got(s) == d for s, d in zip(src, dst))
-
-
-def test_transporter_on_longer_tuples():
-    G = A5()
-    elems = brute_elements([g.images for g in G.generators], 5)
-    src = (0, 1, 2)
-    for dst in ((2, 3, 4), (1, 0, 3), (4, 2, 0), (3, 1, 4)):
-        got = tuple_transporter(G, src, dst)
-        want = brute_transporter(elems, src, dst)
-        assert (got is None) == (want is None)
-        if got is not None:
-            assert all(got(s) == d for s, d in zip(src, dst))
+                    assert (images[src] == images[dst]) == (want is not None)
 
 
 @settings(max_examples=60, deadline=None)
@@ -251,18 +230,10 @@ def test_canonical_image_is_the_least_image(G, data):
     src = tuple(data.draw(st.permutations(range(n)))[:length])
     dst = tuple(data.draw(st.permutations(range(n)))[:length])
     elems = brute_elements([g.images for g in G.generators], n)
-    least = min(tuple(e[p] for p in src) for e in elems)
-    image, g = _canonical_image(G, src)
-    assert image == least
-    assert g in elems and tuple(g[p] for p in src) == image
-    same = image == _canonical_image(G, dst)[0]
-    want = brute_transporter(elems, src, dst)
-    assert same == (want is not None)
-    got = tuple_transporter(G, src, dst)
-    assert (got is None) == (want is None)
-    if got is not None:
-        assert got.images in elems
-        assert all(got(s) == d for s, d in zip(src, dst))
+    image = _canonical_image(G, src)
+    assert image == min(tuple(e[p] for p in src) for e in elems)
+    same = image == _canonical_image(G, dst)
+    assert same == (brute_transporter(elems, src, dst) is not None)
 
 
 @settings(max_examples=40, deadline=None)
@@ -272,29 +243,9 @@ def test_orbital_numbers_match_canonical_images(G):
     images = {}
     for a in range(G.degree):
         for b in range(G.degree):
-            image = _canonical_image(G, (a, b) if a != b else (a,))[0]
+            image = _canonical_image(G, (a, b) if a != b else (a,))
             assert images.setdefault(rows[a][b], image) == image
     assert len(set(images.values())) == len(images)
-
-
-def test_transporter_identity_shortcut():
-    G = A5()
-    got = tuple_transporter(G, (3, 1), (3, 1))
-    assert got is not None and got.is_identity()
-
-
-def test_transporter_requires_injective_source():
-    G = S4()
-    with pytest.raises(ValueError):
-        tuple_transporter(G, (1, 1), (2, 3))
-    assert tuple_transporter(G, (0, 1), (2, 2)) is None
-
-
-def test_transporter_is_canonical():
-    G = A5()
-    a = tuple_transporter(G, (0, 1), (2, 3))
-    b = tuple_transporter(G, (0, 1), (2, 3))
-    assert a == b
 
 
 def test_same_group_and_subgroup_checks():
