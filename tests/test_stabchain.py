@@ -207,12 +207,12 @@ def test_answers_after_chain_rebuilds_match_brute(G, pts):
     _check_against_brute(G, elems, n)
 
 
-def test_canonical_images_agree_with_brute_search():
+def _check_transporters_against_brute(lengths):
     # two tuples share a canonical image exactly when some element of the
-    # group carries one to the other
+    # group (a transporter) carries one to the other
     for G in (A5(), group(6, "(1 2 3 4 5 6)", "(2 6)(3 5)")):
         elems = brute_elements([g.images for g in G.generators], G.degree)
-        for k in (1, 2, 3):
+        for k in lengths:
             tuples = list(permutations(range(G.degree), k))
             images = {t: _canonical_image(G, t) for t in tuples}
             for src in tuples:
@@ -220,6 +220,14 @@ def test_canonical_images_agree_with_brute_search():
                 for dst in tuples:
                     want = brute_transporter(elems, src, dst)
                     assert (images[src] == images[dst]) == (want is not None)
+
+
+def test_transporter_agrees_with_brute_search():
+    _check_transporters_against_brute((1, 2))
+
+
+def test_transporter_on_longer_tuples():
+    _check_transporters_against_brute((3,))
 
 
 @settings(max_examples=60, deadline=None)
