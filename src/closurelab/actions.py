@@ -21,7 +21,7 @@ from .errors import (
     NotASubgroupError,
 )
 from .perm import Domain, Permutation, compose_images, inverse_images, print_cycles
-from .stabchain import PermGroup, _generated_images, build_chain
+from .stabchain import PermGroup, _generated_images, _orbit, build_chain
 
 
 @dataclass(frozen=True)
@@ -329,25 +329,12 @@ def coset_action(G: PermGroup, H: PermGroup) -> ActionInstance:
     chain = H.chain()
     gens = [g.images for g in G.generators]
 
-    start = _coset_canonical(chain, tuple(range(G.degree)))
-    reps = {start}
-    queue = [start]
-    head = 0
-    while head < len(queue):
-        x = queue[head]
-        head += 1
-        for g in gens:
-            y = _coset_canonical(chain, compose_images(x, g))
-            if y not in reps:
-                reps.add(y)
-                queue.append(y)
-    ordered = sorted(reps)
+    def times(x, g):
+        return _coset_canonical(chain, compose_images(x, g))
+
+    ordered = sorted(_orbit(_coset_canonical(chain, tuple(range(G.degree))), gens, times))
     pos = {rep: i for i, rep in enumerate(ordered)}
-    images = []
-    for g in gens:
-        images.append(
-            Permutation(tuple(pos[_coset_canonical(chain, compose_images(rep, g))] for rep in ordered))
-        )
+    images = [Permutation(tuple(pos[times(rep, g)] for rep in ordered)) for g in gens]
     labels = tuple("H" + print_cycles(Permutation(rep)) for rep in ordered)
     name = H.name if H.name else "H"
     core = _core_order(G, H)
@@ -501,20 +488,11 @@ def subgroups_up_to_conjugacy(
     def generated(seed: list[tuple[int, ...]]) -> frozenset[tuple[int, ...]]:
         return frozenset(_generated_images(seed, degree))
 
-    def conjugacy_class(H: frozenset[tuple[int, ...]]) -> set[frozenset[tuple[int, ...]]]:
-        cls = {H}
-        queue = [H]
-        head = 0
-        while head < len(queue):
-            K = queue[head]
-            head += 1
-            for g in gens:
-                gi = inverse_images(g)
-                Kg = frozenset(compose_images(compose_images(gi, h), g) for h in K)
-                if Kg not in cls:
-                    cls.add(Kg)
-                    queue.append(Kg)
-        return cls
+    conjugators = [(inverse_images(g), g) for g in gens]
+
+    def conjugate(K: frozenset[tuple[int, ...]], pair) -> frozenset[tuple[int, ...]]:
+        gi, g = pair
+        return frozenset(compose_images(compose_images(gi, h), g) for h in K)
 
     known: set[frozenset[tuple[int, ...]]] = set()
     reps: list[tuple[frozenset[tuple[int, ...]], list[tuple[int, ...]], int]] = []
@@ -522,7 +500,7 @@ def subgroups_up_to_conjugacy(
     def register(H: frozenset[tuple[int, ...]], seed_gens: list[tuple[int, ...]]) -> None:
         if H in known:
             return
-        cls = conjugacy_class(H)
+        cls = _orbit(H, conjugators, conjugate)
         known.update(cls)
         canon = min(cls, key=lambda K: tuple(sorted(K)))
         if canon is not H:

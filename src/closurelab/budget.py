@@ -1,9 +1,11 @@
 """Search budgets: node counters and wall-clock limits.
 
-Every potentially expensive search (closure backtrack, base-size
-branch-and-bound, subgroup enumeration) charges nodes against a Budget.
-Exhausting the budget raises BudgetExceededError; there is no silent
-truncation anywhere in the package.
+The two searches, the closure backtrack and the base-size
+branch-and-bound, charge nodes against a Budget. Exhausting the budget
+raises BudgetExceededError; there is no silent truncation anywhere in the
+package. Element enumeration (subgroup classes and the simplicity check) is
+bounded by group order instead: above DEFAULT_ORDER_BOUND it raises
+DegreeLimitError.
 """
 
 from __future__ import annotations

@@ -63,22 +63,22 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"closurelab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, action_flag=True):
+    def add_common(p, budget_flags=True):
         p.add_argument("--catalog", metavar="NAME", help="catalog group, e.g. A5 or PSL(3,2)")
         p.add_argument("--group-file", metavar="PATH", help="generator file (degree + cycles)")
-        if action_flag:
-            p.add_argument(
-                "--action",
-                default="natural",
-                metavar="SPEC",
-                help="natural | ksubsets:K | partitions:AxB | cosets:FILE | projective",
-            )
+        p.add_argument(
+            "--action",
+            default="natural",
+            metavar="SPEC",
+            help="natural | ksubsets:K | partitions:AxB | cosets:FILE | projective",
+        )
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--timings", action="store_true", help="include real elapsed times")
-        p.add_argument("--budget-nodes", type=_allowance(int), metavar="N",
-                       help="search node allowance")
-        p.add_argument("--budget-seconds", type=_allowance(float), metavar="S",
-                       help="wall-clock allowance")
+        if budget_flags:
+            p.add_argument("--budget-nodes", type=_allowance(int), metavar="N",
+                           help="search node allowance")
+            p.add_argument("--budget-seconds", type=_allowance(float), metavar="S",
+                           help="wall-clock allowance")
 
     for name, helptext in [
         ("order", "order of the acting group's image"),
@@ -86,7 +86,8 @@ def _build_parser() -> argparse.ArgumentParser:
         ("blocks", "maximal invariant block systems"),
         ("primitive", "primitivity of a transitive action"),
     ]:
-        add_common(sub.add_parser(name, help=helptext))
+        # these run no search, so they take no budget flags
+        add_common(sub.add_parser(name, help=helptext), budget_flags=False)
 
     p = sub.add_parser("closure", help="the k-closure of the action")
     add_common(p)
@@ -99,9 +100,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("base", help="base size of a faithful action")
     add_common(p)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true", help="branch-and-bound minimum (default)")
-    mode.add_argument("--greedy", action="store_true", help="greedy upper bound only")
+    p.add_argument("--greedy", action="store_true",
+                   help="greedy upper bound only, not the branch-and-bound minimum")
     p.add_argument("--csv", action="store_true", help="CSV table output")
 
     p = sub.add_parser("ktrans", help="largest minimal closure index over faithful transitive actions")
@@ -189,7 +189,7 @@ def _emit_json(payload: dict) -> None:
 def _run_command(args) -> int:
     name, base = _resolve_group(args)
     A = _resolve_action(args.action, base)
-    budget = Budget(args.budget_nodes, args.budget_seconds)
+    budget = Budget(getattr(args, "budget_nodes", None), getattr(args, "budget_seconds", None))
     t0 = time.monotonic()
     result: dict = {}
     lines: list[str] = []

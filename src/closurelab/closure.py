@@ -25,6 +25,7 @@ from .actions import (
     _core_order,
     actions_equivalent,
     coset_action,
+    is_invariant,
     natural_action,
     quotient_action,
     restriction,
@@ -36,7 +37,7 @@ from .basesize import exact_base_size, greedy_base
 from .budget import DEFAULT_ORDER_BOUND, Budget
 from .errors import BudgetExceededError, DegreeLimitError, SimplicityError
 from .perm import Permutation, _symmetric_on, compose, compose_images, inverse_images
-from .stabchain import PermGroup, _canonical_image, _generated_images, _orbitals
+from .stabchain import PermGroup, _canonical_image, _generated_images, _orbit, _orbitals, build_chain
 
 
 # ---------------------------------------------------------------------------
@@ -365,26 +366,14 @@ def k_trans(
                         "value among the finished actions, a lower bound",
                     ),
                 )
-            entries.append(
-                KTransEntry(
-                    degree=index,
-                    point_stabilizer_order=H.order(),
-                    kind="exact",
-                    value=report.minimal_k,
-                )
-            )
-            exact_max = max(exact_max, report.minimal_k)
+            kind, value = "exact", report.minimal_k
+            exact_max = max(exact_max, value)
         else:
-            value = greedy_base(A).size + 1
-            entries.append(
-                KTransEntry(
-                    degree=index,
-                    point_stabilizer_order=H.order(),
-                    kind="bound",
-                    value=value,
-                )
-            )
+            kind, value = "bound", greedy_base(A).size + 1
             bound_max = max(bound_max, value)
+        entries.append(
+            KTransEntry(degree=index, point_stabilizer_order=H.order(), kind=kind, value=value)
+        )
     certified = bound_max <= exact_max
     value = exact_max if certified else max(exact_max, bound_max)
     note = (
@@ -402,27 +391,14 @@ def k_trans(
 # simplicity
 
 
-def _normal_closure_order(G: PermGroup, x: Permutation) -> int:
-    gens = [x]
-    N = PermGroup(G.degree, (x,))
-    queue = [x]
-    while queue:
-        a = queue.pop()
-        for g in G.generators:
-            c = compose(compose(g.inverse(), a), g)
-            if not N.contains(c):
-                gens.append(c)
-                N = PermGroup(G.degree, tuple(gens))
-                queue.append(c)
-    return N.order()
-
-
 def require_nonabelian_simple(G: PermGroup) -> None:
     """Exact simplicity check: raise SimplicityError unless G is nonabelian
-    and the normal closure of one element from every nontrivial conjugacy
-    class is G. Every normal subgroup is a union of classes, so this decides
-    simplicity. The classes are read off the element set, so a group of
-    order above DEFAULT_ORDER_BOUND raises DegreeLimitError."""
+    and every nontrivial conjugacy class generates G. Every normal subgroup
+    is a union of classes, and the subgroup a class generates is the normal
+    closure of each of its members, so this decides simplicity. The classes
+    are read off the element set, so a group of order above
+    DEFAULT_ORDER_BOUND raises DegreeLimitError; each class gets one chain,
+    which stops once it reaches the order of G."""
     order = G.order()
     if order == 1:
         raise SimplicityError("the trivial group is not nonabelian simple")
@@ -434,21 +410,21 @@ def require_nonabelian_simple(G: PermGroup) -> None:
     if all(compose(a, b) == compose(b, a) for a in gens for b in gens):
         raise SimplicityError("group is abelian")
     conjugators = [(inverse_images(g.images), g.images) for g in gens]
+
+    def conjugate(y, pair):
+        inv, g = pair
+        return compose_images(compose_images(inv, y), g)
+
     seen = {tuple(range(G.degree))}
     for x in _generated_images([g.images for g in gens], G.degree):
         if x in seen:
             continue
-        # x represents a new class; its conjugates are the orbit of x
-        # under conjugation by the generators
-        seen.add(x)
-        members = [x]
-        for y in members:
-            for inv, g in conjugators:
-                c = compose_images(compose_images(inv, y), g)
-                if c not in seen:
-                    seen.add(c)
-                    members.append(c)
-        closure_order = _normal_closure_order(G, Permutation(x))
+        # x represents a new class: its orbit under conjugation
+        members = _orbit(x, conjugators, conjugate)
+        seen.update(members)
+        # the chain's order never exceeds |N|, so it reaches |G| only if N = G
+        N = PermGroup(G.degree, [Permutation(c) for c in members])
+        closure_order = build_chain(N, known_order=order).order()
         if closure_order != order:
             raise SimplicityError(
                 f"normal closure of a conjugacy class has order {closure_order}, "
@@ -705,11 +681,7 @@ def block_lemma_check(
     AU = ActionInstance(
         group=U, domain=A.domain, provenance=f"closure({k},{A.provenance})", source_order=U.order()
     )
-    block_sets = [frozenset(b) for b in S.blocks]
-    lookup = set(block_sets)
-    preserved = all(
-        frozenset(g(p) for p in b) in lookup for g in U.generators for b in block_sets
-    )
+    preserved = is_invariant(U, S)
     quotient_ok = False
     restriction_ok = False
     faithful_ok: bool | None = None

@@ -67,22 +67,28 @@ def _orbit_ids(gens, degree: int) -> tuple[int, ...]:
     return tuple(ids)
 
 
+def _orbit(start, gens, act, limit: int | None = None) -> dict:
+    """Breadth-first orbit of start, where act(x, g) is the image of x under
+    g: a dict keyed in order of discovery (start first); more than limit
+    points raise DegreeLimitError."""
+    seen = {start: None}
+    queue = [start]
+    for x in queue:
+        for g in gens:
+            y = act(x, g)
+            if y not in seen:
+                if limit is not None and len(seen) >= limit:
+                    raise DegreeLimitError(f"orbit exceeds limit {limit}")
+                seen[y] = None
+                queue.append(y)
+    return seen
+
+
 def _generated_images(gens, degree: int, limit: int | None = None) -> dict[tuple[int, ...], None]:
     """Every element of the group gens generate, as image tuples keyed in
     breadth-first order of discovery (identity first); more than limit
     elements raise DegreeLimitError."""
-    identity = identity_images(degree)
-    seen = {identity: None}
-    queue = [identity]
-    for x in queue:
-        for g in gens:
-            y = compose_images(x, g)
-            if y not in seen:
-                if limit is not None and len(seen) >= limit:
-                    raise DegreeLimitError(f"element enumeration exceeds limit {limit}")
-                seen[y] = None
-                queue.append(y)
-    return seen
+    return _orbit(identity_images(degree), gens, compose_images, limit)
 
 
 def _orbit_transversal(beta: int, gens: list[tuple[int, ...]], degree: int) -> dict[int, tuple[int, ...]]:
@@ -222,12 +228,7 @@ def build_chain(
 
     for idx in range(len(levels)):
         refresh(idx)
-
-    def current_order() -> int:
-        n = 1
-        for level in levels:
-            n *= len(level.transversal)
-        return n
+    chain = StabilizerChain(degree, levels)
 
     def sift_from(g: tuple[int, ...], start: int) -> tuple[tuple[int, ...], int]:
         for idx in range(start, len(levels)):
@@ -244,7 +245,7 @@ def build_chain(
 
     i = len(levels) - 1
     while i >= 0:
-        if known_order is not None and current_order() == known_order:
+        if known_order is not None and chain.order() == known_order:
             break
         refresh(i)
         level = levels[i]
@@ -283,7 +284,8 @@ def build_chain(
     keep = len(levels)
     while keep > forced and keep > 0 and len(levels[keep - 1].transversal) == 1:
         keep -= 1
-    return StabilizerChain(degree, levels[:keep])
+    del levels[keep:]
+    return chain
 
 
 class PermGroup:

@@ -241,3 +241,29 @@ def brute_conjugacy_classes_of_subgroups(elems):
         seen.update(cls)
         classes.add(cls)
     return classes
+
+
+def brute_simplicity_defect(gens, degree):
+    """Why <gens> is not nonabelian simple, or None when it is.
+
+    "trivial", "abelian", or the set of orders of the proper normal
+    closures; the normal closure of x is the group its conjugacy class
+    generates, and both are enumerated element by element.
+    """
+    elems = brute_elements(gens, degree)
+    if len(elems) == 1:
+        return "trivial"
+    if all(mul(a, b) == mul(b, a) for a in gens for b in gens):
+        return "abelian"
+    ident = tuple(range(degree))
+    seen = {ident}
+    proper = set()
+    for x in sorted(elems):
+        if x in seen:
+            continue
+        cls = {mul(mul(inv(g), x), g) for g in elems}
+        seen |= cls
+        closure = brute_elements(sorted(cls), degree)
+        if len(closure) < len(elems):
+            proper.add(len(closure))
+    return proper or None

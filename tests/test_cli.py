@@ -189,6 +189,22 @@ def test_verify_budget_nodes_is_rejected(capsys):
     assert "--budget-nodes" in err
 
 
+@pytest.mark.parametrize("command", ["order", "orbits", "blocks", "primitive"])
+@pytest.mark.parametrize("flag,value", [("--budget-nodes", "5"), ("--budget-seconds", "1")])
+def test_budget_flags_are_rejected_where_nothing_is_charged(capsys, command, flag, value):
+    code, out, err = run(capsys, command, "--catalog", "A5", flag, value)
+    assert (code, out) == (1, "")
+    assert flag in err
+
+
+def test_base_exact_flag_is_rejected(capsys):
+    # exact is the default; --greedy is the only mode switch
+    code, out, err = run(capsys, "base", "--catalog", "A5", "--exact")
+    assert (code, out) == (1, "")
+    assert "--exact" in err
+    assert run(capsys, "base", "--catalog", "A5")[1] == "size 3\nwitness 1 2 3\nexhaustive yes\n"
+
+
 @pytest.mark.parametrize("flag,value", [("--budget-nodes", "-5"), ("--budget-seconds", "-1"),
                                         ("--budget-seconds", "nan")])
 def test_negative_budgets_are_usage_errors(capsys, flag, value):

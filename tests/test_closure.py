@@ -41,7 +41,7 @@ from closurelab.errors import BudgetExceededError, DegreeLimitError, SimplicityE
 from closurelab.perm import Permutation, parse_cycles
 from closurelab.stabchain import PermGroup
 
-from oracles import brute_elements, brute_k_closure
+from oracles import brute_elements, brute_k_closure, brute_simplicity_defect
 from test_harness import generator_sets
 
 
@@ -401,6 +401,30 @@ def test_simplicity_check_rejects_sl25():
     A = natural_action(G)
     with pytest.raises(SimplicityError):
         intransitive_certificate(union([A, A]), 2)
+
+
+@pytest.mark.parametrize("name", ["C1", "C5", "C6", "S3", "D4", "A4", "S4", "D5", "A5", "S5",
+                                  "PSL(2,7)", "SL(2,5)", "A6", "S6"])
+def test_simplicity_check_matches_brute_normal_closures(name):
+    # the check raises exactly when the brute oracle finds a defect, and
+    # names a proper normal closure the oracle also found
+    G = sl25_on_vectors() if name == "SL(2,5)" else catalog_group(name).group
+    defect = brute_simplicity_defect([g.images for g in G.generators], G.degree)
+    if defect is None:
+        require_nonabelian_simple(G)
+        return
+    with pytest.raises(SimplicityError) as info:
+        require_nonabelian_simple(G)
+    if isinstance(defect, set):
+        assert str(info.value) in {
+            f"normal closure of a conjugacy class has order {m}, proper in {G.order()}"
+            for m in defect
+        }
+    else:
+        assert str(info.value) == {
+            "trivial": "the trivial group is not nonabelian simple",
+            "abelian": "group is abelian",
+        }[defect]
 
 
 def test_simplicity_check_refuses_groups_above_the_order_bound():
