@@ -50,7 +50,7 @@ class ActionInstance:
 
     @property
     def faithful(self) -> bool:
-        return self.group.order() == self.source_order
+        return self.group._has_order(self.source_order)
 
     @property
     def kernel_order(self) -> int:

@@ -62,7 +62,7 @@ def greedy_base(A: ActionInstance) -> BaseRecord:
     while H.order() > 1:
         longest = max(H.orbits(), key=len)
         witness.append(longest[0])
-        H = G.pointwise_stabilizer(witness)
+        H = H.pointwise_stabilizer(witness[-1:])
     size = len(witness)
     return BaseRecord(
         size=size,
@@ -80,6 +80,15 @@ def exact_base_size(A: ActionInstance, budget: Budget | None = None) -> BaseReco
     most a largest-orbit factor per point). If the node budget runs out the
     best record found so far is returned flagged non-exhaustive; it is
     still a valid base, just not a proven minimum.
+
+    A point set already searched is skipped before its stabilizer is built.
+    The subtree below a set depends only on the set (its stabilizer, and
+    the depth, which is its size), and the earlier visit searched it with
+    pruning no stronger than now, since the best size only falls. A leaf
+    is recorded only when it strictly beats the best size, so a repeat
+    visit would record nothing. A search that runs to completion therefore
+    returns the size and witness of the search without the skip, and
+    charges fewer nodes for them.
     """
     _require_faithful(A)
     G = A.group
@@ -90,6 +99,7 @@ def exact_base_size(A: ActionInstance, budget: Budget | None = None) -> BaseReco
     best_size = seed.size
     best_witness = seed.witness
     path: list[int] = []
+    searched: set[frozenset[int]] = set()
 
     def dfs(H) -> None:
         nonlocal best_size, best_witness
@@ -105,7 +115,10 @@ def exact_base_size(A: ActionInstance, budget: Budget | None = None) -> BaseReco
             return
         for orbit in orbs:
             path.append(orbit[0])
-            dfs(H.pointwise_stabilizer([orbit[0]]))
+            key = frozenset(path)
+            if key not in searched:
+                searched.add(key)
+                dfs(H.pointwise_stabilizer([orbit[0]]))
             path.pop()
 
     try:

@@ -383,10 +383,7 @@ def psl_projective(
         matrices.append(torus)
         gens = tuple(_matrix_permutation(F, P, M) for M in matrices)
         G = PermGroup(P.count, gens, name=f"PSL({n},{q})")
-        if G.order() != expected:
-            raise ValidationError(
-                f"PSL({n},{q}): order check failed, got {G.order()}, expected {expected}"
-            )
+        _validate_order(G, expected, f"PSL({n},{q})")
     return ActionInstance(
         group=G,
         domain=P.domain(),
@@ -488,8 +485,7 @@ def mathieu(name: str) -> ActionInstance:
     if file_degree != degree:
         raise ValidationError(f"{name}: degree check failed, file says {file_degree}, expected {degree}")
     G = PermGroup(degree, gens, name=name)
-    if G.order() != order:
-        raise ValidationError(f"{name}: order check failed, got {G.order()}, expected {order}")
+    _validate_order(G, order, name)
     got_trans = transitivity_degree(G)
     if got_trans != trans:
         raise ValidationError(

@@ -16,7 +16,9 @@ A pointwise stabilizer is never rebuilt from scratch. The chain rebased at
 the fixed points already holds it: the levels below that prefix are a
 verified chain for the stabilizer (Holt, Eick and O'Brien, Handbook of
 Computational Group Theory, 2005, section 4.4), so the stabilizer is that
-tail, generated by the tail's strong generators.
+tail, generated by the tail's strong generators. A group's own chain whose
+base already begins with the requested points serves as the rebased chain,
+so a stabilizer of a stabilizer along that base costs no build at all.
 """
 
 from __future__ import annotations
@@ -326,6 +328,8 @@ class PermGroup:
                 self._chain = build_chain(self, known_order=self._known_order)
             return self._chain
         key = tuple(dict.fromkeys(preferred_base))
+        if self._chain is not None and self._chain.base[: len(key)] == key:
+            return self._chain
         cached = self._rebased.get(key)
         if cached is None:
             # Reuse verified strong generators; their span is already G, so
@@ -346,6 +350,15 @@ class PermGroup:
         if self._chain is None and self._known_order is not None:
             return self._known_order
         return self.chain().order()
+
+    def _has_order(self, bound: int) -> bool:
+        """Whether the group has order bound, given that it has at most that
+        order (an action's image and the order of the acting group). A chain
+        still to be built stops once it reaches bound, and is then complete;
+        otherwise it runs to the end. Either way it is kept as the chain."""
+        if self._chain is None and self._known_order is None:
+            self._chain = build_chain(self, known_order=bound)
+        return self.order() == bound
 
     def contains(self, p: Permutation) -> bool:
         if p.degree != self.degree:

@@ -267,3 +267,50 @@ def brute_simplicity_defect(gens, degree):
         if len(closure) < len(elems):
             proper.add(len(closure))
     return proper or None
+
+
+def _info_bound(order, degree):
+    t, cap = 0, 1
+    while cap < order:
+        cap *= degree
+        t += 1
+    return t
+
+
+def reference_base_search(elems, degree):
+    """(size, witness, visits, sets) of the exact base search, written out
+    on element sets and without skipping point sets already searched.
+
+    The same search as the package's: seeded by the greedy base (least
+    point of a longest orbit, the first such orbit on ties) and done if
+    that meets the information bound; else depth first over the least
+    point of each nontrivial orbit of the stabilizer, cut when the path
+    plus the information bound cannot beat the best size. visits counts
+    the calls of the search, and sets the distinct point sets they fix.
+    """
+    witness = []
+    H = set(elems)
+    while len(H) > 1:
+        witness.append(max(brute_orbits(H, degree), key=len)[0])
+        H = brute_pointwise_stabilizer(H, witness[-1:])
+    if len(witness) == _info_bound(len(elems), degree):
+        return len(witness), tuple(witness), 0, 0
+    best = [len(witness), tuple(witness)]
+    path = []
+    visits = []
+
+    def dfs(H):
+        visits.append(frozenset(path))
+        if len(H) == 1:
+            best[:] = [len(path), tuple(path)]
+            return
+        orbs = [o for o in brute_orbits(H, degree) if len(o) > 1]
+        if len(path) + _info_bound(len(H), max(map(len, orbs))) >= best[0]:
+            return
+        for orbit in orbs:
+            path.append(orbit[0])
+            dfs(brute_pointwise_stabilizer(H, orbit[:1]))
+            path.pop()
+
+    dfs(set(elems))
+    return best[0], best[1], len(visits), len(set(visits))

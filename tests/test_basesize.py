@@ -1,11 +1,15 @@
 """Exact and greedy base sizes, pair bases, and partition-action checks."""
 
+import random
+
 import pytest
 
+from closurelab import stabchain
 from closurelab.actions import (
     ksubsets_action,
     minimal_block_system,
     natural_action,
+    partitions_action,
     quotient_action,
 )
 from closurelab.basesize import (
@@ -18,10 +22,10 @@ from closurelab.basesize import (
 from closurelab.budget import Budget
 from closurelab.catalog import alternating, dihedral, mathieu, symmetric
 from closurelab.errors import NotFaithfulError
-from closurelab.perm import parse_cycles
+from closurelab.perm import Permutation, parse_cycles
 from closurelab.stabchain import PermGroup
 
-from oracles import brute_elements, brute_min_base
+from oracles import brute_elements, brute_min_base, reference_base_search
 
 
 def group(degree, *texts):
@@ -47,6 +51,42 @@ def test_exact_base_size_matches_brute_force():
         assert rec.exhaustive
         assert A.group.pointwise_stabilizer(rec.witness).order() == 1
         assert len(rec.witness) == rec.size
+
+
+def _random_product(rng):
+    """A direct product on 4 to 8 points: the points are cut into two to
+    four blocks, and each block of two or more points gets two random
+    shuffles as generators. Several orbits let one point set be reached
+    by more than one path of the base search."""
+    degree = rng.randint(4, 8)
+    cuts = sorted(rng.sample(range(1, degree), rng.randint(1, 3)))
+    points = rng.sample(range(degree), degree)
+    blocks = [points[a:b] for a, b in zip([0] + cuts, cuts + [degree])]
+    gens = []
+    for block in blocks * 2:
+        images = list(range(degree))
+        for src, dst in zip(block, rng.sample(block, len(block))):
+            images[src] = dst
+        gens.append(Permutation(tuple(images)))
+    return PermGroup(degree, gens)
+
+
+def test_exact_base_size_matches_the_search_without_skips():
+    rng = random.Random(3)
+    searched = skipped = 0
+    for _ in range(40):
+        G = _random_product(rng)
+        for A in (natural_action(G), ksubsets_action(G, 2)):
+            elems = brute_elements([g.images for g in A.group.generators], A.degree)
+            size, witness, visits, sets = reference_base_search(elems, A.degree)
+            budget = Budget()
+            assert exact_base_size(A, budget) == BaseRecord(size, witness, True)
+            # one node per point set: every set is searched, and only once
+            assert budget.nodes == sets <= visits
+            searched += visits > 0
+            skipped += sets < visits
+    # 38 of the 80 actions reach the search, and 4 of those skip a set
+    assert searched >= 30 and skipped >= 3
 
 
 def test_exact_base_size_is_deterministic():
@@ -92,12 +132,56 @@ def test_trivial_group_has_empty_base():
 def test_unfaithful_action_is_rejected():
     D4 = dihedral(4)
     S = minimal_block_system(natural_action(D4), (0, 2))
-    Q = quotient_action(natural_action(D4), S)
-    assert not Q.faithful
-    with pytest.raises(NotFaithfulError):
-        exact_base_size(Q)
-    with pytest.raises(NotFaithfulError):
-        greedy_base(Q)
+    # the capped faithfulness check still reports the kernel
+    for Q in (quotient_action(natural_action(D4), S), partitions_action(symmetric(4), 2, 2)):
+        assert not Q.faithful
+        assert Q.kernel_order == 4
+        with pytest.raises(NotFaithfulError):
+            exact_base_size(Q)
+        with pytest.raises(NotFaithfulError):
+            greedy_base(Q)
+
+
+def test_capped_faithfulness_check_leaves_a_complete_chain(monkeypatch):
+    caps = []
+    real = stabchain.build_chain
+
+    def counting(*args, **kwargs):
+        caps.append(kwargs.get("known_order"))
+        return real(*args, **kwargs)
+
+    A = ksubsets_action(alternating(6), 2)
+    odd = ksubsets_action(symmetric(6), 2).group.generators[0]
+    monkeypatch.setattr(stabchain, "build_chain", counting)
+    assert A.faithful
+    assert caps == [360]
+    G = A.group
+    assert G.order() == A.source_order == 360
+    gens = G.generators
+    for g in gens:
+        for h in gens:
+            assert G.contains(g * h)
+            assert G.contains(g * h * g)
+    assert not G.contains(odd)
+    # every query above read the one chain the check built
+    assert caps == [360]
+
+
+def test_budget_caps_give_the_full_result_or_a_flagged_base():
+    A = ksubsets_action(symmetric(6), 2)
+    full_budget = Budget()
+    full = exact_base_size(A, full_budget)
+    assert full.exhaustive and full_budget.nodes > 1
+    for cap in range(full_budget.nodes + 1):
+        budget = Budget(cap)
+        rec = exact_base_size(A, budget)
+        if rec.exhaustive:
+            assert rec == full
+        else:
+            assert budget.nodes <= cap + 1
+            assert len(rec.witness) == rec.size >= full.size
+            assert A.group.pointwise_stabilizer(rec.witness).order() == 1
+    assert not exact_base_size(A, Budget(full_budget.nodes - 1)).exhaustive
 
 
 def test_budget_exhaustion_falls_back_to_greedy_quality():

@@ -152,13 +152,18 @@ def test_pointwise_stabilizer_builds_one_chain(monkeypatch):
 
     G = A5()
     G.order()
+    assert G.chain().base[:2] == (0, 2)
     monkeypatch.setattr(stabchain, "build_chain", counting)
+    # the chain's base already begins with the points: its tail, no build
     H = G.pointwise_stabilizer([0, 0])
     assert H.order() == 12
-    assert calls == [(0,)]
-    # the stabilizer's own stabilizer is derived the same way
+    assert H.pointwise_stabilizer([2]).order() == 3
+    assert calls == []
+    # a point off the base costs one rebased chain, also for a stabilizer
+    assert G.pointwise_stabilizer([1]).order() == 12
+    assert calls == [(1,)]
     assert H.pointwise_stabilizer([1]).order() == 3
-    assert calls == [(0,), (1,)]
+    assert calls == [(1,), (1,)]
 
 
 def _check_against_brute(H, want, degree):
