@@ -85,10 +85,24 @@ def exact_base_size(A: ActionInstance, budget: Budget | None = None) -> BaseReco
     The subtree below a set depends only on the set (its stabilizer, and
     the depth, which is its size), and the earlier visit searched it with
     pruning no stronger than now, since the best size only falls. A leaf
-    is recorded only when it strictly beats the best size, so a repeat
-    visit would record nothing. A search that runs to completion therefore
+    is recorded only when it strictly beats the best size its parent read
+    (a sibling leaf of the same size then replaces it), and a repeat visit
+    reads a best size no larger than every leaf the earlier visit recorded,
+    so it would record nothing. A search that runs to completion therefore
     returns the size and witness of the search without the skip, and
     charges fewer nodes for them.
+
+    A child that its parent can see will be cut costs a node but no chain.
+    By the orbit-stabilizer theorem the child's order is the parent's order
+    over the orbit length, and every orbit of the child lies in an orbit of
+    the parent, so the parent's widest orbit bounds the child's. The bound
+    the parent reads from these is never stronger than the one the child
+    reads from its own chain, against the same best size. A child of order
+    1 is a leaf, which the child itself records, so the parent never cuts
+    it. Every child the parent cuts would have charged its node and returned
+    at its own check, so nodes are charged in the same sequence, and the
+    size, witness and node count are those of the search that builds every
+    child's chain.
     """
     _require_faithful(A)
     G = A.group
@@ -110,15 +124,19 @@ def exact_base_size(A: ActionInstance, budget: Budget | None = None) -> BaseReco
             best_witness = tuple(path)
             return
         orbs = [o for o in H.orbits() if len(o) > 1]
-        need = _info_lower_bound(order, max(len(o) for o in orbs))
-        if len(path) + need >= best_size:
+        widest = max(len(o) for o in orbs)
+        if len(path) + _info_lower_bound(order, widest) >= best_size:
             return
         for orbit in orbs:
             path.append(orbit[0])
             key = frozenset(path)
             if key not in searched:
                 searched.add(key)
-                dfs(H.pointwise_stabilizer([orbit[0]]))
+                sub = order // len(orbit)
+                if sub > 1 and len(path) + _info_lower_bound(sub, widest) >= best_size:
+                    budget.charge()
+                else:
+                    dfs(H.pointwise_stabilizer([orbit[0]]))
             path.pop()
 
     try:

@@ -12,6 +12,13 @@ adjoining any nontrivial residue as a new strong generator. No
 randomization, so chains (and all downstream reports) are reproducible
 functions of the generator list.
 
+Sifting reads the inverse h of the element g it strips: g sends a base
+point beta to h.index(beta), and the inverse of g-then-u^-1 is u-then-h.
+So no transversal element is inverted to sift. Schreier-Sims sifts the
+inverse of each Schreier generator, inverting one transversal element per
+orbit point that yields a nontrivial one, and turns back only a nontrivial
+residue, which becomes a strong generator exactly as before.
+
 A pointwise stabilizer is never rebuilt from scratch. The chain rebased at
 the fixed points already holds it: the levels below that prefix are a
 verified chain for the stabilizer (Holt, Eick and O'Brien, Handbook of
@@ -29,26 +36,16 @@ from .perm import Permutation, compose_images, identity_images, inverse_images
 
 
 class _Level:
-    """One chain level: base point, strong generators, transversal, and the
-    inverses of transversal elements that queries on the finished chain have
-    needed so far. build_chain neither reads nor fills them, so they never
-    outlive the transversal they invert."""
+    """One chain level: base point, strong generators, and transversal.
+    Sifting reads the inverse of the element it strips, so no transversal
+    element is inverted for it and no inverse is stored."""
 
-    __slots__ = ("beta", "gens", "transversal", "inverses")
+    __slots__ = ("beta", "gens", "transversal")
 
     def __init__(self, beta: int):
         self.beta = beta
         self.gens: list[tuple[int, ...]] = []
         self.transversal: dict[int, tuple[int, ...]] = {}
-        self.inverses: dict[int, tuple[int, ...]] = {}
-
-
-def _rep_inverse(level: _Level, pt: int) -> tuple[int, ...]:
-    """Inverse of the transversal element of level carrying its base point to pt."""
-    inv = level.inverses.get(pt)
-    if inv is None:
-        inv = level.inverses[pt] = inverse_images(level.transversal[pt])
-    return inv
 
 
 def _orbit_ids(gens, degree: int) -> tuple[int, ...]:
@@ -133,20 +130,18 @@ class StabilizerChain:
             n *= len(level.transversal)
         return n
 
-    def sift(self, images: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-        """Strip transversal factors; return (residue, levels consumed)."""
-        g = images
-        for idx, level in enumerate(self.levels):
-            pt = g[level.beta]
-            if pt not in level.transversal:
-                return g, idx
-            if pt != level.beta:
-                g = compose_images(g, _rep_inverse(level, pt))
-        return g, len(self.levels)
-
     def contains_images(self, images: tuple[int, ...]) -> bool:
-        residue, _ = self.sift(images)
-        return all(i == j for i, j in enumerate(residue))
+        """Whether images lies in the group, by sifting its inverse h:
+        images sends a base point beta to h.index(beta)."""
+        h = inverse_images(images)
+        for level in self.levels:
+            pt = h.index(level.beta)
+            u = level.transversal.get(pt)
+            if u is None:
+                return False
+            if pt != level.beta:
+                h = compose_images(u, h)
+        return all(i == j for i, j in enumerate(h))
 
     def strong_generators(self) -> list[tuple[int, ...]]:
         """All strong generators, deduplicated, level-0 view."""
@@ -232,19 +227,24 @@ def build_chain(
         refresh(idx)
     chain = StabilizerChain(degree, levels)
 
-    def sift_from(g: tuple[int, ...], start: int) -> tuple[tuple[int, ...], int]:
+    def sift_from(h: tuple[int, ...], start: int) -> tuple[tuple[int, ...], int]:
+        """Sift the element whose inverse is h, through the inverse: return
+        the inverse of the residue and the level where sifting stopped."""
         for idx in range(start, len(levels)):
             level = levels[idx]
-            pt = g[level.beta]
+            pt = h.index(level.beta)
             u = level.transversal.get(pt)
             if u is None:
-                return g, idx
+                return h, idx
             if pt != level.beta:
-                g = compose_images(g, inverse_images(u))
-            if g == identity:
-                return g, len(levels)
-        return g, len(levels)
+                h = compose_images(u, h)
+            if h == identity:
+                return h, len(levels)
+        return h, len(levels)
 
+    # inverses of the strong generators, for this build only; keyed by id,
+    # which is stable because every generator stays in levels until the end
+    gen_inverses: dict[int, tuple[int, ...]] = {}
     i = len(levels) - 1
     while i >= 0:
         if known_order is not None and chain.order() == known_order:
@@ -253,19 +253,27 @@ def build_chain(
         level = levels[i]
         clean = True
         for pt, u in list(level.transversal.items()):
+            u_inv = None
             for s in level.gens:
-                # Schreier generator u * s * inv(rep of pt^s)
+                # Schreier generator u * s * inv(rep of pt^s), sifted through
+                # its inverse rep * inv(s) * inv(u)
                 img = s[pt]
                 w = compose_images(u, s)
                 rep = level.transversal[img]
                 if w == rep:
                     continue
-                g = compose_images(w, inverse_images(rep))
-                if g == identity:
+                if u_inv is None:
+                    u_inv = inverse_images(u)
+                s_inv = gen_inverses.get(id(s))
+                if s_inv is None:
+                    s_inv = gen_inverses[id(s)] = inverse_images(s)
+                h = compose_images(compose_images(rep, s_inv), u_inv)
+                if h == identity:
                     continue
-                residue, stop = sift_from(g, i + 1)
-                if residue == identity:
+                h, stop = sift_from(h, i + 1)
+                if h == identity:
                     continue
+                residue = inverse_images(h)
                 if stop == len(levels):
                     moved = min(p for p in range(degree) if residue[p] != p)
                     levels.append(_Level(moved))
@@ -445,8 +453,9 @@ def _canonical_image(G: PermGroup, t: tuple[int, ...]) -> tuple[int, ...]:
         depth = len(image)
         chain = G.chain(preferred_base=image)
         if x != m:
-            inv = _rep_inverse(chain.levels[depth - 1], x)
-            rest = tuple(inv[y] for y in rest)
+            # u's inverse sends y to u.index(y), the point u sends to y
+            u = chain.levels[depth - 1].transversal[x]
+            rest = tuple(u.index(y) for y in rest)
         if len(chain.levels) == depth:
             image.extend(rest)
             break

@@ -6,11 +6,13 @@ import pytest
 
 from closurelab import stabchain
 from closurelab.actions import (
+    coset_action,
     ksubsets_action,
     minimal_block_system,
     natural_action,
     partitions_action,
     quotient_action,
+    union,
 )
 from closurelab.basesize import (
     BaseRecord,
@@ -89,6 +91,24 @@ def test_exact_base_size_matches_the_search_without_skips():
     assert searched >= 30 and skipped >= 3
 
 
+def test_a_leaf_child_is_never_cut_by_its_parent():
+    # S4 on the cosets of three subgroups of order 4. The search reaches a
+    # stabilizer with two regular orbits, so both children are leaves of
+    # the same size, and the second one's witness is the one recorded
+    G = symmetric(4)
+    subgroups = [
+        group(4, "(1 2)(3 4)", "(1 3)(2 4)"),
+        group(4, "(3 4)", "(1 2)"),
+        group(4, "(1 2)(3 4)", "(1 3 2 4)"),
+    ]
+    A = union([coset_action(G, H) for H in subgroups])
+    elems = brute_elements([g.images for g in A.group.generators], A.degree)
+    size, witness, _, sets = reference_base_search(elems, A.degree)
+    budget = Budget()
+    assert exact_base_size(A, budget) == BaseRecord(size, witness, True)
+    assert budget.nodes == sets
+
+
 def test_exact_base_size_is_deterministic():
     A = ksubsets_action(symmetric(6), 2)
     assert exact_base_size(A) == exact_base_size(A)
@@ -165,6 +185,24 @@ def test_capped_faithfulness_check_leaves_a_complete_chain(monkeypatch):
     assert not G.contains(odd)
     # every query above read the one chain the check built
     assert caps == [360]
+
+
+def test_children_cut_by_their_parent_build_no_chain(monkeypatch):
+    builds = []
+    real = stabchain.build_chain
+
+    def counting(*args, **kwargs):
+        builds.append(kwargs.get("preferred_base"))
+        return real(*args, **kwargs)
+
+    A = ksubsets_action(symmetric(9), 2)
+    monkeypatch.setattr(stabchain, "build_chain", counting)
+    budget = Budget()
+    rec = exact_base_size(A, budget)
+    assert (rec.size, rec.exhaustive) == (6, True)
+    # the node count of the search that builds every child's chain (36 builds)
+    assert budget.nodes == 34
+    assert len(builds) <= 20
 
 
 def test_budget_caps_give_the_full_result_or_a_flagged_base():

@@ -133,6 +133,24 @@ def test_k_closure_budget_carries_partial_result():
     assert partial.is_subgroup_of(k_closure(A, 2))
 
 
+def test_k_closure_budget_caps_give_the_closure_or_a_partial_subgroup():
+    A = ksubsets_action(alternating(5), 2)
+    full_budget = Budget()
+    full = k_closure(A, 2, full_budget)
+    assert full_budget.nodes == 19
+    for cap in range(full_budget.nodes + 1):
+        budget = Budget(cap)
+        try:
+            closure = k_closure(A, 2, budget)
+        except BudgetExceededError as exc:
+            partial = exc.partial
+            assert A.group.is_subgroup_of(partial)
+            assert partial.is_subgroup_of(full)
+        else:
+            assert closure.same_group(full)
+        assert budget.nodes <= cap + 1
+
+
 @pytest.mark.parametrize("name,k,nodes", [("M22", 6, 164), ("M23", 7, 165), ("M24", 8, 166)])
 def test_mathieu_bplus1_closure_is_cheap(name, k, nodes):
     A = catalog_group(name)

@@ -201,8 +201,8 @@ def test_derived_stabilizer_matches_brute(G, first, second):
 @settings(max_examples=30, deadline=None)
 @given(generator_sets(), st.lists(st.integers(min_value=0, max_value=5), max_size=3))
 def test_answers_after_chain_rebuilds_match_brute(G, pts):
-    # queries cache transversal inverses on the chain they use; a rebase
-    # builds a new chain, and inverses cached before it must not leak
+    # a rebase builds a new chain for the stabilizer; the group's own
+    # answers after it must be those from before it
     n = G.degree
     elems = brute_elements([g.images for g in G.generators], n)
     _check_against_brute(G, elems, n)
