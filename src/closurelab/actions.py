@@ -543,8 +543,7 @@ def subgroups_up_to_conjugacy(
             K_gens = H_gens + [x]
             # the chain stops once its order reaches N, and that order
             # never exceeds |<H, x>|; only a proper subgroup is closed up
-            seed = PermGroup(degree, [Permutation(g) for g in K_gens])
-            if build_chain(seed, known_order=N).order() == N:
+            if build_chain(degree, K_gens, known_order=N).order() == N:
                 register(whole, K_gens)
             else:
                 register(generated(K_gens), K_gens)

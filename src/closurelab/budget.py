@@ -53,9 +53,13 @@ class Budget:
         self._t0 = time.monotonic()
 
     def charge(self, n: int = 1, partial=None) -> None:
-        """Consume n nodes; raise when either limit is exhausted."""
-        self.nodes += n
-        if self.max_nodes is not None and self.nodes > self.max_nodes:
+        """Consume n nodes; raise when either limit is exhausted. A budget
+        already past its node cap raises without counting, so a search that
+        runs after another one spent it uses no node beyond the first
+        charge that overran."""
+        if self.nodes <= self.max_nodes:
+            self.nodes += n
+        if self.nodes > self.max_nodes:
             raise BudgetExceededError(
                 f"node budget exhausted ({self.nodes} > {self.max_nodes})", partial=partial
             )

@@ -422,9 +422,8 @@ def require_nonabelian_simple(G: PermGroup) -> None:
         # x represents a new class: its orbit under conjugation
         members = _orbit(x, conjugators, conjugate)
         seen.update(members)
-        # the chain's order never exceeds |N|, so it reaches |G| only if N = G
-        N = PermGroup(G.degree, [Permutation(c) for c in members])
-        closure_order = build_chain(N, known_order=order).order()
+        # the chain of the class's span N stops at |G|, reached only if N = G
+        closure_order = build_chain(G.degree, members, known_order=order).order()
         if closure_order != order:
             raise SimplicityError(
                 f"normal closure of a conjugacy class has order {closure_order}, "

@@ -6,18 +6,20 @@ transversal for the orbit of b_l under them. Everything else in the
 package (order, membership, stabilizers, canonical tuple images, and
 through them closures and base sizes) reduces to chain queries.
 
-The construction is the deterministic textbook algorithm: verify, level by
-level from the bottom, that every Schreier generator sifts to the identity,
-adjoining any nontrivial residue as a new strong generator. No
-randomization, so chains (and all downstream reports) are reproducible
-functions of the generator list.
+The construction, build_chain, is the deterministic textbook algorithm on
+generators given as image tuples: verify, level by level from the bottom,
+that every Schreier generator sifts to the identity, adjoining any
+nontrivial residue as a new strong generator. One routine, place, inserts
+every strong generator, given or found. No randomization, so chains (and
+all downstream reports) are reproducible functions of the generator list.
 
-Sifting reads the inverse h of the element g it strips: g sends a base
-point beta to h.index(beta), and the inverse of g-then-u^-1 is u-then-h.
-So no transversal element is inverted to sift. Schreier-Sims sifts the
-inverse of each Schreier generator, inverting one transversal element per
-orbit point that yields a nontrivial one, and turns back only a nontrivial
-residue, which becomes a strong generator exactly as before.
+One sift, _sift, serves Schreier-Sims and membership alike. It reads the
+inverse h of the element g it strips: g sends a base point beta to
+h.index(beta), and the inverse of g-then-u^-1 is u-then-h. So no
+transversal element is inverted to sift. Schreier-Sims sifts the inverse of
+each Schreier generator, inverting one transversal element per orbit point
+that yields a nontrivial one, and turns back only a nontrivial residue,
+which becomes a strong generator.
 
 A pointwise stabilizer is never rebuilt from scratch. The chain rebased at
 the fixed points already holds it: the levels below that prefix are a
@@ -112,6 +114,21 @@ def _orbit_transversal(beta: int, gens: list[tuple[int, ...]], degree: int) -> d
     return trans
 
 
+def _sift(levels, h: tuple[int, ...]) -> tuple[int, ...]:
+    """Sift the element whose inverse is h through levels, reading h: the
+    element sends a base point beta to h.index(beta). Return the inverse of
+    the residue, which is the identity exactly when the element lies in the
+    group the levels describe."""
+    for level in levels:
+        pt = h.index(level.beta)
+        u = level.transversal.get(pt)
+        if u is None:
+            return h
+        if pt != level.beta:
+            h = compose_images(u, h)
+    return h
+
+
 class StabilizerChain:
     """Verified chain of stabilizers with transversals."""
 
@@ -131,17 +148,8 @@ class StabilizerChain:
         return n
 
     def contains_images(self, images: tuple[int, ...]) -> bool:
-        """Whether images lies in the group, by sifting its inverse h:
-        images sends a base point beta to h.index(beta)."""
-        h = inverse_images(images)
-        for level in self.levels:
-            pt = h.index(level.beta)
-            u = level.transversal.get(pt)
-            if u is None:
-                return False
-            if pt != level.beta:
-                h = compose_images(u, h)
-        return all(i == j for i, j in enumerate(h))
+        """Whether images lies in the group: its inverse sifts to the identity."""
+        return _sift(self.levels, inverse_images(images)) == identity_images(self.degree)
 
     def strong_generators(self) -> list[tuple[int, ...]]:
         """All strong generators, deduplicated, level-0 view."""
@@ -172,129 +180,94 @@ class StabilizerChain:
 
 
 def build_chain(
-    G: "PermGroup",
+    degree: int,
+    gens,
     preferred_base=None,
     known_order: int | None = None,
 ) -> StabilizerChain:
-    """Deterministic Schreier-Sims for G, optionally forcing a base prefix.
+    """Deterministic Schreier-Sims for the group the image tuples gens
+    generate on 0..degree-1, optionally forcing a base prefix.
 
     With preferred_base, the chain base begins with those points in order
     (duplicates dropped); levels whose orbit is trivial are kept so the
     prefix stays aligned. known_order allows early termination as soon as
     the transversal product reaches it, which is sound because the product
     never exceeds the group order.
+
+    One routine, place, adds every strong generator to its levels: the
+    generators first, then each nontrivial residue that _sift leaves of a
+    Schreier generator. A level's transversal is recomputed exactly when
+    its generators change.
     """
-    if G.degree > DEFAULT_MAX_DEGREE:
-        raise DegreeLimitError(f"degree {G.degree} exceeds guard {DEFAULT_MAX_DEGREE}")
-    degree = G.degree
+    if degree > DEFAULT_MAX_DEGREE:
+        raise DegreeLimitError(f"degree {degree} exceeds guard {DEFAULT_MAX_DEGREE}")
     identity = identity_images(degree)
-    gens = [p.images for p in G.generators if p.images != identity]
-
     levels: list[_Level] = []
-    seen_base: set[int] = set()
-    if preferred_base:
-        for b in preferred_base:
-            if b in seen_base:
-                continue
-            if not 0 <= b < degree:
-                raise ValueError(f"base point {b} outside 0..{degree - 1}")
-            seen_base.add(b)
-            levels.append(_Level(b))
-    forced = len(levels)
+    for b in dict.fromkeys(preferred_base or ()):
+        if not 0 <= b < degree:
+            raise ValueError(f"base point {b} outside 0..{degree - 1}")
+        levels.append(_Level(b))
 
-    def place(g: tuple[int, ...]) -> int:
-        """Insert g as a strong generator; return the deepest level it joins."""
-        idx = 0
+    def place(g: tuple[int, ...], idx: int) -> int:
+        """Add g to levels idx, idx + 1, ... up to the first whose base
+        point it moves, opening a level past the end if none; return that
+        level."""
         while True:
             if idx == len(levels):
-                moved = min(p for p in range(degree) if g[p] != p)
-                levels.append(_Level(moved))
-                seen_base.add(moved)
+                levels.append(_Level(min(p for p in range(degree) if g[p] != p)))
             level = levels[idx]
             level.gens.append(g)
             if g[level.beta] != level.beta:
                 return idx
             idx += 1
 
-    for g in gens:
-        place(g)
-
     def refresh(idx: int) -> None:
         level = levels[idx]
         level.transversal = _orbit_transversal(level.beta, level.gens, degree)
 
-    for idx in range(len(levels)):
-        refresh(idx)
-    chain = StabilizerChain(degree, levels)
-
-    def sift_from(h: tuple[int, ...], start: int) -> tuple[tuple[int, ...], int]:
-        """Sift the element whose inverse is h, through the inverse: return
-        the inverse of the residue and the level where sifting stopped."""
-        for idx in range(start, len(levels)):
-            level = levels[idx]
-            pt = h.index(level.beta)
-            u = level.transversal.get(pt)
-            if u is None:
-                return h, idx
-            if pt != level.beta:
-                h = compose_images(u, h)
-            if h == identity:
-                return h, len(levels)
-        return h, len(levels)
-
     # inverses of the strong generators, for this build only; keyed by id,
     # which is stable because every generator stays in levels until the end
     gen_inverses: dict[int, tuple[int, ...]] = {}
-    i = len(levels) - 1
-    while i >= 0:
-        if known_order is not None and chain.order() == known_order:
-            break
-        refresh(i)
+
+    def residue(i: int) -> tuple[int, ...] | None:
+        """The residue of the first Schreier generator of level i that does
+        not sift through the levels below it, or None if every one does."""
         level = levels[i]
-        clean = True
-        for pt, u in list(level.transversal.items()):
+        below = levels[i + 1 :]
+        for pt, u in level.transversal.items():
             u_inv = None
             for s in level.gens:
                 # Schreier generator u * s * inv(rep of pt^s), sifted through
                 # its inverse rep * inv(s) * inv(u)
-                img = s[pt]
-                w = compose_images(u, s)
-                rep = level.transversal[img]
-                if w == rep:
+                rep = level.transversal[s[pt]]
+                if compose_images(u, s) == rep:
                     continue
                 if u_inv is None:
                     u_inv = inverse_images(u)
                 s_inv = gen_inverses.get(id(s))
                 if s_inv is None:
                     s_inv = gen_inverses[id(s)] = inverse_images(s)
-                h = compose_images(compose_images(rep, s_inv), u_inv)
-                if h == identity:
-                    continue
-                h, stop = sift_from(h, i + 1)
-                if h == identity:
-                    continue
-                residue = inverse_images(h)
-                if stop == len(levels):
-                    moved = min(p for p in range(degree) if residue[p] != p)
-                    levels.append(_Level(moved))
-                    stop = len(levels) - 1
-                for idx in range(i + 1, stop + 1):
-                    levels[idx].gens.append(residue)
-                    refresh(idx)
-                i = stop
-                clean = False
-                break
-            if not clean:
-                break
-        if clean:
-            i -= 1
+                h = _sift(below, compose_images(compose_images(rep, s_inv), u_inv))
+                if h != identity:
+                    return inverse_images(h)
+        return None
 
-    # Drop trailing levels with trivial orbit and no deeper content; keep
-    # forced prefix levels so stabilizer extraction by prefix stays valid.
-    keep = len(levels)
-    while keep > forced and keep > 0 and len(levels[keep - 1].transversal) == 1:
-        keep -= 1
-    del levels[keep:]
+    for g in gens:
+        if g != identity:
+            place(g, 0)
+    for idx in range(len(levels)):
+        refresh(idx)
+    chain = StabilizerChain(degree, levels)
+    i = len(levels) - 1
+    while i >= 0 and (known_order is None or chain.order() != known_order):
+        r = residue(i)
+        if r is None:
+            i -= 1
+            continue
+        stop = place(r, i + 1)
+        for idx in range(i + 1, stop + 1):
+            refresh(idx)
+        i = stop
     return chain
 
 
@@ -333,7 +306,8 @@ class PermGroup:
     def chain(self, preferred_base=None) -> StabilizerChain:
         if preferred_base is None:
             if self._chain is None:
-                self._chain = build_chain(self, known_order=self._known_order)
+                gens = [g.images for g in self.generators]
+                self._chain = build_chain(self.degree, gens, known_order=self._known_order)
             return self._chain
         key = tuple(dict.fromkeys(preferred_base))
         if self._chain is not None and self._chain.base[: len(key)] == key:
@@ -342,17 +316,12 @@ class PermGroup:
         if cached is None:
             # Reuse verified strong generators; their span is already G, so
             # the rebuild mostly recomputes orbits. Known order bounds work.
-            seed = PermGroup(self.degree, self._strong_perms(), name=self.name)
-            cached = build_chain(seed, preferred_base=key, known_order=self.order())
+            # They are read before order(), which may build the chain.
+            known = self._chain or next(iter(self._rebased.values()), None)
+            gens = known.strong_generators() if known else [g.images for g in self.generators]
+            cached = build_chain(self.degree, gens, preferred_base=key, known_order=self.order())
             self._rebased[key] = cached
         return cached
-
-    def _strong_perms(self) -> tuple[Permutation, ...]:
-        if self._chain is None and not self._rebased:
-            return self.generators
-        chain = self._chain if self._chain is not None else next(iter(self._rebased.values()))
-        strong = [Permutation(g) for g in chain.strong_generators()]
-        return tuple(strong) if strong else self.generators
 
     def order(self) -> int:
         if self._chain is None and self._known_order is not None:
@@ -365,7 +334,8 @@ class PermGroup:
         still to be built stops once it reaches bound, and is then complete;
         otherwise it runs to the end. Either way it is kept as the chain."""
         if self._chain is None and self._known_order is None:
-            self._chain = build_chain(self, known_order=bound)
+            gens = [g.images for g in self.generators]
+            self._chain = build_chain(self.degree, gens, known_order=bound)
         return self.order() == bound
 
     def contains(self, p: Permutation) -> bool:

@@ -151,7 +151,29 @@ def test_k_closure_budget_caps_give_the_closure_or_a_partial_subgroup():
         assert budget.nodes <= cap + 1
 
 
-@pytest.mark.parametrize("name,k,nodes", [("M22", 6, 164), ("M23", 7, 165), ("M24", 8, 166)])
+def test_spectrum_budget_caps_give_the_spectrum_or_a_flagged_prefix():
+    # the base search behind the default k_max and the closure steps charge
+    # one budget; once it is spent, no later step charges past it
+    A = ksubsets_action(symmetric(6), 2)
+    full_budget = Budget()
+    full = closure_spectrum(A, budget=full_budget)
+    assert full_budget.nodes == 20
+    orders = [entry.order for entry in full.entries]
+    for cap in range(full_budget.nodes + 1):
+        budget = Budget(cap)
+        report = closure_spectrum(A, budget=budget)
+        got = [entry.order for entry in report.entries]
+        if report.entries[-1].error is None:
+            assert got == orders
+            assert report.minimal_k == full.minimal_k
+        else:
+            assert report.entries[-1].error == "budget exceeded"
+            assert got[:-1] == orders[: len(got) - 1]
+            assert report.minimal_k is None
+        assert budget.nodes <= cap + 1
+
+
+@pytest.mark.parametrize("name,k,nodes",[("M22", 6, 164), ("M23", 7, 165), ("M24", 8, 166)])
 def test_mathieu_bplus1_closure_is_cheap(name, k, nodes):
     A = catalog_group(name)
     assert exact_base_size(A).size + 1 == k
@@ -176,7 +198,7 @@ def test_psl28_pair_closure_prunes_on_orbitals():
 @given(generator_sets(max_degree=7), st.integers(min_value=1, max_value=3))
 def test_k_closure_order_matches_a_fresh_chain(G, k):
     H = k_closure(natural_action(G), k)
-    fresh = stabchain.build_chain(PermGroup(G.degree, H.generators))
+    fresh = stabchain.build_chain(G.degree, [g.images for g in H.generators])
     assert H.order() == fresh.order()
 
 

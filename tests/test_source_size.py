@@ -11,8 +11,9 @@ from pathlib import Path
 import closurelab
 
 PARSER_TOKEN_LINE = 4096
-# already past the line; it must not grow, and leaves this set once under it
-EXEMPT = {"actions.py"}
+# already past the line: each is held to its size now, and leaves this
+# mapping once under the line
+CEILING = {"actions.py": 4252}
 
 
 def parser_tokens(path: Path) -> int:
@@ -27,6 +28,8 @@ def parser_tokens(path: Path) -> int:
 
 def test_modules_stay_under_the_parser_token_line():
     sizes = {p.name: parser_tokens(p) for p in Path(closurelab.__file__).parent.glob("*.py")}
-    assert EXEMPT <= sizes.keys()
+    assert CEILING.keys() <= sizes.keys()
     over = {name: n for name, n in sizes.items() if n >= PARSER_TOKEN_LINE}
-    assert over.keys() == EXEMPT, over
+    assert over.keys() == CEILING.keys(), over
+    grown = {name: n for name, n in over.items() if n > CEILING[name]}
+    assert not grown, grown

@@ -1,12 +1,15 @@
 """Stabilizer chains against brute-force enumeration."""
 
+import hashlib
 from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from closurelab import stabchain
+from closurelab.actions import ksubsets_action
 from closurelab.budget import DEFAULT_MAX_DEGREE
+from closurelab.catalog import catalog_group, symmetric
 from closurelab.errors import DegreeLimitError
 from closurelab.perm import Permutation, parse_cycles
 from closurelab.stabchain import (
@@ -106,7 +109,7 @@ def test_chain_base_prefix_is_respected():
 
 def test_chain_with_known_order_hint():
     G = A5()
-    hinted = build_chain(PermGroup(5, G.generators), known_order=60)
+    hinted = build_chain(5, [g.images for g in G.generators], known_order=60)
     assert hinted.order() == 60
     assert hinted.contains_images(parse_cycles("(1 2 3)", 5).images)
     assert not hinted.contains_images(parse_cycles("(1 2)", 5).images)
@@ -114,7 +117,85 @@ def test_chain_with_known_order_hint():
 
 def test_degree_guard():
     with pytest.raises(DegreeLimitError):
-        build_chain(PermGroup.trivial(DEFAULT_MAX_DEGREE + 1))
+        build_chain(DEFAULT_MAX_DEGREE + 1, [])
+
+
+def _level_digests(chain):
+    return [
+        hashlib.sha256(
+            repr((level.beta, level.gens, sorted(level.transversal.items()))).encode()
+        ).hexdigest()[:16]
+        for level in chain.levels
+    ]
+
+
+# Node counts of the searches depend on the transversal representatives;
+# these pins hold every level of each chain and of one rebased chain.
+PINNED_LEVELS = [
+    (
+        lambda: catalog_group("A5").group,
+        (4, 1),
+        ["9752f2191f872106", "ded641e2fddf7d7a", "e0b88028300511e7"],
+        ["1511abb71b4e3dd2", "9aafcb8aa9585bd8", "babd6b5d5fb6f9c6"],
+    ),
+    (
+        lambda: catalog_group("PSL(2,7)").group,
+        (7, 3),
+        ["f9d0b0e90c62e1b5", "d06b10bb05b6341f", "fc59cd7cf15923ca"],
+        ["c90ae2435da8f8ab", "e8d01d28a83a384c", "3586e2f70c2eeada"],
+    ),
+    (
+        lambda: catalog_group("M11").group,
+        (10, 4),
+        ["e71523d4445bde2f", "6b5fbd34f4bccca9", "082c717c3d70101f", "3ece317a28146e3b"],
+        ["e325e55281e912c7", "1dc15943199e9a73", "e8cace0b77066d0e", "9ebb941f04bb6920"],
+    ),
+    (
+        lambda: ksubsets_action(symmetric(7), 2).group,
+        (20, 7),
+        [
+            "e6e6bd3b62448629",
+            "f04afd8b6455b957",
+            "0cfb9b147d08cff3",
+            "88f8c983ad8e1dd3",
+            "d03f214fe9929883",
+        ],
+        [
+            "bb96547f0fb3b253",
+            "e1670b0da3336c50",
+            "dccc90fb0eb3dc89",
+            "e277d987ee5a6169",
+            "9e674e4b6d7ff46a",
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize("make,prefix,own,rebased", PINNED_LEVELS)
+def test_chain_levels_are_pinned(make, prefix, own, rebased):
+    G = make()
+    assert _level_digests(G.chain()) == own
+    assert _level_digests(G.chain(preferred_base=prefix)) == rebased
+
+
+def test_chain_of_degenerate_generator_lists():
+    a, b = (g.images for g in A5().generators)
+    e = tuple(range(5))
+    plain = build_chain(5, [a, b])
+    padded = build_chain(5, [e, a, a, e, b])
+    assert padded.order() == plain.order() == 60
+    assert padded.base == plain.base
+    assert [level.transversal for level in padded.levels] == [
+        level.transversal for level in plain.levels
+    ]
+    assert all(e not in level.gens for level in padded.levels)
+    # no generators and a forced base: one level per point, each trivial
+    forced = build_chain(5, [], preferred_base=(2, 0))
+    assert forced.base == (2, 0)
+    assert [level.transversal for level in forced.levels] == [{2: e}, {0: e}]
+    assert forced.order() == 1
+    with pytest.raises(ValueError):
+        build_chain(5, [a], preferred_base=(5,))
 
 
 def test_chain_is_deterministic():
