@@ -167,61 +167,56 @@ def minimal_block_system(A: ActionInstance, seed_pair) -> BlockSystem:
     return BlockSystem.from_blocks(groups.values(), n)
 
 
+def _minimal_systems(A: ActionInstance):
+    """The minimal block systems of A with a block (0, beta), beta = 1, 2, ...,
+    that are not universal."""
+    for beta in range(1, A.degree):
+        system = minimal_block_system(A, (0, beta))
+        if system.num_blocks > 1:
+            yield system
+
+
 def is_primitive(A: ActionInstance) -> bool:
     """Transitive with no nontrivial invariant partition; size-1 domains count."""
-    G = A.group
-    if G.degree == 1:
-        return True
-    if not G.is_transitive():
-        return False
-    for beta in range(1, G.degree):
-        if minimal_block_system(A, (0, beta)).num_blocks > 1:
-            return False
-    return True
+    return A.group.is_transitive() and not any(_minimal_systems(A))
 
 
 def maximal_block_systems(A: ActionInstance) -> list[BlockSystem]:
     """All invariant partitions with more than one block and primitive quotient.
 
     The singleton partition qualifies exactly when the action itself is
-    primitive. Found by coarsening each minimal system until the quotient
-    turns primitive, with deduplication; ordered by block count, then blocks.
+    primitive. Found by coarsening, starting at the singleton partition:
+    each system whose quotient is not primitive is replaced by the pullbacks
+    of the quotient's minimal systems, with deduplication; ordered by block
+    count, then blocks.
     """
     G = A.group
     if G.degree < 2:
         raise ValueError("maximal block systems need a domain of size at least 2")
     if not G.is_transitive():
         raise IntransitiveActionError("block systems are only formed on transitive actions")
-    found: set[tuple[tuple[int, ...], ...]] = set()
+    found: dict[tuple[tuple[int, ...], ...], BlockSystem] = {}
 
     def coarsen(system: BlockSystem) -> None:
         if system.blocks in found:
             return
-        Q = quotient_action(A, system)
-        if is_primitive(Q):
-            found.add(system.blocks)
-            return
-        m = Q.group.degree
-        for beta in range(1, m):
-            qsys = minimal_block_system(Q, (0, beta))
-            if qsys.num_blocks == 1:
-                continue
-            pulled = [
-                sorted(p for j in qblock for p in system.blocks[j]) for qblock in qsys.blocks
-            ]
+        coarser = list(_minimal_systems(quotient_action(A, system)))
+        if not coarser:
+            found[system.blocks] = system
+        for qsys in coarser:
+            pulled = [[p for j in qblock for p in system.blocks[j]] for qblock in qsys.blocks]
             coarsen(BlockSystem.from_blocks(pulled, G.degree))
 
-    if is_primitive(A):
-        found.add(BlockSystem.singletons(G.degree).blocks)
-    else:
-        for beta in range(1, G.degree):
-            system = minimal_block_system(A, (0, beta))
-            if system.num_blocks == 1:
-                continue
-            coarsen(system)
-    systems = [BlockSystem(blocks, G.degree) for blocks in found]
-    systems.sort(key=lambda s: (s.num_blocks, s.blocks))
-    return systems
+    coarsen(BlockSystem.singletons(G.degree))
+    return sorted(found.values(), key=lambda s: (s.num_blocks, s.blocks))
+
+
+def _induced(G: PermGroup, points, image_of) -> PermGroup:
+    """The image of G on a list of points; image_of(g, x) is the position of
+    the image of x under g."""
+    return PermGroup(
+        len(points), [Permutation(tuple(image_of(g, x) for x in points)) for g in G.generators]
+    )
 
 
 def quotient_action(A: ActionInstance, S: BlockSystem) -> ActionInstance:
@@ -231,11 +226,8 @@ def quotient_action(A: ActionInstance, S: BlockSystem) -> ActionInstance:
         raise DegreeMismatchError(f"system degree {S.degree} != action degree {G.degree}")
     if not is_invariant(G, S):
         raise InvalidPartitionError("partition is not invariant under the group")
-    images = []
-    for g in G.generators:
-        images.append(Permutation(tuple(S.block_of(g(block[0])) for block in S.blocks)))
+    group = _induced(G, S.blocks, lambda g, block: S.block_of(g(block[0])))
     domain = Domain(S.labels(A.domain))
-    group = PermGroup(S.num_blocks, images)
     return ActionInstance(group, domain, f"blocks({S.num_blocks}x{len(S.blocks[0])})", A.source_order)
 
 
@@ -246,18 +238,12 @@ def ksubsets_action(G: PermGroup, k: int) -> ActionInstance:
         raise ValueError(f"k must satisfy 1 <= k <= n/2, got k={k} with n={n}")
     subsets = list(combinations(range(n), k))
     index = {s: i for i, s in enumerate(subsets)}
-    images = []
-    for g in G.generators:
-        images.append(
-            Permutation(tuple(index[tuple(sorted(g(p) for p in s))] for s in subsets))
-        )
+    group = _induced(G, subsets, lambda g, s: index[tuple(sorted(g(p) for p in s))])
     labels = tuple("{" + ",".join(str(p + 1) for p in s) + "}" for s in subsets)
-    return ActionInstance(
-        PermGroup(len(subsets), images), Domain(labels), f"ksubsets({k})", G.order()
-    )
+    return ActionInstance(group, Domain(labels), f"ksubsets({k})", G.order())
 
 
-def _equal_partitions(n: int, a: int, b: int) -> list[tuple[tuple[int, ...], ...]]:
+def _equal_partitions(n: int, a: int) -> list[tuple[tuple[int, ...], ...]]:
     out: list[tuple[tuple[int, ...], ...]] = []
     points = list(range(n))
 
@@ -283,20 +269,19 @@ def partitions_action(G: PermGroup, a: int, b: int) -> ActionInstance:
         raise ValueError(f"need part size >= 2 and part count >= 2, got a={a}, b={b}")
     if n != a * b:
         raise ValueError(f"degree {n} is not a*b = {a * b}")
-    parts = _equal_partitions(n, a, b)
+    parts = _equal_partitions(n, a)
     index = {p: i for i, p in enumerate(parts)}
 
     def act(g: Permutation, part) -> int:
         moved = sorted(tuple(sorted(g(p) for p in block)) for block in part)
         return index[tuple(moved)]
 
-    images = [Permutation(tuple(act(g, p) for p in parts)) for g in G.generators]
     labels = tuple(
         "|".join("{" + ",".join(str(p + 1) for p in block) + "}" for block in part)
         for part in parts
     )
     return ActionInstance(
-        PermGroup(len(parts), images), Domain(labels), f"partitions({a},{b})", G.order()
+        _induced(G, parts, act), Domain(labels), f"partitions({a},{b})", G.order()
     )
 
 
@@ -356,12 +341,10 @@ def restriction(A: ActionInstance, points) -> ActionInstance:
             if g(p) not in pt_set:
                 raise ValueError(f"subset is not invariant: generator moves {p} outside")
     pos = {p: i for i, p in enumerate(pts)}
-    images = [Permutation(tuple(pos[g(p)] for p in pts)) for g in G.generators]
     labels = tuple(A.domain.labels[p] for p in pts)
     tag = "{" + ",".join(labels) + "}" if len(pts) <= 12 else f"{len(pts)} points"
-    return ActionInstance(
-        PermGroup(len(pts), images), Domain(labels), f"restriction({tag})", A.source_order
-    )
+    group = _induced(G, pts, lambda g, p: pos[g(p)])
+    return ActionInstance(group, Domain(labels), f"restriction({tag})", A.source_order)
 
 
 def union(instances) -> ActionInstance:
@@ -463,10 +446,11 @@ def subgroups_up_to_conjugacy(
 ) -> list[PermGroup]:
     """One representative per conjugacy class of subgroups, sorted by order.
 
-    Seeds with the cyclic subgroups, then closes under single-element
-    extension of class representatives; every subgroup shows up because it
-    is reachable by adjoining generators one at a time along a chain of
-    subgroups. Element-set fingerprints deduplicate across classes. Since
+    Starts from the trivial group and closes under single-element extension
+    of class representatives, so the trivial group's extensions are the
+    cyclic subgroups; every subgroup shows up because it is reachable by
+    adjoining generators one at a time along a chain of subgroups.
+    Element-set fingerprints deduplicate across classes. Since
     <H, hxh'> = <H, x> for h, h' in H, one x per double coset HxH is
     extended, and an extension whose stabilizer chain reaches the order of
     G is G, whose element set is at hand, so it is never closed up by
@@ -515,10 +499,6 @@ def subgroups_up_to_conjugacy(
         reps.append((canon, seed_gens, len(frozenset.intersection(*cls))))
 
     register(frozenset([ident]), [])
-    for x in elems:
-        if x == ident:
-            continue
-        register(generated([x]), [x])
 
     head = 0
     while head < len(reps):

@@ -667,6 +667,17 @@ class BlockLemmaRecord:
     holds: bool
 
 
+def _closure_action(
+    A: ActionInstance, k: int, budget: Budget | None
+) -> tuple[Budget, ActionInstance]:
+    """The budget to charge (a fresh one if None) and the k-closure of A
+    acting on A's domain, computed on it."""
+    if budget is None:
+        budget = Budget()
+    U = k_closure(A, k, budget=budget)
+    return budget, ActionInstance(U, A.domain, f"closure({k},{A.provenance})", U.order())
+
+
 def block_lemma_check(
     A: ActionInstance, S: BlockSystem, k: int, budget: Budget | None = None
 ) -> BlockLemmaRecord:
@@ -674,13 +685,8 @@ def block_lemma_check(
     its closures charge the one budget."""
     if not 2 <= k <= S.num_blocks:
         raise ValueError("k must be between 2 and the number of blocks")
-    if budget is None:
-        budget = Budget()
-    U = k_closure(A, k, budget=budget)
-    AU = ActionInstance(
-        group=U, domain=A.domain, provenance=f"closure({k},{A.provenance})", source_order=U.order()
-    )
-    preserved = is_invariant(U, S)
+    budget, AU = _closure_action(A, k, budget)
+    preserved = is_invariant(AU.group, S)
     quotient_ok = False
     restriction_ok = False
     faithful_ok: bool | None = None
@@ -729,12 +735,7 @@ def restriction_lemma_check(
     orbs = A.group.orbits()
     if len(orbs) < 2:
         raise ValueError("the action is transitive; restriction containment is about orbits")
-    if budget is None:
-        budget = Budget()
-    U = k_closure(A, k, budget=budget)
-    AU = ActionInstance(
-        group=U, domain=A.domain, provenance=f"closure({k},{A.provenance})", source_order=U.order()
-    )
+    budget, AU = _closure_action(A, k, budget)
     contained = []
     for orbit in orbs:
         inner = restriction(AU, orbit).group

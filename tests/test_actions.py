@@ -39,6 +39,7 @@ from closurelab.stabchain import PermGroup
 from oracles import (
     brute_conjugacy_classes_of_subgroups,
     brute_elements,
+    brute_is_primitive,
     brute_maximal_block_systems,
     brute_setwise_stabilizer,
     brute_transitivity_degree,
@@ -112,12 +113,41 @@ def test_is_primitive():
     assert is_primitive(natural_action(PermGroup.trivial(1)))
 
 
+CATALOG_UP_TO_8 = (
+    [f"{family}{n}" for family in "SC" for n in range(2, 9)]
+    + [f"A{n}" for n in range(3, 9)]
+    + [f"D{n}" for n in range(3, 9)]
+    + ["PSL(2,2)", "PSL(2,3)", "PSL(2,4)", "PSL(2,5)", "PSL(2,7)", "PSL(3,2)"]
+)
+
+
+def _check_block_systems(A):
+    G = A.group
+    gens = [g.images for g in G.generators]
+    assert is_primitive(A) == brute_is_primitive(gens, G.degree)
+    if G.degree < 2 or not G.is_transitive():
+        return
+    systems = maximal_block_systems(A)
+    assert {as_sets(S) for S in systems} == brute_maximal_block_systems(gens, G.degree)
+    keys = [(S.num_blocks, S.blocks) for S in systems]
+    assert keys == sorted(set(keys))
+
+
 def test_maximal_block_systems_match_brute():
-    for G in (D8(), C6(), group(6, "(1 2 3 4 5 6)", "(2 6)(3 5)"), group(4, "(1 2 3 4)")):
-        A = natural_action(G)
-        got = {as_sets(S) for S in maximal_block_systems(A)}
-        want = brute_maximal_block_systems([g.images for g in G.generators], G.degree)
-        assert got == want
+    # every catalog action of degree at most 8, and a few induced ones
+    S4, A4 = symmetric(4), catalog_group("A4").group
+    for A in [catalog_group(name) for name in CATALOG_UP_TO_8] + [
+        ksubsets_action(S4, 2),
+        partitions_action(S4, 2, 2),
+        ksubsets_action(A4, 2),
+    ]:
+        _check_block_systems(A)
+
+
+@settings(max_examples=150, deadline=None)
+@given(generator_sets(max_degree=7))
+def test_block_systems_match_brute(G):
+    _check_block_systems(natural_action(G))
 
 
 def test_maximal_block_systems_of_c6():
@@ -344,9 +374,10 @@ def test_subgroup_enumeration_skips_double_cosets(monkeypatch):
 
     monkeypatch.setattr(actions, "_generated_images", counting)
     assert len(subgroups_up_to_conjugacy(catalog_group("A6").group)) == 22
-    # 359 cyclic seeds plus the extensions <H, x>, one per double coset HxH,
-    # less those whose chain already has the order of the group
-    assert len(calls) <= 911
+    # the extensions <H, x>, one per double coset HxH, less those whose chain
+    # already has the order of the group; those of the trivial group are the
+    # cyclic subgroups, each closed once
+    assert len(calls) <= 552
 
 
 @pytest.mark.parametrize("name", ["A6", "PSL(2,7)"])

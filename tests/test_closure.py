@@ -582,6 +582,68 @@ def test_complete_lemma_check_charges_the_given_budget():
     assert second.status == "predicted, unconfirmed"
 
 
+def _every_cap(run, nodes):
+    """The uncapped result of run(budget), which must take nodes nodes, and
+    the outcome at every cap 0..nodes: the result, or the error raised."""
+    full_budget = Budget()
+    full = run(full_budget)
+    assert full_budget.nodes == nodes
+    outcomes = []
+    for cap in range(nodes + 1):
+        budget = Budget(cap)
+        try:
+            outcomes.append(run(budget))
+        except BudgetExceededError as exc:
+            outcomes.append(exc)
+        assert budget.nodes <= cap + 1
+    assert outcomes[-1] == full
+    assert outcomes[0] != full
+    return full, outcomes
+
+
+def test_k_trans_budget_caps_give_the_answer_or_an_uncertified_partial():
+    full, outcomes = _every_cap(lambda b: k_trans(alternating(5), 12, budget=b), 82)
+    for out in outcomes:
+        if isinstance(out, BudgetExceededError):
+            assert not out.partial.certified
+            assert set(out.partial.entries) <= set(full[1].entries)
+        else:
+            assert out == full
+
+
+def _a5_natural_plus_pairs():
+    a5 = alternating(5)
+    return union([natural_action(a5), ksubsets_action(a5, 2)])
+
+
+def _d6_block_lemma(blocks, k):
+    S = BlockSystem.from_blocks(blocks, 6)
+    return lambda b: block_lemma_check(natural_action(dihedral(6)), S, k, budget=b)
+
+
+@pytest.mark.parametrize("run,nodes", [
+    (_d6_block_lemma([[0, 2, 4], [1, 3, 5]], 2), 6),
+    (_d6_block_lemma([[0, 3], [1, 4], [2, 5]], 3), 6),
+    (lambda b: intransitive_certificate(_a5_natural_plus_pairs(), 4, budget=b), 18),
+    (lambda b: restriction_lemma_check(_a5_natural_plus_pairs(), 3, budget=b), 32),
+], ids=["block-D6-2blocks", "block-D6-3blocks", "intransitive-A5", "restriction-A5"])
+def test_lemma_check_budget_caps_give_the_answer_or_raise(run, nodes):
+    full, outcomes = _every_cap(run, nodes)
+    assert all(isinstance(out, BudgetExceededError) or out == full for out in outcomes)
+
+
+def test_complete_lemma_check_budget_caps_give_the_report_or_no_confirmation():
+    A = mathieu("M11")
+    full, outcomes = _every_cap(
+        lambda b: complete_lemma_check(A, 4, out_trivial=True, maximal_in_alt=True, budget=b), 32
+    )
+    for out in outcomes:
+        if isinstance(out, BudgetExceededError) or out == full:
+            continue
+        assert out.status == "predicted, unconfirmed"
+        assert out.closure_order_at_k == full.closure_order_at_k
+
+
 def test_complete_lemma_check_confirms_psl27():
     # the conclusion holds for this exactly 2-transitive degree-8 action
     report = complete_lemma_check(psl_projective(2, 7), 2, out_trivial=True, maximal_in_alt=True)
