@@ -187,28 +187,28 @@ def maximal_block_systems(A: ActionInstance) -> list[BlockSystem]:
     The singleton partition qualifies exactly when the action itself is
     primitive. Found by coarsening, starting at the singleton partition:
     each system whose quotient is not primitive is replaced by the pullbacks
-    of the quotient's minimal systems, with deduplication; ordered by block
-    count, then blocks.
+    of the quotient's minimal systems; ordered by block count, then blocks.
+    found maps the blocks of every system visited to the system if it is
+    maximal and to None if not, so each system is coarsened once.
     """
     G = A.group
     if G.degree < 2:
         raise ValueError("maximal block systems need a domain of size at least 2")
     if not G.is_transitive():
         raise IntransitiveActionError("block systems are only formed on transitive actions")
-    found: dict[tuple[tuple[int, ...], ...], BlockSystem] = {}
+    found: dict[tuple[tuple[int, ...], ...], BlockSystem | None] = {}
 
     def coarsen(system: BlockSystem) -> None:
         if system.blocks in found:
             return
         coarser = list(_minimal_systems(quotient_action(A, system)))
-        if not coarser:
-            found[system.blocks] = system
+        found[system.blocks] = None if coarser else system
         for qsys in coarser:
             pulled = [[p for j in qblock for p in system.blocks[j]] for qblock in qsys.blocks]
             coarsen(BlockSystem.from_blocks(pulled, G.degree))
 
     coarsen(BlockSystem.singletons(G.degree))
-    return sorted(found.values(), key=lambda s: (s.num_blocks, s.blocks))
+    return sorted(filter(None, found.values()), key=lambda s: (s.num_blocks, s.blocks))
 
 
 def _induced(G: PermGroup, points, image_of) -> PermGroup:

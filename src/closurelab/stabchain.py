@@ -1,7 +1,7 @@
 """Schreier-Sims stabilizer chains and the queries they answer.
 
-A chain for G fixes a base b_0, b_1, ... and stores, per level l, the
-strong generators that fix b_0..b_{l-1} pointwise together with a
+A chain for G fixes a base b_0, b_1, ... and stores, per level l, strong
+generators of the pointwise stabilizer of b_0..b_{l-1} together with a
 transversal for the orbit of b_l under them. Everything else in the
 package (order, membership, stabilizers, canonical tuple images, and
 through them closures and base sizes) reduces to chain queries.
@@ -28,6 +28,14 @@ Computational Group Theory, 2005, section 4.4), so the stabilizer is that
 tail, generated by the tail's strong generators. A group's own chain whose
 base already begins with the requested points serves as the rebased chain,
 so a stabilizer of a stabilizer along that base costs no build at all.
+Every other rebased chain is derived from the group's own chain by base
+change (section 4.4.7 there; Butler, Fundamental Algorithms for Permutation
+Groups, 1991): each requested point is taken from its level, or inserted
+with a trivial orbit, and exchanged with the level above it until it sits
+at its position. An exchange, _swap, rebuilds two levels from the orbits
+and transversals of the old ones, with no Schreier-Sims, and returns new
+level objects: a stabilizer's chain is a tail of its parent's, so the
+levels are shared and never changed. So Schreier-Sims runs once per group.
 """
 
 from __future__ import annotations
@@ -179,20 +187,13 @@ class StabilizerChain:
         return cached
 
 
-def build_chain(
-    degree: int,
-    gens,
-    preferred_base=None,
-    known_order: int | None = None,
-) -> StabilizerChain:
+def build_chain(degree: int, gens, known_order: int | None = None) -> StabilizerChain:
     """Deterministic Schreier-Sims for the group the image tuples gens
-    generate on 0..degree-1, optionally forcing a base prefix.
+    generate on 0..degree-1.
 
-    With preferred_base, the chain base begins with those points in order
-    (duplicates dropped); levels whose orbit is trivial are kept so the
-    prefix stays aligned. known_order allows early termination as soon as
-    the transversal product reaches it, which is sound because the product
-    never exceeds the group order.
+    known_order allows early termination as soon as the transversal product
+    reaches it, which is sound because the product never exceeds the group
+    order.
 
     One routine, place, adds every strong generator to its levels: the
     generators first, then each nontrivial residue that _sift leaves of a
@@ -203,10 +204,6 @@ def build_chain(
         raise DegreeLimitError(f"degree {degree} exceeds guard {DEFAULT_MAX_DEGREE}")
     identity = identity_images(degree)
     levels: list[_Level] = []
-    for b in dict.fromkeys(preferred_base or ()):
-        if not 0 <= b < degree:
-            raise ValueError(f"base point {b} outside 0..{degree - 1}")
-        levels.append(_Level(b))
 
     def place(g: tuple[int, ...], idx: int) -> int:
         """Add g to levels idx, idx + 1, ... up to the first whose base
@@ -271,6 +268,64 @@ def build_chain(
     return chain
 
 
+def _swap(levels: list[_Level], i: int, degree: int) -> None:
+    """Exchange the base points a and b of levels i and i + 1 in place of
+    those two levels (deterministic BASESWAP; Holt, Eick and O'Brien 2005,
+    section 4.4.7). The new level i is the orbit of b under level i's
+    generators. The new level i + 1 starts from level i + 2's generators and
+    adjoins, for each point c of level i's orbit not yet in the orbit of a,
+    an element of G_i that fixes b and sends a to c, where one exists, until
+    the orbit of a has the size |(G_i)_b| / |G_{i+2}|; by the orbit-stabilizer
+    theorem its group is then (G_i)_b. No level object is changed, as other
+    chains may share it."""
+    lo, hi = levels[i], levels[i + 1]
+    a, b = lo.beta, hi.beta
+    first = _Level(b)
+    first.gens = lo.gens
+    first.transversal = _orbit_transversal(b, lo.gens, degree)
+    target = len(lo.transversal) * len(hi.transversal) // len(first.transversal)
+    second = _Level(a)
+    second.gens = list(levels[i + 2].gens) if i + 2 < len(levels) else []
+    second.transversal = _orbit_transversal(a, second.gens, degree)
+    for c, u in lo.transversal.items():
+        if len(second.transversal) == target:
+            break
+        if c in second.transversal:
+            continue
+        # u sends a to c, and v sends b to u^-1(b) fixing a, so v-then-u
+        # fixes b and sends a to c
+        v = hi.transversal.get(u.index(b))
+        if v is not None:
+            second.gens.append(compose_images(v, u))
+            second.transversal = _orbit_transversal(a, second.gens, degree)
+    levels[i : i + 2] = [first, second]
+
+
+def _rebase(chain: StabilizerChain, key: tuple[int, ...]) -> StabilizerChain:
+    """A chain for the same group whose base begins with the points key,
+    derived from chain without Schreier-Sims: each point is taken from its
+    level, or inserted with a trivial orbit at the first level whose group
+    fixes it, and swapped up to its position. Levels past the prefix with a
+    trivial orbit are dropped. The levels of chain are shared, not changed."""
+    degree = chain.degree
+    levels = list(chain.levels)
+    for pos, p in enumerate(key):
+        j = next((j for j in range(pos, len(levels)) if levels[j].beta == p), None)
+        if j is None:
+            j = next(
+                (j for j in range(pos, len(levels)) if all(g[p] == p for g in levels[j].gens)),
+                len(levels),
+            )
+            level = _Level(p)
+            level.gens = levels[j].gens if j < len(levels) else []
+            level.transversal = {p: identity_images(degree)}
+            levels.insert(j, level)
+        for i in range(j - 1, pos - 1, -1):
+            _swap(levels, i, degree)
+    levels[len(key) :] = [level for level in levels[len(key) :] if len(level.transversal) > 1]
+    return StabilizerChain(degree, levels)
+
+
 class PermGroup:
     """A permutation group given by generators, with a cached chain.
 
@@ -304,23 +359,23 @@ class PermGroup:
         return PermGroup(degree, (), name="1")
 
     def chain(self, preferred_base=None) -> StabilizerChain:
+        """The group's own chain, or with preferred_base a chain whose base
+        begins with those points in order (duplicates dropped), derived
+        from the own chain by base swaps and cached."""
+        if self._chain is None:
+            gens = [g.images for g in self.generators]
+            self._chain = build_chain(self.degree, gens, known_order=self._known_order)
         if preferred_base is None:
-            if self._chain is None:
-                gens = [g.images for g in self.generators]
-                self._chain = build_chain(self.degree, gens, known_order=self._known_order)
             return self._chain
         key = tuple(dict.fromkeys(preferred_base))
-        if self._chain is not None and self._chain.base[: len(key)] == key:
+        for b in key:
+            if not 0 <= b < self.degree:
+                raise ValueError(f"point {b} outside 0..{self.degree - 1}")
+        if self._chain.base[: len(key)] == key:
             return self._chain
         cached = self._rebased.get(key)
         if cached is None:
-            # Reuse verified strong generators; their span is already G, so
-            # the rebuild mostly recomputes orbits. Known order bounds work.
-            # They are read before order(), which may build the chain.
-            known = self._chain or next(iter(self._rebased.values()), None)
-            gens = known.strong_generators() if known else [g.images for g in self.generators]
-            cached = build_chain(self.degree, gens, preferred_base=key, known_order=self.order())
-            self._rebased[key] = cached
+            cached = self._rebased[key] = _rebase(self._chain, key)
         return cached
 
     def order(self) -> int:
@@ -366,9 +421,6 @@ class PermGroup:
         """The subgroup fixing every point of pts: the tail of the chain
         rebased at pts, below its len(pts) prefix levels."""
         pts = list(dict.fromkeys(pts))
-        for p in pts:
-            if not 0 <= p < self.degree:
-                raise ValueError(f"point {p} outside 0..{self.degree - 1}")
         tail = self.chain(preferred_base=pts).tail(len(pts))
         stab = PermGroup(self.degree, [Permutation(g) for g in tail.strong_generators()])
         stab._chain = tail

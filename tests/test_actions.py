@@ -158,6 +158,22 @@ def test_maximal_block_systems_of_c6():
     ]
 
 
+def test_maximal_block_systems_visit_each_system_once(monkeypatch):
+    # C60 on 60 points has one block system with more than one block per
+    # block size 1, 2, 3, 4, 5, 6, 10, 12, 15, 20, 30; each is coarsened once
+    quotients = []
+    real = actions.quotient_action
+
+    def counting(A, S):
+        quotients.append(S.blocks)
+        return real(A, S)
+
+    monkeypatch.setattr(actions, "quotient_action", counting)
+    systems = maximal_block_systems(catalog_group("C60"))
+    assert [S.num_blocks for S in systems] == [2, 3, 5]
+    assert len(quotients) == len(set(quotients)) == 11
+
+
 def test_maximal_block_systems_of_d8():
     # exhaustive enumeration leaves exactly the diagonal pairing
     systems = maximal_block_systems(natural_action(D8()))
