@@ -35,7 +35,7 @@ from .closure import (
     k_trans,
     restriction_lemma_check,
 )
-from .errors import ValidationError
+from .errors import DegreeLimitError, ValidationError
 
 SUITE_SEED = 20260819
 
@@ -126,15 +126,20 @@ class _Recorder:
 def filtration_closure_orders(A, k_values) -> list[int]:
     """Closure orders computed straight from the definition.
 
-    Partition the injective k-tuples into orbits by depth-first search over
+    Partition the injective k-tuples into orbits by breadth-first search over
     the generators, then count the permutations of the domain sending
     every tuple inside its own orbit. Those permutations form a group K
-    containing G, so K is a union of right cosets Gh: if h passes, so does
-    every element of Gh, and if h fails, so does every element. The walk
+    containing G, so K is a union of left cosets hG: if h passes, so does
+    every element of hG, and if h fails, so does every element. The walk
     over all permutations of the domain therefore tests one representative
-    per coset, marks the rest of its coset by left-multiplying with the
+    per coset, marks the rest of its coset by right-multiplying with the
     generators, and adds the number of elements it marked for each passing
     coset.
+
+    Permutations and tuples are bytes, and each generator is a 256-byte
+    translation table, so x.translate(g) applies x, then g, in one call.
+    The visited set keys up to n! strings, so degrees above 9 raise
+    DegreeLimitError before any table is built.
 
     The route stays independent of the backtrack: it builds no stabilizer
     chain and reads nothing from the group but its generators' images, so
@@ -144,60 +149,48 @@ def filtration_closure_orders(A, k_values) -> list[int]:
     if any(k < 1 for k in k_values):
         raise ValueError("k must be at least 1")
     n = A.degree
-    gens = [g.images for g in A.group.generators]
+    if n > 9:
+        raise DegreeLimitError(f"degree {n} exceeds the filtration route's limit 9")
+    pad = bytes(range(n, 256))
+    gens = [bytes(g.images) + pad for g in A.group.generators]
     tables = {min(k, n): _tuple_orbits(gens, n, min(k, n)) for k in k_values}
     counts = dict.fromkeys(tables, 0)
-    done = bytearray(factorial(n))
-    for rank, h in enumerate(permutations(range(n))):
-        if done[rank]:
+    seen: set[bytes] = set()
+    for h in map(bytes, permutations(range(n))):
+        if h in seen:
             continue
-        done[rank] = 1
-        coset_size = 1
-        stack = [h]
-        while stack:
-            x = stack.pop()
-            for g in gens:
-                y = tuple(x[p] for p in g)
-                r = _lex_rank(y)
-                if not done[r]:
-                    done[r] = 1
-                    coset_size += 1
-                    stack.append(y)
+        coset = _translation_orbit(h, gens, seen)
+        table = h + pad
         for kk, orbit in tables.items():
-            if all(orbit[tuple(h[p] for p in t)] == i for t, i in orbit.items()):
-                counts[kk] += coset_size
+            if all(orbit[t.translate(table)] == i for t, i in orbit.items()):
+                counts[kk] += len(coset)
     return [counts[min(k, n)] for k in k_values]
 
 
-def _tuple_orbits(gens, n: int, k: int) -> dict[tuple[int, ...], int]:
-    """Orbit number of every injective k-tuple of range(n) under gens."""
-    orbit: dict[tuple[int, ...], int] = {}
+def _tuple_orbits(gens, n: int, k: int) -> dict[bytes, int]:
+    """Orbit number of every injective k-tuple of range(n), as bytes, under
+    the translation tables gens."""
+    orbit: dict[bytes, int] = {}
     label = 0
-    for t in permutations(range(n), k):
-        if t in orbit:
-            continue
-        orbit[t] = label
-        stack = [t]
-        while stack:
-            cur = stack.pop()
-            for g in gens:
-                img = tuple(g[p] for p in cur)
-                if img not in orbit:
-                    orbit[img] = label
-                    stack.append(img)
-        label += 1
+    for t in map(bytes, permutations(range(n), k)):
+        if t not in orbit:
+            orbit.update(dict.fromkeys(_translation_orbit(t, gens, set()), label))
+            label += 1
     return orbit
 
 
-def _lex_rank(images: tuple[int, ...]) -> int:
-    """Position of a permutation in the lexicographic walk permutations(range(n))."""
-    n = len(images)
-    rank = 0
-    used = 0
-    for i, v in enumerate(images):
-        rank = rank * (n - i) + v - (used & ((1 << v) - 1)).bit_count()
-        used |= 1 << v
-    return rank
+def _translation_orbit(x: bytes, gens, seen: set[bytes]) -> list[bytes]:
+    """The strings reached from x, which is not in seen, by translating
+    through the tables gens; each is added to seen."""
+    seen.add(x)
+    orbit = [x]
+    for cur in orbit:
+        for g in gens:
+            y = cur.translate(g)
+            if y not in seen:
+                seen.add(y)
+                orbit.append(y)
+    return orbit
 
 
 # ---------------------------------------------------------------------------
@@ -448,8 +441,6 @@ _ORACLE_POOL = [
 def _suite_closure_oracle(rec: _Recorder) -> None:
     for name in _ORACLE_POOL:
         A = catalog_group(name)
-        if A.degree > 8:
-            continue
         ks = list(range(1, 5))
         rec.claim(
             f"oracle-{name}",

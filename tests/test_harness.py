@@ -1,10 +1,11 @@
 """Tests for the verification suites and their report plumbing."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from closurelab.actions import ksubsets_action, natural_action, union
 from closurelab.catalog import catalog_group
+from closurelab.errors import DegreeLimitError
 from closurelab.harness import (
     _ORACLE_POOL,
     Claim,
@@ -111,6 +112,17 @@ def test_filtration_route_rejects_nonpositive_k(k):
         filtration_closure_orders(catalog_group("A5"), [k])
 
 
+def test_filtration_route_refuses_degree_ten_before_any_table(monkeypatch):
+    import closurelab.harness as harness
+
+    def no_table(*args):
+        raise AssertionError("built an orbit table")
+
+    monkeypatch.setattr(harness, "_tuple_orbits", no_table)
+    with pytest.raises(DegreeLimitError, match="10"):
+        filtration_closure_orders(natural_action(PermGroup(10, ())), [1])
+
+
 def _brute_orders(A, k_values):
     elems = brute_elements([g.images for g in A.group.generators], A.degree)
     return [len(brute_k_closure(elems, A.degree, k)) for k in k_values]
@@ -194,3 +206,20 @@ def test_filtration_orders_are_group_multiples_and_descend(G, k_values):
     orders = filtration_closure_orders(A, ks)
     assert all(order % G.order() == 0 for order in orders)
     assert all(x >= y for x, y in zip(orders, orders[1:]))
+
+
+_SWAP01 = Permutation((1, 0, 2, 3, 4))
+_CYCLE012 = Permutation((1, 2, 0, 3, 4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    generator_sets(max_degree=5),
+    st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=6),
+)
+@example(PermGroup(5, ()), [1, 2, 3, 4, 5, 6])
+@example(PermGroup(5, [_CYCLE012, _CYCLE012, _SWAP01]), [1, 2, 3, 4, 5, 6])
+@example(PermGroup(5, [_SWAP01, Permutation((0, 1, 2, 4, 3))]), [6, 2, 1, 2])
+def test_filtration_route_matches_brute_closure_on_random_groups(G, k_values):
+    A = natural_action(G)
+    assert filtration_closure_orders(A, k_values) == _brute_orders(A, k_values)
