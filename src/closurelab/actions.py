@@ -10,7 +10,9 @@ came from, so downstream reports stay readable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
+from math import gcd
 
 from .budget import DEFAULT_MAX_DEGREE, DEFAULT_ORDER_BOUND
 from .errors import (
@@ -20,8 +22,8 @@ from .errors import (
     InvalidPartitionError,
     NotASubgroupError,
 )
-from .perm import Domain, Permutation, compose_images, inverse_images, print_cycles
-from .stabchain import PermGroup, _generated_images, _orbit, build_chain
+from .perm import Domain, Permutation, compose_images, print_cycles
+from .stabchain import PermGroup, _orbit, build_chain
 
 
 @dataclass(frozen=True)
@@ -314,6 +316,7 @@ def coset_action(G: PermGroup, H: PermGroup) -> ActionInstance:
     chain = H.chain()
     gens = [g.images for g in G.generators]
 
+    @cache
     def times(x, g):
         return _coset_canonical(chain, compose_images(x, g))
 
@@ -450,12 +453,23 @@ def subgroups_up_to_conjugacy(
     of class representatives, so the trivial group's extensions are the
     cyclic subgroups; every subgroup shows up because it is reachable by
     adjoining generators one at a time along a chain of subgroups.
-    Element-set fingerprints deduplicate across classes. Since
-    <H, hxh'> = <H, x> for h, h' in H, one x per double coset HxH is
-    extended, and an extension whose stabilizer chain reaches the order of
-    G is G, whose element set is at hand, so it is never closed up by
-    multiplication. Groups of order above order_bound raise
-    DegreeLimitError.
+    Element-set fingerprints deduplicate across classes.
+
+    Elements are bytes of length degree: with pad = bytes(range(degree,
+    256)), x.translate(g + pad) is x, then g, so closures and conjugacy
+    classes are _orbit walks with bytes.translate at their core, and sorted
+    bytes order as sorted image tuples do. Degrees above 256 therefore
+    raise DegreeLimitError before any element is listed, as do groups of
+    order above order_bound.
+
+    Since <H, hyh'> = <H, y> for h, h' in H, and <H, x> = <H, x^k> for k
+    prime to the order of x, an uncovered x marks the double cosets HyH of
+    every generator y of <x> as covered, and is the one element of them
+    extended. A covered element gives the subgroup of an earlier one, whose
+    registration came first, so the representatives, their generators and
+    their cores do not depend on the marking. An extension whose
+    stabilizer chain reaches the order of G is G, whose element set is at
+    hand, so it is never closed up by multiplication.
 
     Each representative H records the order of its core in G, the
     intersection of its class, which is the kernel of G on the cosets of H.
@@ -464,71 +478,77 @@ def subgroups_up_to_conjugacy(
     if N > order_bound:
         raise DegreeLimitError(f"group order {N} exceeds subgroup enumeration bound {order_bound}")
     degree = G.degree
-    ident = tuple(range(degree))
-    elems = sorted(p.images for p in G.elements(limit=order_bound + 1))
+    if degree > 256:
+        raise DegreeLimitError(
+            f"degree {degree} exceeds 256, the largest that subgroup enumeration holds as bytes"
+        )
+    pad = bytes(range(degree, 256))
+    ident = bytes(range(degree))
+    elems = sorted(bytes(p.images) for p in G.elements())
     whole = frozenset(elems)
-    gens = [g.images for g in G.generators if g.images != ident]
 
-    def generated(seed: list[tuple[int, ...]]) -> frozenset[tuple[int, ...]]:
-        return frozenset(_generated_images(seed, degree))
+    def generated(seed):
+        return frozenset(_orbit(ident, [g + pad for g in seed], bytes.translate))
 
-    conjugators = [(inverse_images(g), g) for g in gens]
+    # g, then K, then the inverse of g: K conjugated by the inverse of g
+    conjugators = [(bytes(g.images), bytes(g.inverse().images) + pad) for g in G.generators]
 
-    def conjugate(K: frozenset[tuple[int, ...]], pair) -> frozenset[tuple[int, ...]]:
-        gi, g = pair
-        return frozenset(compose_images(compose_images(gi, h), g) for h in K)
+    def conjugate(K, pair):
+        g, inverse = pair
+        return frozenset(g.translate(h.translate(inverse) + pad) for h in K)
 
-    known: set[frozenset[tuple[int, ...]]] = set()
-    reps: list[tuple[frozenset[tuple[int, ...]], list[tuple[int, ...]], int]] = []
+    known = set()
+    reps = []
 
-    def register(H: frozenset[tuple[int, ...]], seed_gens: list[tuple[int, ...]]) -> None:
+    def register(H, seed_gens):
         if H in known:
             return
         cls = _orbit(H, conjugators, conjugate)
         known.update(cls)
-        canon = min(cls, key=lambda K: tuple(sorted(K)))
+        canon = min(cls, key=sorted)
         if canon is not H:
             # regenerate a small generating list for the canonical member
-            canon_gens: list[tuple[int, ...]] = []
-            closure = {ident}
+            seed_gens, H = [], {ident}
             for x in sorted(canon):
-                if x not in closure:
-                    canon_gens.append(x)
-                    closure = set(generated(canon_gens))
-            seed_gens = canon_gens
+                if x not in H:
+                    seed_gens.append(x)
+                    H = generated(seed_gens)
         reps.append((canon, seed_gens, len(frozenset.intersection(*cls))))
 
     register(frozenset([ident]), [])
-
-    head = 0
-    while head < len(reps):
-        H, H_gens, _ = reps[head]
-        head += 1
+    # reps grows while it is walked, as a breadth-first queue
+    for H, H_gens, _ in reps:
         if len(H) == N:
             continue
+        tables = [g + pad for g in H_gens]
         covered = set(H)
         for x in elems:
             if x in covered:
                 continue
-            # mark the double coset HxH, the closure of x under
-            # multiplication by H's generators on either side
-            covered.add(x)
-            double = [x]
+            # mark the double cosets HyH of the generators y = x^k of <x>,
+            # the closure of those y under multiplication by H's generators
+            # on either side
+            powers = [x]
+            while powers[-1] != ident:
+                powers.append(powers[-1].translate(x + pad))
+            double = [y for k, y in enumerate(powers, 1) if gcd(k, len(powers)) == 1]
+            covered.update(double)
             for y in double:
-                for g in H_gens:
-                    for z in (compose_images(g, y), compose_images(y, g)):
+                table = y + pad
+                for g, gt in zip(H_gens, tables):
+                    for z in (g.translate(table), y.translate(gt)):
                         if z not in covered:
                             covered.add(z)
                             double.append(z)
             K_gens = H_gens + [x]
             # the chain stops once its order reaches N, and that order
             # never exceeds |<H, x>|; only a proper subgroup is closed up
-            if build_chain(degree, K_gens, known_order=N).order() == N:
+            if build_chain(degree, [tuple(g) for g in K_gens], known_order=N).order() == N:
                 register(whole, K_gens)
             else:
                 register(generated(K_gens), K_gens)
 
-    reps.sort(key=lambda item: (len(item[0]), tuple(sorted(item[0]))))
+    reps.sort(key=lambda item: (len(item[0]), sorted(item[0])))
     out = []
     for H, H_gens, core in reps:
         rep = PermGroup(degree, [Permutation(g) for g in H_gens], known_order=len(H))

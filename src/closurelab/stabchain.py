@@ -108,18 +108,20 @@ def _orbit_transversal(beta: int, gens: list[tuple[int, ...]], degree: int) -> d
     deterministic.
     """
     trans = {beta: identity_images(degree)}
-    queue = [beta]
-    head = 0
-    while head < len(queue):
-        pt = queue[head]
-        head += 1
+    _grow(trans, [beta], gens)
+    return trans
+
+
+def _grow(trans: dict[int, tuple[int, ...]], queue: list[int], gens) -> None:
+    """Extend the transversal trans breadth-first from the points queue
+    under gens, composing a representative only for each point it adds."""
+    for pt in queue:
         u = trans[pt]
         for g in gens:
             img = g[pt]
             if img not in trans:
                 trans[img] = compose_images(u, g)
                 queue.append(img)
-    return trans
 
 
 def _sift(levels, h: tuple[int, ...]) -> tuple[int, ...]:
@@ -276,8 +278,9 @@ def _swap(levels: list[_Level], i: int, degree: int) -> None:
     adjoins, for each point c of level i's orbit not yet in the orbit of a,
     an element of G_i that fixes b and sends a to c, where one exists, until
     the orbit of a has the size |(G_i)_b| / |G_{i+2}|; by the orbit-stabilizer
-    theorem its group is then (G_i)_b. No level object is changed, as other
-    chains may share it."""
+    theorem its group is then (G_i)_b. The orbit of a grows from each
+    adjoined element rather than being walked again. No level object is
+    changed, as other chains may share it."""
     lo, hi = levels[i], levels[i + 1]
     a, b = lo.beta, hi.beta
     first = _Level(b)
@@ -297,7 +300,7 @@ def _swap(levels: list[_Level], i: int, degree: int) -> None:
         v = hi.transversal.get(u.index(b))
         if v is not None:
             second.gens.append(compose_images(v, u))
-            second.transversal = _orbit_transversal(a, second.gens, degree)
+            _grow(second.transversal, list(second.transversal), second.gens)
     levels[i : i + 2] = [first, second]
 
 

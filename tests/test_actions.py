@@ -33,7 +33,7 @@ from closurelab.errors import (
     InvalidPartitionError,
     NotASubgroupError,
 )
-from closurelab.perm import parse_cycles
+from closurelab.perm import Permutation, parse_cycles
 from closurelab.stabchain import PermGroup
 
 from oracles import (
@@ -363,6 +363,20 @@ def test_subgroup_enumeration_respects_bound():
         subgroups_up_to_conjugacy(A5(), order_bound=10)
 
 
+def test_subgroup_enumeration_refuses_degree_above_256(monkeypatch):
+    # a 257-cycle has order 257, within the order bound, but its points do
+    # not fit in a byte; the refusal comes before any element is listed
+    G = PermGroup(257, [Permutation(tuple(range(1, 257)) + (0,))])
+    assert G.order() == 257
+
+    def listing(*args, **kwargs):
+        raise AssertionError("elements listed before the degree was checked")
+
+    monkeypatch.setattr(PermGroup, "elements", listing)
+    with pytest.raises(DegreeLimitError, match="256"):
+        subgroups_up_to_conjugacy(G)
+
+
 PINNED_SUBGROUPS = Path(__file__).parent / "subgroup_representatives.json"
 
 
@@ -380,34 +394,45 @@ def test_subgroup_representatives_are_pinned(name):
     assert got == want
 
 
+def _count_closures(monkeypatch, sizes):
+    """Record the size of every subgroup the enumeration closes up by
+    multiplication: the _orbit walks that compose elements by bytes.translate."""
+    real = actions._orbit
+
+    def counting(start, gens, act, *args):
+        out = real(start, gens, act, *args)
+        if act is bytes.translate:
+            sizes.append(len(out))
+        return out
+
+    monkeypatch.setattr(actions, "_orbit", counting)
+
+
 def test_subgroup_enumeration_skips_double_cosets(monkeypatch):
-    calls = []
-    real = actions._generated_images
+    closures = []
+    _count_closures(monkeypatch, closures)
+    chains = []
+    real = actions.build_chain
 
     def counting(*args, **kwargs):
-        calls.append(1)
+        chains.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(actions, "_generated_images", counting)
+    monkeypatch.setattr(actions, "build_chain", counting)
     assert len(subgroups_up_to_conjugacy(catalog_group("A6").group)) == 22
-    # the extensions <H, x>, one per double coset HxH, less those whose chain
-    # already has the order of the group; those of the trivial group are the
-    # cyclic subgroups, each closed once
-    assert len(calls) <= 552
+    # the extensions <H, x>, one per double coset HxH and cyclic subgroup
+    # <x>, each checked by a chain, less those whose chain already has the
+    # order of the group; those of the trivial group are the cyclic
+    # subgroups, each closed once
+    assert len(chains) <= 391
+    assert len(closures) <= 318
 
 
 @pytest.mark.parametrize("name", ["A6", "PSL(2,7)"])
 def test_subgroup_enumeration_never_closes_up_to_the_group(monkeypatch, name):
     G = catalog_group(name).group
     sizes = []
-    real = actions._generated_images
-
-    def counting(*args, **kwargs):
-        out = real(*args, **kwargs)
-        sizes.append(len(out))
-        return out
-
-    monkeypatch.setattr(actions, "_generated_images", counting)
+    _count_closures(monkeypatch, sizes)
     reps = subgroups_up_to_conjugacy(G)
     assert reps[-1].order() == G.order()
     # G's element set is already at hand; only proper subgroups are closed

@@ -342,3 +342,14 @@ def test_ktrans_subgroup_enumeration_bound_is_a_size_limit(capsys):
     assert (code, out) == (1, "")
     assert "budget" not in err
     assert "3000" in err
+
+
+def test_ktrans_degree_above_256_is_a_size_limit(tmp_path, capsys):
+    # order 257 is within the enumeration bound, but the enumeration holds
+    # elements as bytes, so a 257-cycle is refused by its degree
+    path = tmp_path / "c257.txt"
+    path.write_text("degree 257\n(" + " ".join(str(p) for p in range(1, 258)) + ")\n")
+    code, out, err = run(capsys, "ktrans", "--group-file", str(path), "--max-degree", "12")
+    assert (code, out) == (1, "")
+    assert "budget" not in err
+    assert "256" in err
