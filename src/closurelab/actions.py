@@ -128,6 +128,14 @@ def is_invariant(G: PermGroup, S: BlockSystem) -> bool:
     return True
 
 
+def _check_index(i: int, size: int, what: str) -> int:
+    """i if it lies in 0..size-1; else ValueError naming what i indexes,
+    i itself and the range. Negative i is refused, not read from the end."""
+    if not 0 <= i < size:
+        raise ValueError(f"{what} {i} outside 0..{size - 1}")
+    return i
+
+
 def minimal_block_system(A: ActionInstance, seed_pair) -> BlockSystem:
     """Finest invariant partition with both seed points in one block.
 
@@ -135,7 +143,7 @@ def minimal_block_system(A: ActionInstance, seed_pair) -> BlockSystem:
     every forced identification through the generators. May return the
     universal partition.
     """
-    a, b = seed_pair
+    a, b = (_check_index(p, A.degree, "point") for p in seed_pair)
     if a == b:
         raise ValueError("seed points must be distinct")
     G = A.group
@@ -191,13 +199,13 @@ def maximal_block_systems(A: ActionInstance) -> list[BlockSystem]:
     each system whose quotient is not primitive is replaced by the pullbacks
     of the quotient's minimal systems; ordered by block count, then blocks.
     found maps the blocks of every system visited to the system if it is
-    maximal and to None if not, so each system is coarsened once.
+    maximal and to None if not, so each system is coarsened once. An
+    intransitive action raises IntransitiveActionError from the first
+    minimal system sought, on the quotient by the singletons.
     """
-    G = A.group
-    if G.degree < 2:
+    n = A.degree
+    if n < 2:
         raise ValueError("maximal block systems need a domain of size at least 2")
-    if not G.is_transitive():
-        raise IntransitiveActionError("block systems are only formed on transitive actions")
     found: dict[tuple[tuple[int, ...], ...], BlockSystem | None] = {}
 
     def coarsen(system: BlockSystem) -> None:
@@ -207,9 +215,9 @@ def maximal_block_systems(A: ActionInstance) -> list[BlockSystem]:
         found[system.blocks] = None if coarser else system
         for qsys in coarser:
             pulled = [[p for j in qblock for p in system.blocks[j]] for qblock in qsys.blocks]
-            coarsen(BlockSystem.from_blocks(pulled, G.degree))
+            coarsen(BlockSystem.from_blocks(pulled, n))
 
-    coarsen(BlockSystem.singletons(G.degree))
+    coarsen(BlockSystem.singletons(n))
     return sorted(filter(None, found.values()), key=lambda s: (s.num_blocks, s.blocks))
 
 
@@ -397,12 +405,8 @@ def actions_equivalent(a: ActionInstance, b: ActionInstance) -> bool:
         raise IntransitiveActionError("equivalence is defined for transitive actions")
     if a.degree != b.degree:
         return False
-    U = union([a, b])
-    stab = U.group.pointwise_stabilizer([0])
-    for p in range(a.degree, a.degree + b.degree):
-        if all(g(p) == p for g in stab.generators):
-            return True
-    return False
+    stab = union([a, b]).group.pointwise_stabilizer([0])
+    return any(all(g(p) == p for g in stab.generators) for p in range(a.degree, 2 * a.degree))
 
 
 def transitivity_degree(A) -> int:
@@ -425,22 +429,12 @@ def transitivity_degree(A) -> int:
 
 
 def setwise_block_stabilizer(A: ActionInstance, S: BlockSystem, block_indices) -> PermGroup:
-    """Subgroup of A.group mapping each listed block to itself.
-
-    Computed on the auxiliary action on points plus blocks, where the
-    setwise stabilizer becomes a pointwise one.
-    """
-    G = A.group
-    n = G.degree
-    if not is_invariant(G, S):
-        raise InvalidPartitionError("partition is not invariant under the group")
-    aux_gens = []
-    for g in G.generators:
-        tail = tuple(n + S.block_of(g(block[0])) for block in S.blocks)
-        aux_gens.append(Permutation(g.images + tail))
-    aux = PermGroup(n + S.num_blocks, aux_gens)
-    fixed = [n + j for j in block_indices]
-    stab = aux.pointwise_stabilizer(fixed)
+    """Subgroup of A.group mapping each listed block to itself: on the
+    disjoint union of A and its action on the blocks, the pointwise
+    stabilizer of the listed blocks, restricted to the points of A."""
+    n = A.degree
+    fixed = [n + _check_index(j, S.num_blocks, "block index") for j in block_indices]
+    stab = union([A, quotient_action(A, S)]).group.pointwise_stabilizer(fixed)
     return PermGroup(n, [Permutation(h.images[:n]) for h in stab.generators])
 
 

@@ -368,22 +368,17 @@ def psl_projective(
         )
         for i in range(n)
     )
-    matrices = [transvection, weyl]
+    torus = tuple(
+        tuple((lam if i == 0 else F.inv(lam) if i == 1 else 1) if i == j else 0 for j in range(n))
+        for i in range(n)
+    )
     expected = psl_order(n, q)
-    gens = tuple(_matrix_permutation(F, P, M) for M in matrices)
-    G = PermGroup(P.count, gens, name=f"PSL({n},{q})")
-    if G.order() != expected:
-        torus = tuple(
-            tuple(
-                (lam if i == 0 else F.inv(lam) if i == 1 else 1) if i == j else 0
-                for j in range(n)
-            )
-            for i in range(n)
-        )
-        matrices.append(torus)
+    for matrices in ([transvection, weyl], [transvection, weyl, torus]):
         gens = tuple(_matrix_permutation(F, P, M) for M in matrices)
         G = PermGroup(P.count, gens, name=f"PSL({n},{q})")
-        _validate_order(G, expected, f"PSL({n},{q})")
+        if G.order() == expected:
+            break
+    _validate_order(G, expected, f"PSL({n},{q})")
     return ActionInstance(
         group=G,
         domain=P.domain(),

@@ -37,7 +37,7 @@ from .basesize import exact_base_size, greedy_base
 from .budget import DEFAULT_ORDER_BOUND, Budget
 from .errors import BudgetExceededError, DegreeLimitError, SimplicityError
 from .perm import Permutation, _symmetric_on, compose, compose_images, inverse_images
-from .stabchain import PermGroup, _canonical_image, _generated_images, _orbit, _orbitals, build_chain
+from .stabchain import PermGroup, _canonical_image, _orbit, _orbitals, build_chain
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +415,9 @@ def require_nonabelian_simple(G: PermGroup) -> None:
         inv, g = pair
         return compose_images(compose_images(inv, y), g)
 
-    seen = {tuple(range(G.degree))}
-    for x in _generated_images([g.images for g in gens], G.degree):
+    identity = tuple(range(G.degree))
+    seen = {identity}
+    for x in _orbit(identity, [g.images for g in gens], compose_images):
         if x in seen:
             continue
         # x represents a new class: its orbit under conjugation

@@ -261,9 +261,7 @@ def _suite_halasi_bases(rec: _Recorder) -> None:
             f"{name.lower()}-{k}subsets",
             cite,
             (expected, True),
-            lambda name=name, k=k: (lambda r: (r.size, r.exhaustive))(
-                exact_base_size(ksubsets_action(catalog_group(name).group, k))
-            ),
+            lambda name=name, k=k: _base_verdict(ksubsets_action(catalog_group(name).group, k)),
         )
     for n in range(5, 10):
         rec.claim(
@@ -302,9 +300,7 @@ def _suite_psl_bases(rec: _Recorder) -> None:
             "point than its matrix dimension over the field of two elements, "
             "and exactly the dimension otherwise",
             (expected, True),
-            lambda n=n, q=q: (lambda r: (r.size, r.exhaustive))(
-                exact_base_size(psl_projective(n, q))
-            ),
+            lambda n=n, q=q: _base_verdict(psl_projective(n, q)),
         )
         rec.claim(
             f"psl-{n}-{q}-witness",
@@ -313,6 +309,12 @@ def _suite_psl_bases(rec: _Recorder) -> None:
             (expected, "trivial stabilizer"),
             lambda n=n, q=q: _psl_witness_summary(n, q),
         )
+
+
+def _base_verdict(A):
+    """Exact base size and whether the search behind it was exhaustive."""
+    r = exact_base_size(A)
+    return (r.size, r.exhaustive)
 
 
 def _halasi_summary(n: int) -> str:
@@ -356,7 +358,7 @@ def _suite_m24_base(rec: _Recorder) -> None:
         "the degree-24 Mathieu action has minimal base size 7, met with an "
         "exhaustive search certificate",
         (7, True),
-        lambda: (lambda r: (r.size, r.exhaustive))(exact_base_size(catalog_group("M24"))),
+        lambda: _base_verdict(catalog_group("M24")),
     )
 
 
@@ -414,8 +416,6 @@ _BPLUS1_POOL = [
 def _suite_bplus1_collapse(rec: _Recorder) -> None:
     for name in _BPLUS1_POOL:
         A = catalog_group(name)
-        if A.degree > 30:
-            continue
         rec.claim(
             f"bplus1-{name}",
             "one past a base size the closure chain has already collapsed to "

@@ -13,6 +13,13 @@ nontrivial residue as a new strong generator. One routine, place, inserts
 every strong generator, given or found. No randomization, so chains (and
 all downstream reports) are reproducible functions of the generator list.
 
+One constructor builds every level: _Level(beta, gens, degree) takes its
+generators as given and walks the orbit of beta under them (_grow).
+Nothing assigns a level's generators or transversal afterwards.
+Schreier-Sims replaces a level whose generator list has grown by a new
+level on the same list; the one change in place is _swap growing its new
+second level's orbit from each generator it adjoins.
+
 One sift, _sift, serves Schreier-Sims and membership alike. It reads the
 inverse h of the element g it strips: g sends a base point beta to
 h.index(beta), and the inverse of g-then-u^-1 is u-then-h. So no
@@ -46,16 +53,21 @@ from .perm import Permutation, compose_images, identity_images, inverse_images
 
 
 class _Level:
-    """One chain level: base point, strong generators, and transversal.
-    Sifting reads the inverse of the element it strips, so no transversal
-    element is inverted for it and no inverse is stored."""
+    """One chain level: base point beta, strong generators gens, and the
+    transversal of beta's orbit under them, built here by one breadth-first
+    walk (_grow): the representative u stored for a point p satisfies
+    beta^u = p, and FIFO expansion with the generators applied in list
+    order keeps it deterministic. Sifting reads the inverse of the element
+    it strips, so no transversal element is inverted for it and no inverse
+    is stored."""
 
     __slots__ = ("beta", "gens", "transversal")
 
-    def __init__(self, beta: int):
+    def __init__(self, beta: int, gens: list[tuple[int, ...]], degree: int):
         self.beta = beta
-        self.gens: list[tuple[int, ...]] = []
-        self.transversal: dict[int, tuple[int, ...]] = {}
+        self.gens = gens
+        self.transversal = {beta: identity_images(degree)}
+        _grow(self.transversal, [beta], gens)
 
 
 def _orbit_ids(gens, degree: int) -> tuple[int, ...]:
@@ -91,25 +103,6 @@ def _orbit(start, gens, act, limit: int | None = None) -> dict:
                 seen[y] = None
                 queue.append(y)
     return seen
-
-
-def _generated_images(gens, degree: int, limit: int | None = None) -> dict[tuple[int, ...], None]:
-    """Every element of the group gens generate, as image tuples keyed in
-    breadth-first order of discovery (identity first); more than limit
-    elements raise DegreeLimitError."""
-    return _orbit(identity_images(degree), gens, compose_images, limit)
-
-
-def _orbit_transversal(beta: int, gens: list[tuple[int, ...]], degree: int) -> dict[int, tuple[int, ...]]:
-    """Breadth-first orbit of beta with coset representatives.
-
-    The representative u stored for a point p satisfies beta^u = p. FIFO
-    expansion with generators applied in list order keeps the result
-    deterministic.
-    """
-    trans = {beta: identity_images(degree)}
-    _grow(trans, [beta], gens)
-    return trans
 
 
 def _grow(trans: dict[int, tuple[int, ...]], queue: list[int], gens) -> None:
@@ -199,7 +192,7 @@ def build_chain(degree: int, gens, known_order: int | None = None) -> Stabilizer
 
     One routine, place, adds every strong generator to its levels: the
     generators first, then each nontrivial residue that _sift leaves of a
-    Schreier generator. A level's transversal is recomputed exactly when
+    Schreier generator. A level is rebuilt by its constructor exactly when
     its generators change.
     """
     if degree > DEFAULT_MAX_DEGREE:
@@ -213,7 +206,7 @@ def build_chain(degree: int, gens, known_order: int | None = None) -> Stabilizer
         level."""
         while True:
             if idx == len(levels):
-                levels.append(_Level(min(p for p in range(degree) if g[p] != p)))
+                levels.append(_Level(min(p for p in range(degree) if g[p] != p), [], degree))
             level = levels[idx]
             level.gens.append(g)
             if g[level.beta] != level.beta:
@@ -221,8 +214,7 @@ def build_chain(degree: int, gens, known_order: int | None = None) -> Stabilizer
             idx += 1
 
     def refresh(idx: int) -> None:
-        level = levels[idx]
-        level.transversal = _orbit_transversal(level.beta, level.gens, degree)
+        levels[idx] = _Level(levels[idx].beta, levels[idx].gens, degree)
 
     # inverses of the strong generators, for this build only; keyed by id,
     # which is stable because every generator stays in levels until the end
@@ -283,13 +275,9 @@ def _swap(levels: list[_Level], i: int, degree: int) -> None:
     changed, as other chains may share it."""
     lo, hi = levels[i], levels[i + 1]
     a, b = lo.beta, hi.beta
-    first = _Level(b)
-    first.gens = lo.gens
-    first.transversal = _orbit_transversal(b, lo.gens, degree)
+    first = _Level(b, lo.gens, degree)
     target = len(lo.transversal) * len(hi.transversal) // len(first.transversal)
-    second = _Level(a)
-    second.gens = list(levels[i + 2].gens) if i + 2 < len(levels) else []
-    second.transversal = _orbit_transversal(a, second.gens, degree)
+    second = _Level(a, list(levels[i + 2].gens) if i + 2 < len(levels) else [], degree)
     for c, u in lo.transversal.items():
         if len(second.transversal) == target:
             break
@@ -319,10 +307,7 @@ def _rebase(chain: StabilizerChain, key: tuple[int, ...]) -> StabilizerChain:
                 (j for j in range(pos, len(levels)) if all(g[p] == p for g in levels[j].gens)),
                 len(levels),
             )
-            level = _Level(p)
-            level.gens = levels[j].gens if j < len(levels) else []
-            level.transversal = {p: identity_images(degree)}
-            levels.insert(j, level)
+            levels.insert(j, _Level(p, levels[j].gens if j < len(levels) else [], degree))
         for i in range(j - 1, pos - 1, -1):
             _swap(levels, i, degree)
     levels[len(key) :] = [level for level in levels[len(key) :] if len(level.transversal) > 1]
@@ -436,7 +421,8 @@ class PermGroup:
         desk-scale groups only; order() is the scalable alternative.
         """
         gens = [g.images for g in self.generators]
-        return [Permutation(x) for x in _generated_images(gens, self.degree, limit)]
+        walk = _orbit(identity_images(self.degree), gens, compose_images, limit)
+        return [Permutation(x) for x in walk]
 
     def same_group(self, other: "PermGroup") -> bool:
         """Equality as subgroups of the same symmetric group."""

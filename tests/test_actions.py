@@ -1,10 +1,12 @@
 """Induced actions, block systems, and subgroup enumeration."""
 
 import json
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from closurelab import actions
 from closurelab.actions import (
@@ -38,6 +40,7 @@ from closurelab.stabchain import PermGroup
 
 from oracles import (
     brute_conjugacy_classes_of_subgroups,
+    brute_block_systems,
     brute_elements,
     brute_is_primitive,
     brute_maximal_block_systems,
@@ -324,15 +327,105 @@ def test_inequivalent_actions_of_same_degree():
     assert not actions_equivalent(natural_action(S6), A)
 
 
+def _check_setwise_stabilizer(A, S, indices):
+    """setwise_block_stabilizer against the intersection of the brute
+    setwise stabilizers of the listed blocks."""
+    G = A.group
+    want = brute_elements([g.images for g in G.generators], G.degree)
+    for j in indices:
+        want &= brute_setwise_stabilizer(want, S.blocks[j])
+    H = setwise_block_stabilizer(A, S, indices)
+    assert {p.images for p in H.elements()} == want
+
+
+def _every_block_list(S):
+    """Every list of distinct block indices, as block_lemma_check's combo."""
+    for size in range(S.num_blocks + 1):
+        yield from combinations(range(S.num_blocks), size)
+
+
 def test_setwise_block_stabilizer_matches_brute():
     for G in (D8(), C6()):
         A = natural_action(G)
         S = minimal_block_system(A, (0, 2))
-        elems = brute_elements([g.images for g in G.generators], G.degree)
-        for j, block in enumerate(S.blocks):
-            H = setwise_block_stabilizer(A, S, [j])
-            want = brute_setwise_stabilizer(elems, block)
-            assert {p.images for p in H.elements()} == want
+        for indices in _every_block_list(S):
+            _check_setwise_stabilizer(A, S, indices)
+
+
+def test_setwise_block_stabilizer_on_s4_pairs():
+    # one system: the three pairs of complementary pairs
+    A = ksubsets_action(symmetric(4), 2)
+    gens = [g.images for g in A.group.generators]
+    systems = [BlockSystem.from_blocks(part, 6) for part in brute_block_systems(gens, 6)]
+    assert [S.num_blocks for S in systems] == [3]
+    for S in systems:
+        for indices in _every_block_list(S):
+            _check_setwise_stabilizer(A, S, indices)
+        # repeated and unordered indices name the same blocks
+        _check_setwise_stabilizer(A, S, [1, 0, 1])
+
+
+@st.composite
+def imprimitive_groups(draw):
+    """A group preserving a partition into b blocks of size a (a * b <= 7,
+    a, b >= 2), with its points relabeled at random."""
+    a, b = draw(st.sampled_from([(2, 2), (2, 3), (3, 2)]))
+    n = a * b
+    relabel = draw(st.permutations(range(n)))
+    gens = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        blocks = draw(st.permutations(range(b)))
+        within = [draw(st.permutations(range(a))) for _ in range(b)]
+        images = [0] * n
+        for i in range(b):
+            for r in range(a):
+                images[relabel[i * a + r]] = relabel[blocks[i] * a + within[i][r]]
+        gens.append(Permutation(tuple(images)))
+    return PermGroup(n, gens)
+
+
+@settings(max_examples=60, deadline=None)
+@given(imprimitive_groups(), st.data())
+def test_setwise_block_stabilizer_matches_brute_on_imprimitive_groups(G, data):
+    A = natural_action(G)
+    gens = [g.images for g in G.generators]
+    for part in brute_block_systems(gens, G.degree):
+        S = BlockSystem.from_blocks(part, G.degree)
+        indices = data.draw(st.lists(st.integers(0, S.num_blocks - 1), max_size=3))
+        _check_setwise_stabilizer(A, S, indices)
+
+
+def test_setwise_block_stabilizer_rejects_non_invariant_partition():
+    bad = BlockSystem.from_blocks([[0, 1], [2, 3]], 4)
+    with pytest.raises(InvalidPartitionError):
+        setwise_block_stabilizer(natural_action(D8()), bad, [0])
+
+
+def test_block_entry_points_reject_indices_out_of_range(monkeypatch):
+    # D4 on the square, blocks the diagonals {0, 2} and {1, 3}: block -1 once
+    # gave the stabilizer of point 3 (order 2) and block 2 named an auxiliary
+    # point; seed point -1 read as point 3 and seed point 4 raised IndexError
+    A = natural_action(D8())
+    S = minimal_block_system(A, (0, 2))
+    assert S.blocks == ((0, 2), (1, 3))
+
+    def no_work(*args):
+        raise AssertionError("work done before the indices were checked")
+
+    monkeypatch.setattr(actions, "is_invariant", no_work)
+    monkeypatch.setattr(actions, "union", no_work)
+    monkeypatch.setattr(PermGroup, "is_transitive", no_work)
+    for j in (-1, 2):
+        with pytest.raises(ValueError, match=f"block index {j} outside 0..1"):
+            setwise_block_stabilizer(A, S, [0, j])
+    for p in (-1, 4):
+        with pytest.raises(ValueError, match=f"point {p} outside 0..3"):
+            minimal_block_system(A, (0, p))
+
+
+def test_maximal_block_systems_refuse_intransitive_actions():
+    with pytest.raises(IntransitiveActionError, match="only formed on transitive actions"):
+        maximal_block_systems(natural_action(group(4, "(1 2)")))
 
 
 def test_subgroup_classes_of_a5():

@@ -2,9 +2,11 @@
 
 Without a bytecode cache every import compiles the package from source, and
 CPython 3.11's parser peak rises by about 0.25 MB once one module passes
-4,096 tokens. Every module under that line stays under it.
+4,096 tokens. Every module under that line stays under it, and no module
+keeps a private top-level name that nothing in the package uses.
 """
 
+import ast
 import tokenize
 from pathlib import Path
 
@@ -28,3 +30,37 @@ def test_modules_stay_under_the_parser_token_line():
     assert "actions.py" in sizes
     over = {name: n for name, n in sizes.items() if n >= PARSER_TOKEN_LINE}
     assert not over, over
+
+
+def _private_names_and_uses(tree: ast.Module):
+    """The private names a module defines at its top level, and every name
+    it reads: loaded names, attribute names and imported names."""
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update(t.id for t in targets if isinstance(t, ast.Name))
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+    private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
+    return private, used
+
+
+def test_every_private_module_name_is_used_in_the_package():
+    # a private helper that nothing calls is a leftover second copy
+    defined, used = {}, set()
+    for path in Path(closurelab.__file__).parent.glob("*.py"):
+        private, names = _private_names_and_uses(ast.parse(path.read_text(encoding="utf-8")))
+        defined.update((name, path.name) for name in private)
+        used |= names
+    assert "_grow" in defined
+    unused = {name: module for name, module in defined.items() if name not in used}
+    assert not unused, unused
