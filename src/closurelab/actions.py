@@ -311,8 +311,7 @@ def coset_action(G: PermGroup, H: PermGroup) -> ActionInstance:
     Cosets are identified by a canonical representative (the element with
     least base-image tuple, via H's chain), enumerated breadth-first and
     then ordered by representative. Faithful exactly when H has trivial
-    core in G. When H is a representative from subgroups_up_to_conjugacy(G),
-    the image knows its order |G| / |core|, and asking for it builds no chain.
+    core in G.
     """
     if H.degree != G.degree:
         raise DegreeMismatchError(f"subgroup degree {H.degree} != group degree {G.degree}")
@@ -333,18 +332,14 @@ def coset_action(G: PermGroup, H: PermGroup) -> ActionInstance:
     images = [Permutation(tuple(pos[times(rep, g)] for rep in ordered)) for g in gens]
     labels = tuple("H" + print_cycles(Permutation(rep)) for rep in ordered)
     name = H.name if H.name else "H"
-    core = _core_order(G, H)
     return ActionInstance(
-        PermGroup(len(ordered), images, known_order=None if core is None else G.order() // core),
-        Domain(labels),
-        f"cosets({name})",
-        G.order(),
+        PermGroup(len(ordered), images), Domain(labels), f"cosets({name})", G.order()
     )
 
 
 def restriction(A: ActionInstance, points) -> ActionInstance:
     """The action of the same group on an invariant subset, relabeled 0..|Δ|-1."""
-    pts = sorted(set(points))
+    pts = sorted({_check_index(p, A.degree, "point") for p in points})
     pt_set = set(pts)
     G = A.group
     for g in G.generators:
@@ -460,13 +455,10 @@ def subgroups_up_to_conjugacy(
     prime to the order of x, an uncovered x marks the double cosets HyH of
     every generator y of <x> as covered, and is the one element of them
     extended. A covered element gives the subgroup of an earlier one, whose
-    registration came first, so the representatives, their generators and
-    their cores do not depend on the marking. An extension whose
-    stabilizer chain reaches the order of G is G, whose element set is at
-    hand, so it is never closed up by multiplication.
-
-    Each representative H records the order of its core in G, the
-    intersection of its class, which is the kernel of G on the cosets of H.
+    registration came first, so the representatives and their generators
+    do not depend on the marking. An extension whose stabilizer chain
+    reaches the order of G is G, whose element set is at hand, so it is
+    never closed up by multiplication.
     """
     N = G.order()
     if N > order_bound:
@@ -507,11 +499,11 @@ def subgroups_up_to_conjugacy(
                 if x not in H:
                     seed_gens.append(x)
                     H = generated(seed_gens)
-        reps.append((canon, seed_gens, len(frozenset.intersection(*cls))))
+        reps.append((canon, seed_gens))
 
     register(frozenset([ident]), [])
     # reps grows while it is walked, as a breadth-first queue
-    for H, H_gens, _ in reps:
+    for H, H_gens in reps:
         if len(H) == N:
             continue
         tables = [g + pad for g in H_gens]
@@ -543,17 +535,7 @@ def subgroups_up_to_conjugacy(
                 register(generated(K_gens), K_gens)
 
     reps.sort(key=lambda item: (len(item[0]), sorted(item[0])))
-    out = []
-    for H, H_gens, core in reps:
-        rep = PermGroup(degree, [Permutation(g) for g in H_gens], known_order=len(H))
-        rep._core = (G, core)  # read by _core_order only
-        out.append(rep)
-    return out
-
-
-def _core_order(G: PermGroup, H: PermGroup) -> int | None:
-    """The order of the core of H in G if subgroups_up_to_conjugacy(G)
-    returned H, else None; G must be the very object enumerated, as the
-    core of H in another group may differ."""
-    enumerated_in, order = getattr(H, "_core", (None, None))
-    return order if enumerated_in is G else None
+    return [
+        PermGroup(degree, [Permutation(g) for g in H_gens], known_order=len(H))
+        for H, H_gens in reps
+    ]

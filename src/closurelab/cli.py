@@ -70,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "--action",
             default="natural",
             metavar="SPEC",
-            help="natural | ksubsets:K | partitions:AxB | cosets:FILE | projective",
+            help="natural | ksubsets:K | partitions:AxB | cosets:FILE",
         )
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--timings", action="store_true", help="include real elapsed times")
@@ -136,12 +136,6 @@ def _resolve_group(args) -> tuple[str, ActionInstance]:
 
 def _resolve_action(spec: str, base: ActionInstance) -> ActionInstance:
     if spec == "natural":
-        return base
-    if spec == "projective":
-        if not base.provenance.startswith("psl("):
-            raise ClosureLabError(
-                "--action projective only applies to catalog PSL groups"
-            )
         return base
     if spec.startswith("ksubsets:"):
         k = int(spec.split(":", 1)[1])

@@ -22,7 +22,6 @@ from math import factorial
 from .actions import (
     ActionInstance,
     BlockSystem,
-    _core_order,
     actions_equivalent,
     coset_action,
     is_invariant,
@@ -322,9 +321,10 @@ def k_trans(
     """Largest minimal closure index over the faithful transitive actions
     of G, one per equivalence class.
 
-    Actions are the coset actions on core-free subgroups, enumerated up to
-    conjugacy. The enumeration records the core of each class, so no
-    unfaithful action is built, and a faithful image knows its order |G|.
+    Actions are the coset actions on subgroups H enumerated up to
+    conjugacy. Each is built and asked whether it is faithful, which holds
+    exactly when H is core-free; the image's chain stops once it reaches
+    |G| and serves the walks and bounds that follow.
     Those of degree at most degree_bound get an exact closure chain walk,
     all of them charging the one budget; larger ones get the cheap upper
     bound one-past-greedy-base.
@@ -348,16 +348,15 @@ def k_trans(
     exact_max = 0
     bound_max = 0
     for H in subgroups_up_to_conjugacy(G, order_bound):
-        if _core_order(G, H) > 1:
-            continue
-        index = G.order() // H.order()
         A = coset_action(G, H)
-        if index <= degree_bound:
+        if not A.faithful:
+            continue
+        if A.degree <= degree_bound:
             report = closure_spectrum(A, budget=budget)
             if report.minimal_k is None:
                 entries.sort(key=lambda e: (e.degree, e.point_stabilizer_order))
                 raise BudgetExceededError(
-                    f"closure chain of the degree-{index} action did not finish in budget",
+                    f"closure chain of the degree-{A.degree} action did not finish in budget",
                     partial=KTransCertificate(
                         k=exact_max,
                         certified=False,
@@ -372,7 +371,9 @@ def k_trans(
             kind, value = "bound", greedy_base(A).size + 1
             bound_max = max(bound_max, value)
         entries.append(
-            KTransEntry(degree=index, point_stabilizer_order=H.order(), kind=kind, value=value)
+            KTransEntry(
+                degree=A.degree, point_stabilizer_order=H.order(), kind=kind, value=value
+            )
         )
     certified = bound_max <= exact_max
     value = exact_max if certified else max(exact_max, bound_max)

@@ -15,7 +15,6 @@ from itertools import permutations
 from math import factorial
 
 from .actions import (
-    _core_order,
     coset_action,
     ksubsets_action,
     maximal_block_systems,
@@ -529,10 +528,11 @@ def _suite_base_reduction(rec: _Recorder) -> None:
     for name in ["A5", "A6", "PSL(2,7)"]:
         G = catalog_group(name).group
         for H in subgroups_up_to_conjugacy(G):
-            index = G.order() // H.order()
-            if _core_order(G, H) > 1 or index > 40:
+            if G.order() // H.order() > 40:
                 continue
             A = coset_action(G, H)
+            if not A.faithful:
+                continue
             for S in maximal_block_systems(A):
                 if not 1 < S.num_blocks < A.degree:
                     continue

@@ -402,6 +402,8 @@ class PermGroup:
         return self.degree <= 1 or len(self.orbits()) == 1
 
     def orbit_of(self, pt: int) -> list[int]:
+        if not 0 <= pt < self.degree:
+            raise ValueError(f"point {pt} outside 0..{self.degree - 1}")
         ids = self._ids()
         return [p for p in range(self.degree) if ids[p] == ids[pt]]
 

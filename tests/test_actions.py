@@ -303,6 +303,15 @@ def test_restriction_rejects_non_invariant_subset():
         restriction(natural_action(A5()), [0, 1])
 
 
+def test_restriction_rejects_points_out_of_range():
+    # on D4, point 4 once raised a bare IndexError and point -1 was read as
+    # point 3, then blamed for leaving the subset
+    A = natural_action(D8())
+    for pts, bad in (([0, 1, 2, 3, 4], 4), ([-1], -1)):
+        with pytest.raises(ValueError, match=f"point {bad} outside 0..3"):
+            restriction(A, pts)
+
+
 def test_union_validates_generator_counts():
     with pytest.raises(ValueError):
         union([natural_action(A5()), natural_action(group(5, "(1 2 3)"))])
@@ -532,28 +541,26 @@ def test_subgroup_enumeration_never_closes_up_to_the_group(monkeypatch, name):
     assert sizes and max(sizes) < G.order()
 
 
-@pytest.mark.parametrize("G", [
-    group(3, "(1 2)", "(1 2 3)"),
-    group(4, "(1 2 3)", "(2 3 4)"),
-    symmetric(4),
-    D8(),
-    C6(),
-    A5(),
+@pytest.mark.parametrize("G,unfaithful", [
+    (group(3, "(1 2)", "(1 2 3)"), 2),
+    (group(4, "(1 2 3)", "(2 3 4)"), 2),
+    (symmetric(4), 4),
+    (D8(), 5),
+    (C6(), 3),
+    (A5(), 1),
 ], ids=["S3", "A4", "S4", "D8", "C6", "A5"])
-def test_class_core_orders_are_exact(G):
-    # the core of H is the kernel of G on the cosets of H, so its order is
-    # |G| over the order of the image, here from a chain built afresh; the
-    # image itself trusts the order it was given
+def test_class_core_orders_are_exact(G, unfaithful):
+    # the core of H is the kernel of G on the cosets of H, so the action is
+    # faithful exactly when a chain of its image, built afresh, reaches the
+    # order of G, and the image's own order is |G| / |core| either way
+    seen = 0
     for H in subgroups_up_to_conjugacy(G):
-        image = coset_action(G, H).group
-        fresh = PermGroup(image.degree, image.generators)
-        assert actions._core_order(G, H) == G.order() // fresh.order()
-        assert image.order() == fresh.order()
-    # the recorded core belongs to the group that was enumerated
-    H = subgroups_up_to_conjugacy(G)[1]
-    other = PermGroup(G.degree, G.generators)
-    assert actions._core_order(other, H) is None
-    assert coset_action(other, H).group._known_order is None
+        A = coset_action(G, H)
+        fresh = PermGroup(A.degree, A.group.generators)
+        assert A.faithful == (fresh.order() == G.order())
+        assert A.group.order() == fresh.order()
+        seen += not A.faithful
+    assert seen == unfaithful
 
 
 def test_transitivity_degree():

@@ -382,7 +382,7 @@ def test_k_trans_s3():
 @pytest.mark.parametrize("G,degree_bound", [(symmetric(3), 6), (symmetric(4), 8)])
 def test_k_trans_skips_exactly_the_unfaithful_classes(G, degree_bound):
     # faithfulness read from a chain of each coset image built afresh,
-    # independent of the core orders k_trans relies on
+    # independent of the chain k_trans asks through ActionInstance.faithful
     want = []
     for H in subgroups_up_to_conjugacy(G):
         image = coset_action(G, H).group

@@ -32,6 +32,15 @@ def test_modules_stay_under_the_parser_token_line():
     assert not over, over
 
 
+def _modules():
+    for path in sorted(Path(closurelab.__file__).parent.glob("*.py")):
+        yield path.stem, ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
 def _private_names_and_uses(tree: ast.Module):
     """The private names a module defines at its top level, and every name
     it reads: loaded names, attribute names and imported names."""
@@ -50,17 +59,51 @@ def _private_names_and_uses(tree: ast.Module):
             used.add(node.attr)
         elif isinstance(node, ast.alias):
             used.add(node.name)
-    private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
-    return private, used
+    return set(filter(_is_private, defined)), used
 
 
 def test_every_private_module_name_is_used_in_the_package():
     # a private helper that nothing calls is a leftover second copy
     defined, used = {}, set()
-    for path in Path(closurelab.__file__).parent.glob("*.py"):
-        private, names = _private_names_and_uses(ast.parse(path.read_text(encoding="utf-8")))
-        defined.update((name, path.name) for name in private)
+    for module, tree in _modules():
+        private, names = _private_names_and_uses(tree)
+        defined.update((name, module) for name in private)
         used |= names
     assert "_grow" in defined
     unused = {name: module for name, module in defined.items() if name not in used}
     assert not unused, unused
+
+
+def test_private_names_cross_modules_only_where_listed():
+    # state passed between modules through private names is hidden from
+    # every public signature; these imports are shared helpers, not state
+    imported = {
+        (alias.name, module)
+        for module, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+        if _is_private(alias.name)
+    }
+    assert imported == {
+        ("_orbit", "actions"),
+        ("_orbit", "closure"),
+        ("_canonical_image", "closure"),
+        ("_orbitals", "closure"),
+        ("_symmetric_on", "closure"),
+    }
+
+
+def test_private_attributes_are_assigned_only_on_self():
+    # a private attribute written onto another object is a side channel;
+    # the one exception hands a pointwise stabilizer the chain it came from
+    assigned = {
+        (module, ast.unparse(node))
+        for module, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Store)
+        and _is_private(node.attr)
+        and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+    }
+    assert assigned == {("stabchain", "stab._chain")}

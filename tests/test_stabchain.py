@@ -313,6 +313,15 @@ def test_pointwise_stabilizer_builds_no_chain_past_the_groups_own(monkeypatch):
     assert calls == []
 
 
+def test_orbit_of_rejects_points_out_of_range():
+    # -3 once returned the orbit of point 1, and 4 raised a bare IndexError
+    G = group(4, "(1 2)")
+    assert G.orbit_of(1) == [0, 1]
+    for p in (-3, 4):
+        with pytest.raises(ValueError, match=f"point {p} outside 0..3"):
+            G.orbit_of(p)
+
+
 def _check_against_brute(H, want, degree):
     assert H.order() == len(want)
     for images in permutations(range(degree)):
