@@ -22,7 +22,15 @@ from .errors import (
     InvalidPartitionError,
     NotASubgroupError,
 )
-from .perm import Domain, Permutation, compose_images, print_cycles
+from .perm import (
+    Domain,
+    Images,
+    Permutation,
+    compose_images,
+    identity_images,
+    pack_images,
+    print_cycles,
+)
 from .stabchain import PermGroup, _orbit, build_chain
 
 
@@ -295,7 +303,7 @@ def partitions_action(G: PermGroup, a: int, b: int) -> ActionInstance:
     )
 
 
-def _coset_canonical(H_chain, x: tuple[int, ...]) -> tuple[int, ...]:
+def _coset_canonical(H_chain, x: Images) -> Images:
     """The element of Hx whose base-image tuple is lexicographically least."""
     y = x
     for level in H_chain.levels:
@@ -321,13 +329,14 @@ def coset_action(G: PermGroup, H: PermGroup) -> ActionInstance:
     if index > DEFAULT_MAX_DEGREE:
         raise DegreeLimitError(f"index {index} exceeds guard {DEFAULT_MAX_DEGREE}")
     chain = H.chain()
-    gens = [g.images for g in G.generators]
+    # representatives are packed, as they compose with H's chain elements
+    gens = [pack_images(g.images) for g in G.generators]
 
     @cache
     def times(x, g):
         return _coset_canonical(chain, compose_images(x, g))
 
-    ordered = sorted(_orbit(_coset_canonical(chain, tuple(range(G.degree))), gens, times))
+    ordered = sorted(_orbit(_coset_canonical(chain, identity_images(G.degree)), gens, times))
     pos = {rep: i for i, rep in enumerate(ordered)}
     images = [Permutation(tuple(pos[times(rep, g)] for rep in ordered)) for g in gens]
     labels = tuple("H" + print_cycles(Permutation(rep)) for rep in ordered)
@@ -529,7 +538,7 @@ def subgroups_up_to_conjugacy(
             K_gens = H_gens + [x]
             # the chain stops once its order reaches N, and that order
             # never exceeds |<H, x>|; only a proper subgroup is closed up
-            if build_chain(degree, [tuple(g) for g in K_gens], known_order=N).order() == N:
+            if build_chain(degree, K_gens, known_order=N).order() == N:
                 register(whole, K_gens)
             else:
                 register(generated(K_gens), K_gens)

@@ -44,27 +44,30 @@ def default_budget_nodes() -> int:
 class Budget:
     """Mutable node/time meter threaded through searches."""
 
-    __slots__ = ("max_nodes", "max_seconds", "nodes", "_t0")
+    __slots__ = ("max_nodes", "max_seconds", "nodes", "_t0", "_late")
 
     def __init__(self, max_nodes: int | None = None, max_seconds: float | None = None):
         self.max_nodes = default_budget_nodes() if max_nodes is None else max_nodes
         self.max_seconds = max_seconds
         self.nodes = 0
         self._t0 = time.monotonic()
+        self._late = False
 
     def charge(self, n: int = 1, partial=None) -> None:
         """Consume n nodes; raise when either limit is exhausted. A budget
-        already past its node cap raises without counting, so a search that
-        runs after another one spent it uses no node beyond the first
-        charge that overran."""
-        if self.nodes <= self.max_nodes:
+        already past its node cap or its time cap raises without counting,
+        so a search that runs after another one spent it uses no node
+        beyond the first charge that overran."""
+        if self.nodes <= self.max_nodes and not self._late:
             self.nodes += n
         if self.nodes > self.max_nodes:
             raise BudgetExceededError(
                 f"node budget exhausted ({self.nodes} > {self.max_nodes})", partial=partial
             )
         # Time is only sampled every charge; fine at the granularity we need.
-        if self.max_seconds is not None and time.monotonic() - self._t0 > self.max_seconds:
+        if not self._late and self.max_seconds is not None:
+            self._late = time.monotonic() - self._t0 > self.max_seconds
+        if self._late:
             raise BudgetExceededError(
                 f"time budget exhausted (> {self.max_seconds:g}s)", partial=partial
             )

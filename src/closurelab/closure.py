@@ -35,7 +35,15 @@ from .actions import (
 from .basesize import exact_base_size, greedy_base
 from .budget import DEFAULT_ORDER_BOUND, Budget
 from .errors import BudgetExceededError, DegreeLimitError, SimplicityError
-from .perm import Permutation, _symmetric_on, compose, compose_images, inverse_images
+from .perm import (
+    Images,
+    Permutation,
+    _symmetric_on,
+    compose,
+    compose_images,
+    identity_images,
+    inverse_images,
+)
 from .stabchain import PermGroup, _canonical_image, _orbit, _orbitals, build_chain
 
 
@@ -101,10 +109,11 @@ def _closure_backtrack(G: PermGroup, k: int, budget: Budget) -> PermGroup:
     # pointwise stabilizer of 0..j-1 in G. It is the chain transitivity_degree
     # read in k_closure, cached on G.
     natural = G.chain(preferred_base=range(n)).levels
-    # wit[j] is the image tuple of an element of G agreeing with h on
-    # points 0..j-1, or None when G has no such element.
-    wit: list[tuple[int, ...] | None] = [None] * (n + 1)
-    wit[0] = tuple(range(n))
+    # wit[j] is the packed images of an element of G agreeing with h on
+    # points 0..j-1, or None when G has no such element; it composes with
+    # the chain's elements.
+    wit: list[Images | None] = [None] * (n + 1)
+    wit[0] = identity_images(n)
     canonical = cache(lambda t: _canonical_image(G, t))
     # Forward checking on orbitals: the k-closure lies in the 2-closure, so
     # every leaf maps each pair (i, q) into the orbital of (i, q). dom[j][q]

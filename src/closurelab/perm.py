@@ -14,28 +14,46 @@ from operator import itemgetter
 
 from .errors import CycleParseError, DegreeMismatchError
 
-# Raw-tuple helpers. Hot loops elsewhere in the package work on plain image
-# tuples and only wrap results into Permutation at API boundaries.
+# Raw image helpers. Hot loops elsewhere in the package work on plain image
+# sequences and only wrap results into Permutation at API boundaries. Packed
+# images (pack_images) are bytes up to degree 256 and tuples above; bytes
+# compose through one bytes.translate call, and both helpers below keep the
+# type of their argument.
+
+Images = bytes | tuple[int, ...]
+_PADS = [bytes(range(n, 256)) for n in range(257)]
 
 
-def compose_images(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    """Image tuple of p-then-q."""
+def pack_images(images) -> Images:
+    """The image sequence as bytes when its degree is at most 256, else a tuple."""
+    return bytes(images) if len(images) <= 256 else tuple(images)
+
+
+def compose_images(p: Images, q: Images) -> Images:
+    """Image sequence of p-then-q, of the type of p."""
+    if type(p) is bytes:
+        # q padded to a 256-byte table: x.translate(table)[i] = q[p[i]]
+        return p.translate(q + _PADS[len(q)])
     if len(p) > 1:
         # itemgetter gathers in C; with one index it returns a scalar
         return itemgetter(*p)(q)
     return tuple(q[i] for i in p)
 
 
-def inverse_images(p: tuple[int, ...]) -> tuple[int, ...]:
-    """Image tuple of the inverse of p."""
+def inverse_images(p: Images) -> Images:
+    """Image sequence of the inverse of p, of the type of p."""
+    if type(p) is bytes:
+        # the table that sends p[i] to i, cut to the degree
+        return bytes.maketrans(p, _PADS[0][: len(p)])[: len(p)]
     out = [0] * len(p)
     for i, j in enumerate(p):
         out[j] = i
     return tuple(out)
 
 
-def identity_images(degree: int) -> tuple[int, ...]:
-    return tuple(range(degree))
+def identity_images(degree: int) -> Images:
+    """The packed identity of the degree."""
+    return pack_images(range(degree))
 
 
 class Permutation:

@@ -7,9 +7,11 @@ package (order, membership, stabilizers, canonical tuple images, and
 through them closures and base sizes) reduces to chain queries.
 
 The construction, build_chain, is the deterministic textbook algorithm on
-generators given as image tuples: verify, level by level from the bottom,
-that every Schreier generator sifts to the identity, adjoining any
-nontrivial residue as a new strong generator. One routine, place, inserts
+generators given as image sequences, which it packs (perm.pack_images):
+every chain element is bytes up to degree 256, composed by one
+bytes.translate call, and a tuple above. It verifies, level by level from
+the bottom, that every Schreier generator sifts to the identity, adjoining
+any nontrivial residue as a new strong generator. One routine, place, inserts
 every strong generator, given or found. No randomization, so chains (and
 all downstream reports) are reproducible functions of the generator list.
 
@@ -49,7 +51,14 @@ from __future__ import annotations
 
 from .budget import DEFAULT_MAX_DEGREE
 from .errors import DegreeLimitError, DegreeMismatchError
-from .perm import Permutation, compose_images, identity_images, inverse_images
+from .perm import (
+    Images,
+    Permutation,
+    compose_images,
+    identity_images,
+    inverse_images,
+    pack_images,
+)
 
 
 class _Level:
@@ -63,7 +72,7 @@ class _Level:
 
     __slots__ = ("beta", "gens", "transversal")
 
-    def __init__(self, beta: int, gens: list[tuple[int, ...]], degree: int):
+    def __init__(self, beta: int, gens: list[Images], degree: int):
         self.beta = beta
         self.gens = gens
         self.transversal = {beta: identity_images(degree)}
@@ -105,7 +114,7 @@ def _orbit(start, gens, act, limit: int | None = None) -> dict:
     return seen
 
 
-def _grow(trans: dict[int, tuple[int, ...]], queue: list[int], gens) -> None:
+def _grow(trans: dict[int, Images], queue: list[int], gens) -> None:
     """Extend the transversal trans breadth-first from the points queue
     under gens, composing a representative only for each point it adds."""
     for pt in queue:
@@ -117,7 +126,7 @@ def _grow(trans: dict[int, tuple[int, ...]], queue: list[int], gens) -> None:
                 queue.append(img)
 
 
-def _sift(levels, h: tuple[int, ...]) -> tuple[int, ...]:
+def _sift(levels, h: Images) -> Images:
     """Sift the element whose inverse is h through levels, reading h: the
     element sends a base point beta to h.index(beta). Return the inverse of
     the residue, which is the identity exactly when the element lies in the
@@ -150,11 +159,12 @@ class StabilizerChain:
             n *= len(level.transversal)
         return n
 
-    def contains_images(self, images: tuple[int, ...]) -> bool:
+    def contains_images(self, images) -> bool:
         """Whether images lies in the group: its inverse sifts to the identity."""
-        return _sift(self.levels, inverse_images(images)) == identity_images(self.degree)
+        h = inverse_images(pack_images(images))
+        return _sift(self.levels, h) == identity_images(self.degree)
 
-    def strong_generators(self) -> list[tuple[int, ...]]:
+    def strong_generators(self) -> list[Images]:
         """All strong generators, deduplicated, level-0 view."""
         seen = []
         have = set()
@@ -183,8 +193,8 @@ class StabilizerChain:
 
 
 def build_chain(degree: int, gens, known_order: int | None = None) -> StabilizerChain:
-    """Deterministic Schreier-Sims for the group the image tuples gens
-    generate on 0..degree-1.
+    """Deterministic Schreier-Sims for the group the image sequences gens
+    generate on 0..degree-1, packed on entry.
 
     known_order allows early termination as soon as the transversal product
     reaches it, which is sound because the product never exceeds the group
@@ -200,7 +210,7 @@ def build_chain(degree: int, gens, known_order: int | None = None) -> Stabilizer
     identity = identity_images(degree)
     levels: list[_Level] = []
 
-    def place(g: tuple[int, ...], idx: int) -> int:
+    def place(g: Images, idx: int) -> int:
         """Add g to levels idx, idx + 1, ... up to the first whose base
         point it moves, opening a level past the end if none; return that
         level."""
@@ -218,9 +228,9 @@ def build_chain(degree: int, gens, known_order: int | None = None) -> Stabilizer
 
     # inverses of the strong generators, for this build only; keyed by id,
     # which is stable because every generator stays in levels until the end
-    gen_inverses: dict[int, tuple[int, ...]] = {}
+    gen_inverses: dict[int, Images] = {}
 
-    def residue(i: int) -> tuple[int, ...] | None:
+    def residue(i: int) -> Images | None:
         """The residue of the first Schreier generator of level i that does
         not sift through the levels below it, or None if every one does."""
         level = levels[i]
@@ -243,7 +253,7 @@ def build_chain(degree: int, gens, known_order: int | None = None) -> Stabilizer
                     return inverse_images(h)
         return None
 
-    for g in gens:
+    for g in map(pack_images, gens):
         if g != identity:
             place(g, 0)
     for idx in range(len(levels)):
@@ -423,7 +433,7 @@ class PermGroup:
         desk-scale groups only; order() is the scalable alternative.
         """
         gens = [g.images for g in self.generators]
-        walk = _orbit(identity_images(self.degree), gens, compose_images, limit)
+        walk = _orbit(tuple(range(self.degree)), gens, compose_images, limit)
         return [Permutation(x) for x in walk]
 
     def same_group(self, other: "PermGroup") -> bool:

@@ -1,0 +1,111 @@
+"""Time caps under a clock that steps a fixed amount per read.
+
+A Budget reads its clock once when it is made and once per charge, so with
+a clock that advances one second per read, a cap of c + 0.5 seconds runs
+out at charge c + 1, the charge at which a cap of c nodes runs out. Each
+search must then stop exactly where the node cap stops it, with the same
+answer and the same node count, and without a wall clock in the test.
+"""
+
+from itertools import count
+from types import SimpleNamespace
+
+import pytest
+
+from closurelab import budget as budget_module
+from closurelab.actions import ksubsets_action
+from closurelab.basesize import exact_base_size
+from closurelab.budget import Budget
+from closurelab.catalog import alternating, symmetric
+from closurelab.closure import closure_spectrum, k_closure
+from closurelab.errors import BudgetExceededError
+
+
+@pytest.fixture
+def stepping_clock(monkeypatch):
+    ticks = count()
+    clock = SimpleNamespace(monotonic=lambda: float(next(ticks)))
+    monkeypatch.setattr(budget_module, "time", clock)
+
+
+def _caps(nodes):
+    """Node-capped and time-capped budgets for every cap up to nodes."""
+    for cap in range(nodes + 1):
+        yield cap, Budget(cap), Budget(max_seconds=cap + 0.5)
+
+
+def test_the_stepping_clock_stops_a_budget_at_its_charge(stepping_clock):
+    budget = Budget(max_seconds=2.5)
+    budget.charge()
+    budget.charge()
+    for _ in range(2):
+        with pytest.raises(BudgetExceededError, match="time budget exhausted"):
+            budget.charge()
+    # a spent budget counts no node past the charge that overran
+    assert budget.nodes == 3
+
+
+def test_exact_base_size_stops_under_a_time_cap_as_under_a_node_cap(stepping_clock):
+    A = ksubsets_action(symmetric(6), 2)
+    full_budget = Budget()
+    full = exact_base_size(A, full_budget)
+    assert full.exhaustive and full_budget.nodes > 1
+    for cap, by_nodes, by_time in _caps(full_budget.nodes):
+        rec = exact_base_size(A, by_time)
+        assert rec == exact_base_size(A, by_nodes)
+        assert by_time.nodes == by_nodes.nodes <= cap + 1
+        if rec.exhaustive:
+            assert rec == full
+        else:
+            assert A.group.pointwise_stabilizer(rec.witness).order() == 1
+
+
+def _answer_or_partial(run, budget):
+    try:
+        return "answer", run(budget)
+    except BudgetExceededError as exc:
+        return "partial", exc.partial
+
+
+def test_k_closure_stops_under_a_time_cap_as_under_a_node_cap(stepping_clock):
+    A = ksubsets_action(alternating(5), 2)
+
+    def run(budget):
+        return k_closure(A, 2, budget)
+
+    full_budget = Budget()
+    full = run(full_budget)
+    assert full_budget.nodes == 19
+    for cap, by_nodes, by_time in _caps(full_budget.nodes):
+        kind, H = _answer_or_partial(run, by_time)
+        want_kind, want = _answer_or_partial(run, by_nodes)
+        assert (kind, H.generators) == (want_kind, want.generators)
+        assert by_time.nodes == by_nodes.nodes <= cap + 1
+        assert A.group.is_subgroup_of(H)
+        assert H.is_subgroup_of(full)
+        assert (kind == "answer") == (cap == full_budget.nodes)
+
+
+def _steps(report):
+    # every field but the step's wall time
+    steps = [(e.k, e.order, e.generators, e.nodes, e.error) for e in report.entries]
+    return steps, report.minimal_k
+
+
+def test_closure_spectrum_stops_under_a_time_cap_as_under_a_node_cap(stepping_clock):
+    # the base search behind the default k_max and the closure steps share
+    # the budget; once it is spent, no later step charges past it
+    A = ksubsets_action(symmetric(6), 2)
+    full_budget = Budget()
+    full = closure_spectrum(A, budget=full_budget)
+    assert full_budget.nodes == 20
+    for cap, by_nodes, by_time in _caps(full_budget.nodes):
+        report = closure_spectrum(A, budget=by_time)
+        assert _steps(report) == _steps(closure_spectrum(A, budget=by_nodes))
+        assert by_time.nodes == by_nodes.nodes <= cap + 1
+        if report.entries[-1].error is None:
+            assert _steps(report) == _steps(full)
+        else:
+            assert report.entries[-1].error == "budget exceeded"
+            assert report.minimal_k is None
+

@@ -8,6 +8,8 @@ from closurelab.perm import (
     Permutation,
     compose,
     compose_images,
+    inverse_images,
+    pack_images,
     parse_cycles,
     print_cycles,
 )
@@ -155,3 +157,9 @@ def test_compose_images_is_p_then_q(pair):
     got = compose_images(p, q)
     assert type(got) is tuple
     assert got == tuple(q[i] for i in p)
+    # packed, the same product and inverse as bytes
+    bp, bq = pack_images(p), pack_images(q)
+    assert type(compose_images(bp, bq)) is bytes
+    assert tuple(compose_images(bp, bq)) == got
+    assert inverse_images(bp) == pack_images(inverse_images(p))
+    assert compose_images(bp, inverse_images(bp)) == pack_images(range(len(p)))

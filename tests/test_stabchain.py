@@ -120,12 +120,20 @@ def test_degree_guard():
         build_chain(DEFAULT_MAX_DEGREE + 1, [])
 
 
+def _tuples(level):
+    """A level's generators and transversal with every element as a tuple,
+    whichever representation the chain stores."""
+    gens = [tuple(g) for g in level.gens]
+    return gens, {pt: tuple(u) for pt, u in level.transversal.items()}
+
+
 def _level_digests(chain):
     return [
         hashlib.sha256(
-            repr((level.beta, level.gens, sorted(level.transversal.items()))).encode()
+            repr((level.beta, gens, sorted(trans.items()))).encode()
         ).hexdigest()[:16]
         for level in chain.levels
+        for gens, trans in [_tuples(level)]
     ]
 
 
@@ -185,10 +193,10 @@ def test_chain_of_degenerate_generator_lists():
     padded = build_chain(5, [e, a, a, e, b])
     assert padded.order() == plain.order() == 60
     assert padded.base == plain.base
-    assert [level.transversal for level in padded.levels] == [
-        level.transversal for level in plain.levels
+    assert [_tuples(level)[1] for level in padded.levels] == [
+        _tuples(level)[1] for level in plain.levels
     ]
-    assert all(e not in level.gens for level in padded.levels)
+    assert all(e not in _tuples(level)[0] for level in padded.levels)
 
 
 def test_chain_with_a_forced_base_of_fixed_points():
@@ -196,7 +204,7 @@ def test_chain_with_a_forced_base_of_fixed_points():
     # the trivial group with a forced base: one level per point, each trivial
     forced = PermGroup.trivial(5).chain(preferred_base=(2, 0))
     assert forced.base == (2, 0)
-    assert [level.transversal for level in forced.levels] == [{2: e}, {0: e}]
+    assert [_tuples(level)[1] for level in forced.levels] == [{2: e}, {0: e}]
     assert forced.order() == 1
     for G in (PermGroup.trivial(5), A5()):
         with pytest.raises(ValueError):
@@ -221,10 +229,11 @@ def _check_rebased(G, prefix, elems):
     for i, level in enumerate(chain.levels):
         stab = brute_pointwise_stabilizer(elems, base[:i])
         assert set(level.transversal) == {e[level.beta] for e in stab}
-        for pt, u in level.transversal.items():
+        gens, trans = _tuples(level)
+        for pt, u in trans.items():
             assert u[level.beta] == pt
             assert u in stab
-        assert all(g in stab for g in level.gens)
+        assert all(g in stab for g in gens)
     H = G.pointwise_stabilizer(prefix)
     assert {p.images for p in H.elements()} == brute_pointwise_stabilizer(elems, key)
 
@@ -244,6 +253,72 @@ def test_rebased_chains_match_brute(G, data):
     _check_rebased(H, more, brute_pointwise_stabilizer(elems, prefix[:1]))
     _check_rebased(G, prefix, elems)
     _check_rebased(G, more, elems)
+
+
+def _embedded(images, n):
+    """images on n points, followed by 256 fixed points: past the degree up
+    to which chains store their elements as bytes."""
+    return tuple(images) + tuple(range(n, n + 256))
+
+
+def _check_same_chain(small, big, n):
+    # the bytes chain and the tuple chain of the embedded group: the same
+    # base, orbits in the same order, and elements that agree on 0..n-1
+    assert big.base == small.base
+    for lo, hi in zip(small.levels, big.levels, strict=True):
+        assert list(hi.transversal) == list(lo.transversal)
+        assert all(type(u) is bytes for u in lo.transversal.values())
+        assert all(type(u) is tuple for u in hi.transversal.values())
+        lo_gens, lo_trans = _tuples(lo)
+        assert [g[:n] for g in hi.gens] == lo_gens
+        assert [u[:n] for u in hi.transversal.values()] == list(lo_trans.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(generator_sets(max_degree=7), st.data())
+def test_bytes_and_tuple_chains_match(G, data):
+    n = G.degree
+    big = PermGroup(n + 256, [Permutation(_embedded(g.images, n)) for g in G.generators])
+    _check_same_chain(G.chain(), big.chain(), n)
+    # members as words in the generators, and arbitrary permutations
+    words = st.lists(st.sampled_from(G.generators), max_size=6) if G.generators else st.just([])
+    arbitrary = data.draw(st.lists(st.permutations(range(n)), max_size=4))
+    drawn = [Permutation(p) for p in arbitrary]
+    for word in data.draw(st.lists(words, min_size=1, max_size=4)):
+        p = Permutation(range(n))
+        for g in word:
+            p = p * g
+        drawn.append(p)
+    for p in drawn:
+        embedded = Permutation(_embedded(p.images, n))
+        assert big.contains(embedded) == G.contains(p)
+    points = st.integers(min_value=0, max_value=n - 1)
+    prefix = data.draw(st.lists(points, min_size=1, max_size=3))
+    _check_same_chain(G.chain(preferred_base=prefix), big.chain(preferred_base=prefix), n)
+
+
+@pytest.mark.parametrize("n,kind", [(256, bytes), (257, tuple)])
+def test_chains_on_either_side_of_the_bytes_line(n, kind):
+    rotation = Permutation([(i + 1) % n for i in range(n)])
+    reflection = Permutation([-i % n for i in range(n)])
+    swap = Permutation([1, 0] + list(range(2, n)))
+    cyclic = PermGroup(n, [rotation])
+    assert cyclic.order() == n
+    assert all(type(u) is kind for u in cyclic.chain().levels[0].transversal.values())
+    assert cyclic.contains(rotation * rotation * rotation)
+    assert not cyclic.contains(swap)
+    assert not cyclic.contains(reflection)
+    assert cyclic.pointwise_stabilizer([0]).order() == 1
+    # the dihedral group: the stabilizer of 0 is generated by the reflection
+    dihedral = PermGroup(n, [rotation, reflection])
+    assert dihedral.order() == 2 * n
+    assert dihedral.contains(reflection * rotation)
+    assert not dihedral.contains(swap)
+    H = dihedral.pointwise_stabilizer([0])
+    assert H.order() == 2
+    assert [Permutation(g.images) for g in H.generators] == [reflection]
+    assert all(type(g.images) is tuple for g in H.generators)
+    assert H.contains(reflection) and not H.contains(rotation)
 
 
 @pytest.mark.parametrize(
@@ -268,10 +343,8 @@ def test_chain_is_deterministic():
     G1, G2 = A5(), A5()
     c1, c2 = G1.chain(), G2.chain()
     assert c1.base == c2.base
-    assert [sorted(level.transversal) for level in c1.levels] == [
-        sorted(level.transversal) for level in c2.levels
-    ]
-    assert [level.gens for level in c1.levels] == [level.gens for level in c2.levels]
+    # generators and transversals, keys and elements alike
+    assert [_tuples(level) for level in c1.levels] == [_tuples(level) for level in c2.levels]
 
 
 def test_pointwise_stabilizer_matches_brute():
