@@ -28,8 +28,10 @@ from .perm import (
     Permutation,
     compose_images,
     identity_images,
+    inverse_images,
     pack_images,
     print_cycles,
+    translation_table,
 )
 from .stabchain import PermGroup, _orbit, build_chain
 
@@ -442,9 +444,7 @@ def setwise_block_stabilizer(A: ActionInstance, S: BlockSystem, block_indices) -
     return PermGroup(n, [Permutation(h.images[:n]) for h in stab.generators])
 
 
-def subgroups_up_to_conjugacy(
-    G: PermGroup, order_bound: int = DEFAULT_ORDER_BOUND
-) -> list[PermGroup]:
+def subgroups_up_to_conjugacy(G: PermGroup) -> list[PermGroup]:
     """One representative per conjugacy class of subgroups, sorted by order.
 
     Starts from the trivial group and closes under single-element extension
@@ -453,12 +453,12 @@ def subgroups_up_to_conjugacy(
     adjoining generators one at a time along a chain of subgroups.
     Element-set fingerprints deduplicate across classes.
 
-    Elements are bytes of length degree: with pad = bytes(range(degree,
-    256)), x.translate(g + pad) is x, then g, so closures and conjugacy
-    classes are _orbit walks with bytes.translate at their core, and sorted
-    bytes order as sorted image tuples do. Degrees above 256 therefore
-    raise DegreeLimitError before any element is listed, as do groups of
-    order above order_bound.
+    Elements are packed images (perm.py): x.translate(translation_table(g))
+    is x, then g, so closures and conjugacy classes are _orbit walks with
+    bytes.translate at their core, and sorted bytes order as image tuples
+    do. Past perm.py's bytes line there is no table: translation_table
+    raises DegreeLimitError before any element is listed, as a group of
+    order above DEFAULT_ORDER_BOUND does.
 
     Since <H, hyh'> = <H, y> for h, h' in H, and <H, x> = <H, x^k> for k
     prime to the order of x, an uncovered x marks the double cosets HyH of
@@ -470,27 +470,25 @@ def subgroups_up_to_conjugacy(
     never closed up by multiplication.
     """
     N = G.order()
-    if N > order_bound:
-        raise DegreeLimitError(f"group order {N} exceeds subgroup enumeration bound {order_bound}")
-    degree = G.degree
-    if degree > 256:
+    if N > DEFAULT_ORDER_BOUND:
         raise DegreeLimitError(
-            f"degree {degree} exceeds 256, the largest that subgroup enumeration holds as bytes"
+            f"group order {N} exceeds subgroup enumeration bound {DEFAULT_ORDER_BOUND}"
         )
-    pad = bytes(range(degree, 256))
-    ident = bytes(range(degree))
-    elems = sorted(bytes(p.images) for p in G.elements())
+    degree = G.degree
+    identity = identity_images(degree)
+    packed = [pack_images(g.images) for g in G.generators]
+    # g, then K, then the inverse of g: K conjugated by the inverse of g; the
+    # tables refuse a degree past the bytes line before the elements are listed
+    conjugators = [(g, translation_table(inverse_images(g))) for g in packed]
+    elems = sorted(G._element_images())
     whole = frozenset(elems)
 
     def generated(seed):
-        return frozenset(_orbit(ident, [g + pad for g in seed], bytes.translate))
-
-    # g, then K, then the inverse of g: K conjugated by the inverse of g
-    conjugators = [(bytes(g.images), bytes(g.inverse().images) + pad) for g in G.generators]
+        return frozenset(_orbit(identity, list(map(translation_table, seed)), bytes.translate))
 
     def conjugate(K, pair):
         g, inverse = pair
-        return frozenset(g.translate(h.translate(inverse) + pad) for h in K)
+        return frozenset(g.translate(translation_table(h.translate(inverse))) for h in K)
 
     known = set()
     reps = []
@@ -503,19 +501,19 @@ def subgroups_up_to_conjugacy(
         canon = min(cls, key=sorted)
         if canon is not H:
             # regenerate a small generating list for the canonical member
-            seed_gens, H = [], {ident}
+            seed_gens, H = [], {identity}
             for x in sorted(canon):
                 if x not in H:
                     seed_gens.append(x)
                     H = generated(seed_gens)
         reps.append((canon, seed_gens))
 
-    register(frozenset([ident]), [])
+    register(frozenset([identity]), [])
     # reps grows while it is walked, as a breadth-first queue
     for H, H_gens in reps:
         if len(H) == N:
             continue
-        tables = [g + pad for g in H_gens]
+        tables = list(map(translation_table, H_gens))
         covered = set(H)
         for x in elems:
             if x in covered:
@@ -523,13 +521,13 @@ def subgroups_up_to_conjugacy(
             # mark the double cosets HyH of the generators y = x^k of <x>,
             # the closure of those y under multiplication by H's generators
             # on either side
-            powers = [x]
-            while powers[-1] != ident:
-                powers.append(powers[-1].translate(x + pad))
+            powers, step = [x], translation_table(x)
+            while powers[-1] != identity:
+                powers.append(powers[-1].translate(step))
             double = [y for k, y in enumerate(powers, 1) if gcd(k, len(powers)) == 1]
             covered.update(double)
             for y in double:
-                table = y + pad
+                table = translation_table(y)
                 for g, gt in zip(H_gens, tables):
                     for z in (g.translate(table), y.translate(gt)):
                         if z not in covered:

@@ -3,9 +3,9 @@
 The two searches, the closure backtrack and the base-size
 branch-and-bound, charge nodes against a Budget. Exhausting the budget
 raises BudgetExceededError; there is no silent truncation anywhere in the
-package. Element enumeration (subgroup classes and the simplicity check) is
-bounded by group order instead: above DEFAULT_ORDER_BOUND it raises
-DegreeLimitError.
+package. Element enumeration is bounded by group order instead: above
+DEFAULT_ORDER_BOUND it raises DegreeLimitError, as subgroup enumeration
+does past perm.py's bytes line (its elements are bytes); neither is a budget.
 """
 
 from __future__ import annotations

@@ -447,12 +447,10 @@ def read_generator_file(text: str) -> tuple[int, tuple[Permutation, ...]]:
     return degree, gens
 
 
-def format_generator_file(degree: int, gens, with_checksum: bool = True) -> str:
-    """Render generators to the file format read_generator_file accepts."""
+def format_generator_file(degree: int, gens) -> str:
+    """Render generators and a checksum line in the format read_generator_file reads."""
     body = f"degree {degree}\n" + "".join(print_cycles(g) + "\n" for g in gens)
-    if with_checksum:
-        body += f"checksum {zlib.crc32(body.encode('utf-8')):08x}\n"
-    return body
+    return body + f"checksum {zlib.crc32(body.encode('utf-8')):08x}\n"
 
 
 _MATHIEU_FACTS = {

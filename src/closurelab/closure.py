@@ -39,10 +39,10 @@ from .perm import (
     Images,
     Permutation,
     _symmetric_on,
-    compose,
     compose_images,
     identity_images,
     inverse_images,
+    pack_images,
 )
 from .stabchain import PermGroup, _canonical_image, _orbit, _orbitals, build_chain
 
@@ -322,10 +322,7 @@ class KTransCertificate:
 
 
 def k_trans(
-    G: PermGroup,
-    degree_bound: int,
-    order_bound: int = DEFAULT_ORDER_BOUND,
-    budget: Budget | None = None,
+    G: PermGroup, degree_bound: int, budget: Budget | None = None
 ) -> tuple[int, KTransCertificate]:
     """Largest minimal closure index over the faithful transitive actions
     of G, one per equivalence class.
@@ -356,7 +353,7 @@ def k_trans(
     entries: list[KTransEntry] = []
     exact_max = 0
     bound_max = 0
-    for H in subgroups_up_to_conjugacy(G, order_bound):
+    for H in subgroups_up_to_conjugacy(G):
         A = coset_action(G, H)
         if not A.faithful:
             continue
@@ -416,18 +413,17 @@ def require_nonabelian_simple(G: PermGroup) -> None:
         raise DegreeLimitError(
             f"group order {order} exceeds simplicity check bound {DEFAULT_ORDER_BOUND}"
         )
-    gens = [g for g in G.generators if not g.is_identity()]
-    if all(compose(a, b) == compose(b, a) for a in gens for b in gens):
+    gens = [pack_images(g.images) for g in G.generators if not g.is_identity()]
+    if all(compose_images(a, b) == compose_images(b, a) for a in gens for b in gens):
         raise SimplicityError("group is abelian")
-    conjugators = [(inverse_images(g.images), g.images) for g in gens]
+    conjugators = [(inverse_images(g), g) for g in gens]
 
     def conjugate(y, pair):
         inv, g = pair
         return compose_images(compose_images(inv, y), g)
 
-    identity = tuple(range(G.degree))
-    seen = {identity}
-    for x in _orbit(identity, [g.images for g in gens], compose_images):
+    seen = {identity_images(G.degree)}
+    for x in G._element_images():
         if x in seen:
             continue
         # x represents a new class: its orbit under conjugation

@@ -12,13 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .errors import CycleParseError, DegreeMismatchError
+from .errors import CycleParseError, DegreeLimitError, DegreeMismatchError
 
 # Raw image helpers. Hot loops elsewhere in the package work on plain image
 # sequences and only wrap results into Permutation at API boundaries. Packed
-# images (pack_images) are bytes up to degree 256 and tuples above; bytes
-# compose through one bytes.translate call, and both helpers below keep the
-# type of their argument.
+# images (pack_images) are bytes up to degree 256 and tuples above; only the
+# brute route of harness.py keeps tables of its own. Bytes compose through one
+# bytes.translate call, and the helpers keep the type of their argument.
 
 Images = bytes | tuple[int, ...]
 _PADS = [bytes(range(n, 256)) for n in range(257)]
@@ -29,10 +29,18 @@ def pack_images(images) -> Images:
     return bytes(images) if len(images) <= 256 else tuple(images)
 
 
+def translation_table(q: Images) -> bytes:
+    """The table t with x.translate(t) == compose_images(x, q) for packed x;
+    a tuple (degree above 256) has none and raises DegreeLimitError."""
+    if type(q) is not bytes:
+        raise DegreeLimitError(f"degree {len(q)} exceeds 256, the largest whose images are bytes")
+    return q + _PADS[len(q)]
+
+
 def compose_images(p: Images, q: Images) -> Images:
     """Image sequence of p-then-q, of the type of p."""
     if type(p) is bytes:
-        # q padded to a 256-byte table: x.translate(table)[i] = q[p[i]]
+        # translation_table(q), inline on the hot path
         return p.translate(q + _PADS[len(q)])
     if len(p) > 1:
         # itemgetter gathers in C; with one index it returns a scalar

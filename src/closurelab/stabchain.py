@@ -426,15 +426,15 @@ class PermGroup:
         stab._chain = tail
         return stab
 
-    def elements(self, limit: int = 2_000_000):
-        """All elements by breadth-first closure; guarded by limit.
+    def _element_images(self, limit: int = 2_000_000) -> dict:
+        """Packed elements, keyed in order of breadth-first discovery."""
+        gens = [pack_images(g.images) for g in self.generators]
+        return _orbit(identity_images(self.degree), gens, compose_images, limit)
 
-        Deterministic order of discovery (identity first). Intended for
-        desk-scale groups only; order() is the scalable alternative.
-        """
-        gens = [g.images for g in self.generators]
-        walk = _orbit(tuple(range(self.degree)), gens, compose_images, limit)
-        return [Permutation(x) for x in walk]
+    def elements(self, limit: int = 2_000_000):
+        """All elements in the order of _element_images (identity first),
+        guarded by limit; order() is the scalable alternative."""
+        return [Permutation(x) for x in self._element_images(limit)]
 
     def same_group(self, other: "PermGroup") -> bool:
         """Equality as subgroups of the same symmetric group."""

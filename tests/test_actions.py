@@ -28,6 +28,7 @@ from closurelab.actions import (
     transitivity_degree,
     union,
 )
+from closurelab.budget import DEFAULT_ORDER_BOUND
 from closurelab.catalog import catalog_group, symmetric
 from closurelab.errors import (
     DegreeLimitError,
@@ -460,9 +461,24 @@ def test_subgroup_classes_match_brute_enumeration():
             assert sum(1 for r in rep_sets if r in cls) == 1
 
 
-def test_subgroup_enumeration_respects_bound():
-    with pytest.raises(DegreeLimitError, match="10"):
-        subgroups_up_to_conjugacy(A5(), order_bound=10)
+def _forbid_listing(monkeypatch, why):
+    """Fail the test if any walk lists the elements of a group."""
+
+    def listing(*args, **kwargs):
+        raise AssertionError(why)
+
+    monkeypatch.setattr(PermGroup, "_element_images", listing)
+    monkeypatch.setattr(PermGroup, "elements", listing)
+
+
+def test_subgroup_enumeration_respects_bound(monkeypatch):
+    # S7 has order 5040, above DEFAULT_ORDER_BOUND; the refusal comes from
+    # its chain, before any element is listed
+    G = symmetric(7)
+    assert G.order() > DEFAULT_ORDER_BOUND
+    _forbid_listing(monkeypatch, "elements listed before the order was checked")
+    with pytest.raises(DegreeLimitError, match=str(DEFAULT_ORDER_BOUND)):
+        subgroups_up_to_conjugacy(G)
 
 
 def test_subgroup_enumeration_refuses_degree_above_256(monkeypatch):
@@ -470,11 +486,7 @@ def test_subgroup_enumeration_refuses_degree_above_256(monkeypatch):
     # not fit in a byte; the refusal comes before any element is listed
     G = PermGroup(257, [Permutation(tuple(range(1, 257)) + (0,))])
     assert G.order() == 257
-
-    def listing(*args, **kwargs):
-        raise AssertionError("elements listed before the degree was checked")
-
-    monkeypatch.setattr(PermGroup, "elements", listing)
+    _forbid_listing(monkeypatch, "elements listed before the degree was checked")
     with pytest.raises(DegreeLimitError, match="256"):
         subgroups_up_to_conjugacy(G)
 
@@ -498,7 +510,10 @@ def test_subgroup_representatives_are_pinned(name):
 
 def _count_closures(monkeypatch, sizes):
     """Record the size of every subgroup the enumeration closes up by
-    multiplication: the _orbit walks that compose elements by bytes.translate."""
+    multiplication: the _orbit walks that compose elements by bytes.translate.
+    The listing of G's elements is not one of them; it is walked in
+    stabchain. Callers assert that some closure was counted, so a change of
+    the act cannot pass a cap vacuously."""
     real = actions._orbit
 
     def counting(start, gens, act, *args):
@@ -526,8 +541,8 @@ def test_subgroup_enumeration_skips_double_cosets(monkeypatch):
     # <x>, each checked by a chain, less those whose chain already has the
     # order of the group; those of the trivial group are the cyclic
     # subgroups, each closed once
-    assert len(chains) <= 391
-    assert len(closures) <= 318
+    assert 0 < len(chains) <= 391
+    assert 0 < len(closures) <= 318
 
 
 @pytest.mark.parametrize("name", ["A6", "PSL(2,7)"])

@@ -290,6 +290,7 @@ def test_mathieu_validation_catches_corrupt_data(monkeypatch):
 def test_generator_file_round_trip():
     G = mathieu("M11").group
     text = format_generator_file(G.degree, G.generators)
+    assert text.splitlines()[-1].startswith("checksum ")
     degree, gens = read_generator_file(text)
     assert degree == 11
     assert gens == tuple(G.generators)

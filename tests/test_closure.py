@@ -467,6 +467,13 @@ def test_simplicity_check_matches_brute_normal_closures(name):
         }[defect]
 
 
+def test_simplicity_check_above_the_bytes_line():
+    # at degree 257 the elements are tuples; the walk still reaches the
+    # rotations, whose class spans the cyclic subgroup of order 257
+    with pytest.raises(SimplicityError, match="order 257, proper in 514"):
+        require_nonabelian_simple(dihedral(257))
+
+
 def test_simplicity_check_refuses_groups_above_the_order_bound():
     # A8 has order 20160; the exact check enumerates elements only up to
     # the subgroup enumeration bound of 3000

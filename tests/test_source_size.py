@@ -3,7 +3,8 @@
 Without a bytecode cache every import compiles the package from source, and
 CPython 3.11's parser peak rises by about 0.25 MB once one module passes
 4,096 tokens. Every module under that line stays under it, and no module
-keeps a private top-level name that nothing in the package uses.
+keeps a private top-level name that nothing in the package uses. Only
+perm.py knows where packed images stop being bytes.
 """
 
 import ast
@@ -107,3 +108,16 @@ def test_private_attributes_are_assigned_only_on_self():
         and not (isinstance(node.value, ast.Name) and node.value.id == "self")
     }
     assert assigned == {("stabchain", "stab._chain")}
+
+
+def test_only_perm_and_harness_know_the_bytes_line():
+    # perm.py decides where packed images stop being bytes, and the brute
+    # filtration route in harness.py keeps its own tables on purpose; any
+    # other module that writes 256 keeps a second copy of the bytes layout
+    holders = {
+        module
+        for module, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and type(node.value) is int and node.value == 256
+    }
+    assert holders == {"perm", "harness"}

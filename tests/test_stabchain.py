@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from closurelab import stabchain
 from closurelab.actions import ksubsets_action
 from closurelab.budget import DEFAULT_MAX_DEGREE
-from closurelab.catalog import catalog_group, symmetric
+from closurelab.catalog import catalog_group, dihedral, symmetric
 from closurelab.errors import DegreeLimitError
 from closurelab.perm import Permutation, parse_cycles
 from closurelab.stabchain import (
@@ -319,6 +319,16 @@ def test_chains_on_either_side_of_the_bytes_line(n, kind):
     assert [Permutation(g.images) for g in H.generators] == [reflection]
     assert all(type(g.images) is tuple for g in H.generators)
     assert H.contains(reflection) and not H.contains(rotation)
+
+
+@pytest.mark.parametrize("n,kind", [(256, bytes), (257, tuple)])
+def test_elements_on_either_side_of_the_bytes_line(n, kind):
+    # one walk lists the elements, packed as bytes or as tuples by degree
+    G = dihedral(n)
+    assert all(type(x) is kind for x in G._element_images())
+    got = [p.images for p in G.elements()]
+    assert len(got) == 2 * n
+    assert set(got) == brute_elements([g.images for g in G.generators], n)
 
 
 @pytest.mark.parametrize(
