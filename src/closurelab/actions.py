@@ -14,7 +14,7 @@ from functools import cache
 from itertools import combinations
 from math import gcd
 
-from .budget import DEFAULT_MAX_DEGREE, DEFAULT_ORDER_BOUND
+from .budget import DEFAULT_MAX_DEGREE
 from .errors import (
     DegreeLimitError,
     DegreeMismatchError,
@@ -457,8 +457,8 @@ def subgroups_up_to_conjugacy(G: PermGroup) -> list[PermGroup]:
     is x, then g, so closures and conjugacy classes are _orbit walks with
     bytes.translate at their core, and sorted bytes order as image tuples
     do. Past perm.py's bytes line there is no table: translation_table
-    raises DegreeLimitError before any element is listed, as a group of
-    order above DEFAULT_ORDER_BOUND does.
+    raises DegreeLimitError before any element is listed. The listing
+    itself refuses a group of order above DEFAULT_ORDER_BOUND.
 
     Since <H, hyh'> = <H, y> for h, h' in H, and <H, x> = <H, x^k> for k
     prime to the order of x, an uncovered x marks the double cosets HyH of
@@ -470,10 +470,6 @@ def subgroups_up_to_conjugacy(G: PermGroup) -> list[PermGroup]:
     never closed up by multiplication.
     """
     N = G.order()
-    if N > DEFAULT_ORDER_BOUND:
-        raise DegreeLimitError(
-            f"group order {N} exceeds subgroup enumeration bound {DEFAULT_ORDER_BOUND}"
-        )
     degree = G.degree
     identity = identity_images(degree)
     packed = [pack_images(g.images) for g in G.generators]

@@ -3,9 +3,11 @@
 The two searches, the closure backtrack and the base-size
 branch-and-bound, charge nodes against a Budget. Exhausting the budget
 raises BudgetExceededError; there is no silent truncation anywhere in the
-package. Element enumeration is bounded by group order instead: above
-DEFAULT_ORDER_BOUND it raises DegreeLimitError, as subgroup enumeration
-does past perm.py's bytes line (its elements are bytes); neither is a budget.
+package. Listing a group's elements is bounded by group order instead:
+PermGroup._element_images refuses an order above DEFAULT_ORDER_BOUND with
+DegreeLimitError before it lists one, and subgroup enumeration also refuses
+a degree past perm.py's bytes line (its elements are bytes); neither is a
+budget.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from .errors import BudgetExceededError
 ENV_BUDGET_NODES = "CLOSURELAB_BUDGET_NODES"
 DEFAULT_BUDGET_NODES = 20_000_000
 DEFAULT_MAX_DEGREE = 5000
-# Largest group order whose elements are enumerated one by one: subgroup
-# classes, and the conjugacy classes of the simplicity check.
+# Largest group order whose elements PermGroup._element_images lists one by
+# one, for subgroup classes and the conjugacy classes of the simplicity check.
 DEFAULT_ORDER_BOUND = 3000
 
 

@@ -63,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"closurelab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, budget_flags=True):
+    def add_common(p, budget_flags=True, csv=False):
         p.add_argument("--catalog", metavar="NAME", help="catalog group, e.g. A5 or PSL(3,2)")
         p.add_argument("--group-file", metavar="PATH", help="generator file (degree + cycles)")
         p.add_argument(
@@ -72,7 +72,10 @@ def _build_parser() -> argparse.ArgumentParser:
             metavar="SPEC",
             help="natural | ksubsets:K | partitions:AxB | cosets:FILE",
         )
-        p.add_argument("--json", action="store_true", help="machine-readable output")
+        output = p.add_mutually_exclusive_group()
+        output.add_argument("--json", action="store_true", help="machine-readable output")
+        if csv:
+            output.add_argument("--csv", action="store_true", help="CSV table output")
         p.add_argument("--timings", action="store_true", help="include real elapsed times")
         if budget_flags:
             p.add_argument("--budget-nodes", type=_allowance(int), metavar="N",
@@ -94,15 +97,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True, metavar="K")
 
     p = sub.add_parser("spectrum", help="closure orders for k = 1, 2, ...")
-    add_common(p)
+    add_common(p, csv=True)
     p.add_argument("--k-max", type=int, metavar="K", help="stop after this k")
-    p.add_argument("--csv", action="store_true", help="CSV table output")
 
     p = sub.add_parser("base", help="base size of a faithful action")
-    add_common(p)
+    add_common(p, csv=True)
     p.add_argument("--greedy", action="store_true",
                    help="greedy upper bound only, not the branch-and-bound minimum")
-    p.add_argument("--csv", action="store_true", help="CSV table output")
 
     p = sub.add_parser("ktrans", help="largest minimal closure index over faithful transitive actions")
     add_common(p)
@@ -294,7 +295,7 @@ def _run_command(args) -> int:
         raise ClosureLabError(f"unhandled command {args.command}")
 
     elapsed = int((time.monotonic() - t0) * 1000)
-    if getattr(args, "csv", False) and csv_rows is not None:
+    if getattr(args, "csv", False):
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(csv_rows)
         sys.stdout.write(buf.getvalue())

@@ -32,9 +32,9 @@ from .actions import (
     subgroups_up_to_conjugacy,
     transitivity_degree,
 )
-from .basesize import exact_base_size, greedy_base
-from .budget import DEFAULT_ORDER_BOUND, Budget
-from .errors import BudgetExceededError, DegreeLimitError, SimplicityError
+from .basesize import greedy_base
+from .budget import Budget
+from .errors import BudgetExceededError, SimplicityError
 from .perm import (
     Images,
     Permutation,
@@ -246,19 +246,18 @@ def closure_spectrum(
     """Orders of the k-closures for k = 1, 2, ... until the chain reaches
     the group itself (recorded as minimal_k) or k_max is hit.
 
-    The default k_max is one more than a base size of the group in its
-    faithful guise, which provably suffices for the chain to bottom out;
-    any base does, so a base search cut short by the budget still gives a
-    valid k_max. The base search and every step charge the one budget; each
-    entry records the nodes its own step used. A step that exhausts the
-    budget is recorded with the partial lower-bound subgroup and the walk
-    stops.
+    The chain reaches the group by one past a base size, and at the latest
+    at k = degree, where k_closure returns the group; so the default k_max
+    is the degree, and the walk runs no base search. Every step charges the
+    one budget, and each entry records the nodes its own step used. A step
+    that exhausts the budget is recorded with the partial lower-bound
+    subgroup and the walk stops.
     """
     G = A.group
     if budget is None:
         budget = Budget()
     if k_max is None:
-        k_max = exact_base_size(natural_action(G), budget).size + 1
+        k_max = max(G.degree, 1)
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     target = G.order()
@@ -403,16 +402,13 @@ def require_nonabelian_simple(G: PermGroup) -> None:
     and every nontrivial conjugacy class generates G. Every normal subgroup
     is a union of classes, and the subgroup a class generates is the normal
     closure of each of its members, so this decides simplicity. The classes
-    are read off the element set, so a group of order above
-    DEFAULT_ORDER_BOUND raises DegreeLimitError; each class gets one chain,
-    which stops once it reaches the order of G."""
+    are read off the element set, so a nonabelian group of order above
+    DEFAULT_ORDER_BOUND raises DegreeLimitError when its elements are
+    listed; each class gets one chain, which stops once it reaches the
+    order of G."""
     order = G.order()
     if order == 1:
         raise SimplicityError("the trivial group is not nonabelian simple")
-    if order > DEFAULT_ORDER_BOUND:
-        raise DegreeLimitError(
-            f"group order {order} exceeds simplicity check bound {DEFAULT_ORDER_BOUND}"
-        )
     gens = [pack_images(g.images) for g in G.generators if not g.is_identity()]
     if all(compose_images(a, b) == compose_images(b, a) for a in gens for b in gens):
         raise SimplicityError("group is abelian")
@@ -466,14 +462,14 @@ def intransitive_certificate(
     totally k-closed from per-orbit data.
 
     Requires: the group is nonabelian simple, which
-    require_nonabelian_simple checks exactly (an order above
-    DEFAULT_ORDER_BOUND raises DegreeLimitError), and it acts faithfully on
-    every orbit. The certificate then needs, for every ordered orbit pair,
-    a point stabilizer from the first orbit that is intransitive on the
-    second (one point per orbit suffices, stabilizers of orbit-mates being
-    conjugate), plus each orbit restriction equal to its own k-closure;
-    equivalent orbit restrictions share one closure computation. All the
-    closures charge the one budget.
+    require_nonabelian_simple checks exactly (a nonabelian group of order
+    above DEFAULT_ORDER_BOUND raises DegreeLimitError), and it acts
+    faithfully on every orbit. The certificate then needs, for every
+    ordered orbit pair, a point stabilizer from the first orbit that is
+    intransitive on the second (one point per orbit suffices, stabilizers
+    of orbit-mates being conjugate), plus each orbit restriction equal to
+    its own k-closure; equivalent orbit restrictions share one closure
+    computation. All the closures charge the one budget.
     """
     G = A.group
     orbs = G.orbits()

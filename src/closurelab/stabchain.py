@@ -49,7 +49,7 @@ levels are shared and never changed. So Schreier-Sims runs once per group.
 
 from __future__ import annotations
 
-from .budget import DEFAULT_MAX_DEGREE
+from .budget import DEFAULT_MAX_DEGREE, DEFAULT_ORDER_BOUND
 from .errors import DegreeLimitError, DegreeMismatchError
 from .perm import (
     Images,
@@ -97,18 +97,15 @@ def _orbit_ids(gens, degree: int) -> tuple[int, ...]:
     return tuple(ids)
 
 
-def _orbit(start, gens, act, limit: int | None = None) -> dict:
+def _orbit(start, gens, act) -> dict:
     """Breadth-first orbit of start, where act(x, g) is the image of x under
-    g: a dict keyed in order of discovery (start first); more than limit
-    points raise DegreeLimitError."""
+    g: a dict keyed in order of discovery (start first)."""
     seen = {start: None}
     queue = [start]
     for x in queue:
         for g in gens:
             y = act(x, g)
             if y not in seen:
-                if limit is not None and len(seen) >= limit:
-                    raise DegreeLimitError(f"orbit exceeds limit {limit}")
                 seen[y] = None
                 queue.append(y)
     return seen
@@ -426,14 +423,21 @@ class PermGroup:
         stab._chain = tail
         return stab
 
-    def _element_images(self, limit: int = 2_000_000) -> dict:
-        """Packed elements, keyed in order of breadth-first discovery."""
+    def _element_images(self, limit: int = DEFAULT_ORDER_BOUND) -> dict:
+        """Packed elements, keyed in order of breadth-first discovery; a
+        group of order above limit raises DegreeLimitError before any is
+        listed."""
+        order = self.order()
+        if order > limit:
+            raise DegreeLimitError(
+                f"group order {order} exceeds {limit}, the largest whose elements are listed"
+            )
         gens = [pack_images(g.images) for g in self.generators]
-        return _orbit(identity_images(self.degree), gens, compose_images, limit)
+        return _orbit(identity_images(self.degree), gens, compose_images)
 
     def elements(self, limit: int = 2_000_000):
         """All elements in the order of _element_images (identity first),
-        guarded by limit; order() is the scalable alternative."""
+        refused above order limit; order() is the scalable alternative."""
         return [Permutation(x) for x in self._element_images(limit)]
 
     def same_group(self, other: "PermGroup") -> bool:

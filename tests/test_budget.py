@@ -93,12 +93,12 @@ def _steps(report):
 
 
 def test_closure_spectrum_stops_under_a_time_cap_as_under_a_node_cap(stepping_clock):
-    # the base search behind the default k_max and the closure steps share
-    # the budget; once it is spent, no later step charges past it
+    # the closure steps share the budget; once it is spent, no later step
+    # charges past it
     A = ksubsets_action(symmetric(6), 2)
     full_budget = Budget()
     full = closure_spectrum(A, budget=full_budget)
-    assert full_budget.nodes == 20
+    assert full_budget.nodes == 16
     for cap, by_nodes, by_time in _caps(full_budget.nodes):
         report = closure_spectrum(A, budget=by_time)
         assert _steps(report) == _steps(closure_spectrum(A, budget=by_nodes))

@@ -81,6 +81,14 @@ def test_spectrum_csv(capsys):
     assert lines[2] == "D4,catalog(D4),2,8,"
 
 
+@pytest.mark.parametrize("command", ["base", "spectrum"])
+def test_csv_and_json_together_are_a_usage_error(capsys, command):
+    code, out, err = run(capsys, command, "--catalog", "D4", "--csv", "--json")
+    assert code == 1
+    assert out == ""
+    assert "not allowed with" in err
+
+
 def test_orbits_and_blocks(capsys):
     code, out, _ = run(capsys, "orbits", "--catalog", "A5")
     assert code == 0

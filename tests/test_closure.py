@@ -4,9 +4,9 @@ from itertools import product
 from math import factorial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from closurelab import closure as closure_module, stabchain
+from closurelab import stabchain
 from closurelab.actions import (
     BlockSystem,
     coset_action,
@@ -16,7 +16,7 @@ from closurelab.actions import (
     union,
 )
 from closurelab.basesize import exact_base_size
-from closurelab.budget import Budget
+from closurelab.budget import DEFAULT_ORDER_BOUND, Budget
 from closurelab.catalog import (
     alternating,
     catalog_group,
@@ -152,12 +152,12 @@ def test_k_closure_budget_caps_give_the_closure_or_a_partial_subgroup():
 
 
 def test_spectrum_budget_caps_give_the_spectrum_or_a_flagged_prefix():
-    # the base search behind the default k_max and the closure steps charge
-    # one budget; once it is spent, no later step charges past it
+    # the closure steps charge one budget; once it is spent, no later step
+    # charges past it
     A = ksubsets_action(symmetric(6), 2)
     full_budget = Budget()
     full = closure_spectrum(A, budget=full_budget)
-    assert full_budget.nodes == 20
+    assert full_budget.nodes == 16
     orders = [entry.order for entry in full.entries]
     for cap in range(full_budget.nodes + 1):
         budget = Budget(cap)
@@ -253,6 +253,10 @@ def test_closure_spectrum_a6():
 
 def test_closure_spectrum_small_groups():
     assert closure_spectrum(natural_action(group(2, "(1 2)"))).minimal_k == 1
+    for degree in (0, 1):
+        trivial = closure_spectrum(natural_action(PermGroup.trivial(degree)))
+        assert [(e.k, e.order) for e in trivial.entries] == [(1, 1)]
+        assert trivial.minimal_k == 1
     d4 = closure_spectrum(natural_action(dihedral(4)))
     assert [e.order for e in d4.entries] == [24, 8]
     assert d4.minimal_k == 2
@@ -260,19 +264,24 @@ def test_closure_spectrum_small_groups():
     assert s3.minimal_k == 1
 
 
-def test_closure_spectrum_chain_is_monotone():
-    for A in [
-        natural_action(alternating(5)),
-        ksubsets_action(symmetric(4), 2),
-        natural_action(group(5, "(1 2)(3 4 5)")),
-        psl_projective(2, 7),
-    ]:
-        report = closure_spectrum(A)
-        orders = [e.order for e in report.entries]
-        assert all(a >= b for a, b in zip(orders, orders[1:]))
-        assert all(a % b == 0 for a, b in zip(orders, orders[1:]))
-        assert report.minimal_k is not None
-        assert orders[-1] == A.group.order()
+@settings(max_examples=40, deadline=None)
+@given(generator_sets(max_degree=6).map(natural_action))
+@example(natural_action(alternating(5)))
+@example(ksubsets_action(symmetric(4), 2))
+@example(natural_action(group(5, "(1 2)(3 4 5)")))
+@example(psl_projective(2, 7))
+def test_closure_spectrum_chain_is_monotone(A):
+    # the walk has no cap of its own; the chain still bottoms out by one past
+    # a base size, and the budget holds exactly the nodes of its steps
+    budget = Budget()
+    report = closure_spectrum(A, budget=budget)
+    orders = [e.order for e in report.entries]
+    assert all(a >= b for a, b in zip(orders, orders[1:]))
+    assert all(a % b == 0 for a, b in zip(orders, orders[1:]))
+    assert report.minimal_k is not None
+    assert orders[-1] == A.group.order()
+    assert report.minimal_k <= exact_base_size(natural_action(A.group)).size + 1
+    assert budget.nodes == sum(e.nodes for e in report.entries)
 
 
 def test_closure_spectrum_respects_k_max():
@@ -308,31 +317,15 @@ def test_closure_spectrum_budget_is_shared_by_its_steps():
     assert budget.nodes == 26
 
 
-def test_closure_spectrum_default_k_max_charges_the_budget():
-    # greedy finds a base of 4 pairs, the information bound is 3, so the
-    # exact base search behind the default k_max has to search
+def test_closure_spectrum_charges_exactly_its_steps():
+    # a base search on S6 on pairs would charge nodes (greedy gives 4, the
+    # information bound 3); the walk runs none, so the budget holds the
+    # nodes of its closure steps and nothing else
     A = ksubsets_action(symmetric(6), 2)
-    base_budget = Budget()
-    assert exact_base_size(natural_action(A.group), base_budget).size == 4
-    assert base_budget.nodes > 0
     budget = Budget()
     report = closure_spectrum(A, budget=budget)
     assert report.minimal_k == 2
-    assert budget.nodes == base_budget.nodes + sum(e.nodes for e in report.entries)
-
-
-def test_closure_spectrum_hands_its_budget_to_the_base_search(monkeypatch):
-    seen = []
-    real = closure_module.exact_base_size
-
-    def spy(A, budget=None):
-        seen.append(budget)
-        return real(A, budget)
-
-    monkeypatch.setattr(closure_module, "exact_base_size", spy)
-    budget = Budget(max_seconds=60)
-    closure_spectrum(natural_action(alternating(5)), budget=budget)
-    assert seen == [budget]
+    assert budget.nodes == sum(e.nodes for e in report.entries) == 16
 
 
 def test_k_trans_honours_a_time_budget():
@@ -409,7 +402,11 @@ def test_k_trans_uncertified_when_degree_bound_is_too_small():
 def test_require_nonabelian_simple():
     require_nonabelian_simple(alternating(5))
     require_nonabelian_simple(psl_projective(2, 7).group)
-    for G in [symmetric(4), cyclic(6), alternating(4), PermGroup.trivial(3)]:
+    # two disjoint 64-cycles: abelian of order 4096, above the order bound,
+    # yet rejected from its commuting generators before any listing
+    cycles = group(128, *(f"({' '.join(map(str, r))})" for r in (range(1, 65), range(65, 129))))
+    assert cycles.order() == 4096 > DEFAULT_ORDER_BOUND
+    for G in [symmetric(4), cyclic(6), alternating(4), PermGroup.trivial(3), cycles]:
         with pytest.raises(SimplicityError):
             require_nonabelian_simple(G)
 
@@ -475,10 +472,13 @@ def test_simplicity_check_above_the_bytes_line():
 
 
 def test_simplicity_check_refuses_groups_above_the_order_bound():
-    # A8 has order 20160; the exact check enumerates elements only up to
-    # the subgroup enumeration bound of 3000
-    with pytest.raises(DegreeLimitError):
+    # A8 has order 20160; the exact check lists elements only up to order
+    # 3000, and refuses in the words the subgroup enumeration uses
+    with pytest.raises(DegreeLimitError, match=str(DEFAULT_ORDER_BOUND)) as check:
         require_nonabelian_simple(alternating(8))
+    with pytest.raises(DegreeLimitError) as enumeration:
+        subgroups_up_to_conjugacy(alternating(8))
+    assert str(check.value) == str(enumeration.value)
 
 
 def test_intransitive_certificate_two_natural_copies():

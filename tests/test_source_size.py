@@ -3,8 +3,9 @@
 Without a bytecode cache every import compiles the package from source, and
 CPython 3.11's parser peak rises by about 0.25 MB once one module passes
 4,096 tokens. Every module under that line stays under it, and no module
-keeps a private top-level name that nothing in the package uses. Only
-perm.py knows where packed images stop being bytes.
+keeps a private top-level name that nothing in the package uses, or an
+import that it never reads. Only perm.py knows where packed images stop
+being bytes.
 """
 
 import ast
@@ -73,6 +74,29 @@ def test_every_private_module_name_is_used_in_the_package():
     assert "_grow" in defined
     unused = {name: module for name, module in defined.items() if name not in used}
     assert not unused, unused
+
+
+def test_every_imported_name_is_read():
+    # an import that nothing reads is left over from a deleted call; the
+    # package's __init__ imports names to re-export them
+    unread = set()
+    for module, tree in _modules():
+        if module == "__init__":
+            continue
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+        }
+        unread |= {
+            (name, module)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+            if (name := (alias.asname or alias.name).split(".")[0]) not in read
+        }
+    assert not unread, unread
 
 
 def test_private_names_cross_modules_only_where_listed():
