@@ -25,7 +25,9 @@ class BaseRecord:
 
     exhaustive means the size is provably minimal: the exact search ran to
     completion, or the greedy size already meets the information-theoretic
-    lower bound.
+    lower bound. exact_base_size returns only exhaustive records; a search
+    that runs out of budget raises, and its partial is a non-exhaustive
+    record whose witness is still a base, so its size is an upper bound.
     """
 
     size: int
@@ -77,9 +79,10 @@ def exact_base_size(A: ActionInstance, budget: Budget | None = None) -> BaseReco
 
     Branches that cannot beat the best known size are cut using the
     information bound on the current stabilizer (its order can shrink by at
-    most a largest-orbit factor per point). If the node budget runs out the
-    best record found so far is returned flagged non-exhaustive; it is
-    still a valid base, just not a proven minimum.
+    most a largest-orbit factor per point). The record returned is always
+    exhaustive. If the budget runs out, BudgetExceededError is raised with
+    the best record found so far as its partial, flagged non-exhaustive; it
+    is still a valid base, just not a proven minimum.
 
     A point set already searched is skipped before its stabilizer is built.
     The subtree below a set depends only on the set (its stabilizer, and
@@ -141,10 +144,12 @@ def exact_base_size(A: ActionInstance, budget: Budget | None = None) -> BaseReco
 
     try:
         dfs(G)
-        exhaustive = True
-    except BudgetExceededError:
-        exhaustive = False
-    return BaseRecord(size=best_size, witness=best_witness, exhaustive=exhaustive)
+    except BudgetExceededError as exc:
+        raise BudgetExceededError(
+            f"base search stopped after {budget.nodes} nodes: {exc}",
+            partial=BaseRecord(size=best_size, witness=best_witness, exhaustive=False),
+        ) from None
+    return BaseRecord(size=best_size, witness=best_witness, exhaustive=True)
 
 
 def halasi_base(n: int) -> tuple[tuple[int, int], ...]:
@@ -205,9 +210,7 @@ def partition_base_check(n: int, a: int, b: int, budget: Budget | None = None) -
     sym_observed = sym.size == bound
     alt_observed = alt.size == bound
     consistent = (
-        sym.exhaustive
-        and alt.exhaustive
-        and sym.size <= bound
+        sym.size <= bound
         and alt.size <= bound
         and sym_observed == sym_expected
         and not alt_observed

@@ -2,12 +2,14 @@
 
 The two searches, the closure backtrack and the base-size
 branch-and-bound, charge nodes against a Budget. Exhausting the budget
-raises BudgetExceededError; there is no silent truncation anywhere in the
-package. Listing a group's elements is bounded by group order instead:
-PermGroup._element_images refuses an order above DEFAULT_ORDER_BOUND with
-DegreeLimitError before it lists one, and subgroup enumeration also refuses
-a degree past perm.py's bytes line (its elements are bytes); neither is a
-budget.
+raises BudgetExceededError, and every search built on them lets it
+propagate with the finished part of the search as its partial; no function
+returns a partial result as its answer, so there is no silent truncation
+anywhere in the package. Listing a group's elements is bounded by group
+order instead: PermGroup._element_images refuses an order above
+DEFAULT_ORDER_BOUND with DegreeLimitError before it lists one, and subgroup
+enumeration also refuses a degree past perm.py's bytes line (its elements
+are bytes); neither is a budget.
 """
 
 from __future__ import annotations

@@ -189,7 +189,7 @@ def _run_command(args) -> int:
     result: dict = {}
     lines: list[str] = []
     csv_rows = None
-    # set when a walk ran out of budget: the steps it finished are printed,
+    # set when a search ran out of budget: the part it finished is printed,
     # then this is raised, so the exit code is still 3
     exhausted: BudgetExceededError | None = None
 
@@ -232,27 +232,30 @@ def _run_command(args) -> int:
             f"gen {g}" for g in result["generators"]
         ]
     elif args.command == "spectrum":
-        report = closure_spectrum(A, k_max=args.k_max, budget=budget)
-        done = [e for e in report.entries if e.error is None]
-        if len(done) < len(report.entries):
-            exhausted = BudgetExceededError(
-                f"closure chain stopped at k {report.entries[-1].k} after {budget.nodes} nodes"
-            )
+        try:
+            report = closure_spectrum(A, k_max=args.k_max, budget=budget)
+        except BudgetExceededError as exc:
+            exhausted, report = exc, exc.partial
+        # "error" stays in the --json schema, always null: a step that ran out
+        # is not an entry
         result = {
             "minimal_k": report.minimal_k,
             "entries": [
-                {"k": e.k, "order": e.order, "nodes": e.nodes, "error": e.error}
-                for e in done
+                {"k": e.k, "order": e.order, "nodes": e.nodes, "error": None}
+                for e in report.entries
             ],
         }
-        lines = [f"k {e.k}: order {e.order}" for e in done]
+        lines = [f"k {e.k}: order {e.order}" for e in report.entries]
         if exhausted is None:
             lines.append(f"minimal k: {report.minimal_k}")
         csv_rows = [["group", "action", "k", "order", "error"]] + [
-            [name, A.provenance, e.k, e.order, ""] for e in done
+            [name, A.provenance, e.k, e.order, ""] for e in report.entries
         ]
     elif args.command == "base":
-        record = greedy_base(A) if args.greedy else exact_base_size(A, budget)
+        try:
+            record = greedy_base(A) if args.greedy else exact_base_size(A, budget)
+        except BudgetExceededError as exc:
+            exhausted, record = exc, exc.partial
         result = {
             "size": record.size,
             "exhaustive": record.exhaustive,
@@ -271,8 +274,6 @@ def _run_command(args) -> int:
         try:
             value, cert = k_trans(A.group, args.max_degree, budget=budget)
         except BudgetExceededError as exc:
-            if exc.partial is None:
-                raise
             exhausted, value, cert = exc, None, exc.partial
         result = {
             "k": value,

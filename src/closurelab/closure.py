@@ -13,7 +13,6 @@ transitive actions.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
@@ -227,8 +226,6 @@ class ClosureEntry:
     order: int
     generators: tuple[Permutation, ...]
     nodes: int
-    elapsed_ms: int
-    error: str | None = None
 
 
 @dataclass(frozen=True)
@@ -250,8 +247,8 @@ def closure_spectrum(
     at k = degree, where k_closure returns the group; so the default k_max
     is the degree, and the walk runs no base search. Every step charges the
     one budget, and each entry records the nodes its own step used. A step
-    that exhausts the budget is recorded with the partial lower-bound
-    subgroup and the walk stops.
+    that exhausts the budget raises BudgetExceededError whose partial is
+    the ClosureReport of the steps finished before it, with minimal_k None.
     """
     G = A.group
     if budget is None:
@@ -261,33 +258,29 @@ def closure_spectrum(
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     target = G.order()
+    description = f"{A.provenance}, degree {A.degree}, group order {target}"
     entries: list[ClosureEntry] = []
     minimal_k = None
     for k in range(1, k_max + 1):
         nodes_before = budget.nodes
-        t0 = time.monotonic()
-        error = None
         try:
             H = k_closure(A, k, budget=budget)
         except BudgetExceededError as exc:
-            H = exc.partial
-            error = "budget exceeded"
+            raise BudgetExceededError(
+                f"closure chain stopped at k {k}: {exc}",
+                partial=ClosureReport(action=description, entries=tuple(entries), minimal_k=None),
+            ) from None
         entries.append(
             ClosureEntry(
                 k=k,
                 order=H.order(),
                 generators=tuple(H.generators),
                 nodes=budget.nodes - nodes_before,
-                elapsed_ms=int((time.monotonic() - t0) * 1000),
-                error=error,
             )
         )
-        if error is not None:
-            break
         if H.order() == target:
             minimal_k = k
             break
-    description = f"{A.provenance}, degree {A.degree}, group order {G.order()}"
     return ClosureReport(action=description, entries=tuple(entries), minimal_k=minimal_k)
 
 
@@ -352,24 +345,28 @@ def k_trans(
     entries: list[KTransEntry] = []
     exact_max = 0
     bound_max = 0
+
+    def certificate(k: int, certified: bool, note: str) -> KTransCertificate:
+        entries.sort(key=lambda e: (e.degree, e.point_stabilizer_order))
+        return KTransCertificate(k=k, certified=certified, entries=tuple(entries), note=note)
+
     for H in subgroups_up_to_conjugacy(G):
         A = coset_action(G, H)
         if not A.faithful:
             continue
         if A.degree <= degree_bound:
-            report = closure_spectrum(A, budget=budget)
-            if report.minimal_k is None:
-                entries.sort(key=lambda e: (e.degree, e.point_stabilizer_order))
+            try:
+                report = closure_spectrum(A, budget=budget)
+            except BudgetExceededError as exc:
                 raise BudgetExceededError(
-                    f"closure chain of the degree-{A.degree} action did not finish in budget",
-                    partial=KTransCertificate(
-                        k=exact_max,
-                        certified=False,
-                        entries=tuple(entries),
-                        note="partial: the budget ran out; k is the largest exact "
+                    f"the degree-{A.degree} action's walk stopped: {exc}",
+                    partial=certificate(
+                        exact_max,
+                        False,
+                        "partial: the budget ran out; k is the largest exact "
                         "value among the finished actions, a lower bound",
                     ),
-                )
+                ) from None
             kind, value = "exact", report.minimal_k
             exact_max = max(exact_max, value)
         else:
@@ -387,10 +384,7 @@ def k_trans(
         if certified
         else "upper bound only: some action above the degree bound could exceed the exact maximum"
     )
-    entries.sort(key=lambda e: (e.degree, e.point_stabilizer_order))
-    return value, KTransCertificate(
-        k=value, certified=certified, entries=tuple(entries), note=note
-    )
+    return value, certificate(value, certified, note)
 
 
 # ---------------------------------------------------------------------------
@@ -537,10 +531,11 @@ class LemmaCheckReport:
     The two attested flags record facts supplied by the caller (trivial
     outer automorphism group; maximality in the alternating group) that are
     not computed here. status is "confirmed" when the predicted closure
-    collapse was verified by search, "predicted, unconfirmed" when the
-    verifying search ran out of budget, "hypotheses-not-applicable" for the
-    full symmetric or alternating group, and "hypotheses-fail" when a
-    computable hypothesis or an attestation is missing.
+    collapse was verified by search, "prediction-fails" when the computed
+    closures differ from it, "hypotheses-not-applicable" for the full
+    symmetric or alternating group, and "hypotheses-fail" when a computable
+    hypothesis or an attestation is missing. A closure search that runs out
+    of budget raises BudgetExceededError instead of giving a report.
     """
 
     status: str
@@ -615,17 +610,7 @@ def complete_lemma_check(
         if not G.contains(candidate):
             witness = candidate
             break
-    try:
-        closure_k1 = k_closure(A, k + 1, budget=budget)
-    except BudgetExceededError:
-        return report(
-            "predicted, unconfirmed",
-            m,
-            ck=ck,
-            witness=witness,
-            detail="the (k+1)-closure search exhausted its node budget",
-        )
-    ck1 = closure_k1.order()
+    ck1 = k_closure(A, k + 1, budget=budget).order()
     if ck == full and ck1 == G.order():
         return report(
             "confirmed",

@@ -52,9 +52,13 @@ class SimplicityError(ClosureLabError):
 class BudgetExceededError(ClosureLabError):
     """A search ran out of nodes or time.
 
-    partial carries whatever lower bound the search had established when it
-    stopped (for closures: a subgroup of the true closure). It is never the
-    final answer and callers must not present it as one.
+    partial carries the finished part of the search. For a closure it is
+    the subgroup found so far, a lower bound; for a closure chain, the
+    ClosureReport of the steps finished before the one that ran out; for a
+    base search, the best base so far, a BaseRecord flagged non-exhaustive
+    whose size is an upper bound; for k_trans, an uncertified certificate
+    of the actions finished so far. It is never the final answer and
+    callers must not present it as one.
     """
 
     def __init__(self, message: str, partial=None):

@@ -23,7 +23,7 @@ from closurelab.basesize import (
 )
 from closurelab.budget import Budget
 from closurelab.catalog import alternating, dihedral, mathieu, symmetric
-from closurelab.errors import NotFaithfulError
+from closurelab.errors import BudgetExceededError, NotFaithfulError
 from closurelab.perm import Permutation, parse_cycles
 from closurelab.stabchain import PermGroup
 
@@ -207,27 +207,33 @@ def test_children_cut_by_their_parent_build_no_chain(monkeypatch):
     assert builds == [362880]
 
 
-def test_budget_caps_give_the_full_result_or_a_flagged_base():
+def test_budget_caps_give_the_full_result_or_raise_with_a_base():
     A = ksubsets_action(symmetric(6), 2)
     full_budget = Budget()
     full = exact_base_size(A, full_budget)
     assert full.exhaustive and full_budget.nodes > 1
     for cap in range(full_budget.nodes + 1):
         budget = Budget(cap)
-        rec = exact_base_size(A, budget)
-        if rec.exhaustive:
-            assert rec == full
-        else:
-            assert budget.nodes <= cap + 1
+        try:
+            rec = exact_base_size(A, budget)
+        except BudgetExceededError as exc:
+            rec = exc.partial
+            assert not rec.exhaustive
             assert len(rec.witness) == rec.size >= full.size
             assert A.group.pointwise_stabilizer(rec.witness).order() == 1
-    assert not exact_base_size(A, Budget(full_budget.nodes - 1)).exhaustive
+        else:
+            assert rec == full
+            assert cap == full_budget.nodes
+        assert budget.nodes <= cap + 1
 
 
 def test_budget_exhaustion_falls_back_to_greedy_quality():
     A = ksubsets_action(symmetric(6), 2)
-    rec = exact_base_size(A, budget=Budget(2))
-    assert not rec.exhaustive
+    with pytest.raises(BudgetExceededError) as info:
+        exact_base_size(A, budget=Budget(2))
+    rec = info.value.partial
+    greedy = greedy_base(A)
+    assert rec == BaseRecord(greedy.size, greedy.witness, exhaustive=False)
     assert rec.size >= exact_base_size(A).size
     assert A.group.pointwise_stabilizer(rec.witness).order() == 1
 

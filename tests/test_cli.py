@@ -254,6 +254,26 @@ def test_spectrum_budget_is_per_invocation(capsys):
     assert "budget exceeded" in err
 
 
+def test_base_prints_its_best_base_when_the_budget_runs_out(capsys):
+    # greedy gives 4 points and the information bound only 3, so the search
+    # must run to prove 4 minimal, and one node does not let it
+    code, out, err = run(capsys, "base", "--catalog", "S6", "--action", "ksubsets:2",
+                         "--budget-nodes", "1")
+    assert code == 3
+    assert out == "size 4\nwitness {1,2} {1,3} {1,4} {1,5}\nexhaustive no\n"
+    assert "budget exceeded" in err
+
+
+@pytest.mark.parametrize("suite", ["halasi-bases", "partition-bases", "base-reduction"])
+def test_a_suite_whose_search_runs_out_exits_three(capsys, monkeypatch, suite):
+    # a base search that runs out is neither a pass on an upper bound nor a
+    # failed claim
+    monkeypatch.setenv("CLOSURELAB_BUDGET_NODES", "0")
+    code, _, err = run(capsys, "verify", "--suite", suite)
+    assert code == 3
+    assert "budget exceeded" in err
+
+
 def test_ktrans_honours_budget_seconds(capsys):
     code, out, err = run(capsys, "ktrans", "--catalog", "A5", "--max-degree", "12",
                          "--budget-seconds", "0.000001")

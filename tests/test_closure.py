@@ -151,26 +151,19 @@ def test_k_closure_budget_caps_give_the_closure_or_a_partial_subgroup():
         assert budget.nodes <= cap + 1
 
 
-def test_spectrum_budget_caps_give_the_spectrum_or_a_flagged_prefix():
+def test_spectrum_budget_caps_give_the_spectrum_or_raise_with_a_prefix():
     # the closure steps charge one budget; once it is spent, no later step
     # charges past it
     A = ksubsets_action(symmetric(6), 2)
-    full_budget = Budget()
-    full = closure_spectrum(A, budget=full_budget)
-    assert full_budget.nodes == 16
-    orders = [entry.order for entry in full.entries]
-    for cap in range(full_budget.nodes + 1):
-        budget = Budget(cap)
-        report = closure_spectrum(A, budget=budget)
-        got = [entry.order for entry in report.entries]
-        if report.entries[-1].error is None:
-            assert got == orders
-            assert report.minimal_k == full.minimal_k
+    full, outcomes = _every_cap(lambda b: closure_spectrum(A, budget=b), 16)
+    for out in outcomes:
+        if isinstance(out, BudgetExceededError):
+            done = len(out.partial.entries)
+            assert done < len(full.entries)
+            assert out.partial.entries == full.entries[:done]
+            assert out.partial.minimal_k is None
         else:
-            assert report.entries[-1].error == "budget exceeded"
-            assert got[:-1] == orders[: len(got) - 1]
-            assert report.minimal_k is None
-        assert budget.nodes <= cap + 1
+            assert out == full
 
 
 @pytest.mark.parametrize("name,k,nodes",[("M22", 6, 164), ("M23", 7, 165), ("M24", 8, 166)])
@@ -242,7 +235,6 @@ def test_closure_spectrum_a5():
     assert [e.order for e in report.entries] == [120, 120, 120, 60]
     assert report.minimal_k == 4
     assert [e.k for e in report.entries] == [1, 2, 3, 4]
-    assert all(e.error is None for e in report.entries)
 
 
 def test_closure_spectrum_a6():
@@ -297,22 +289,28 @@ def test_closure_spectrum_entry_generators_regenerate():
 
 
 def test_closure_spectrum_budget_exhaustion_is_recorded():
-    report = closure_spectrum(natural_action(alternating(5)), budget=Budget(2))
-    last = report.entries[-1]
-    assert last.error == "budget exceeded"
+    # k = 1 to 3 are shortcuts that charge nothing; the k = 4 backtrack runs out
+    with pytest.raises(BudgetExceededError, match="stopped at k 4") as info:
+        closure_spectrum(natural_action(alternating(5)), budget=Budget(2))
+    report = info.value.partial
+    assert [(e.k, e.order, e.nodes) for e in report.entries] == [
+        (1, 120, 0),
+        (2, 120, 0),
+        (3, 120, 0),
+    ]
     assert report.minimal_k is None
-    assert last.order >= 1
 
 
 def test_closure_spectrum_budget_is_shared_by_its_steps():
     # k = 3 would take 12 nodes after the 19 of k = 2
     budget = Budget(25)
-    report = closure_spectrum(ksubsets_action(alternating(5), 2), budget=budget)
-    assert [(e.k, e.order, e.nodes, e.error) for e in report.entries[:2]] == [
-        (1, 3628800, 0, None),
-        (2, 120, 19, None),
+    with pytest.raises(BudgetExceededError) as info:
+        closure_spectrum(ksubsets_action(alternating(5), 2), budget=budget)
+    report = info.value.partial
+    assert [(e.k, e.order, e.nodes) for e in report.entries] == [
+        (1, 3628800, 0),
+        (2, 120, 19),
     ]
-    assert report.entries[2].error == "budget exceeded"
     assert report.minimal_k is None
     assert budget.nodes == 26
 
@@ -585,8 +583,8 @@ def test_complete_lemma_check_charges_the_given_budget():
     first = complete_lemma_check(A, 2, out_trivial=True, maximal_in_alt=True, budget=budget)
     assert first.status == "confirmed"
     assert budget.nodes == 19
-    second = complete_lemma_check(A, 2, out_trivial=True, maximal_in_alt=True, budget=budget)
-    assert second.status == "predicted, unconfirmed"
+    with pytest.raises(BudgetExceededError):
+        complete_lemma_check(A, 2, out_trivial=True, maximal_in_alt=True, budget=budget)
 
 
 def _every_cap(run, nodes):
@@ -633,22 +631,13 @@ def _d6_block_lemma(blocks, k):
     (_d6_block_lemma([[0, 3], [1, 4], [2, 5]], 3), 6),
     (lambda b: intransitive_certificate(_a5_natural_plus_pairs(), 4, budget=b), 18),
     (lambda b: restriction_lemma_check(_a5_natural_plus_pairs(), 3, budget=b), 32),
-], ids=["block-D6-2blocks", "block-D6-3blocks", "intransitive-A5", "restriction-A5"])
+    (lambda b: complete_lemma_check(
+        mathieu("M11"), 4, out_trivial=True, maximal_in_alt=True, budget=b), 32),
+], ids=["block-D6-2blocks", "block-D6-3blocks", "intransitive-A5", "restriction-A5",
+        "complete-M11"])
 def test_lemma_check_budget_caps_give_the_answer_or_raise(run, nodes):
     full, outcomes = _every_cap(run, nodes)
     assert all(isinstance(out, BudgetExceededError) or out == full for out in outcomes)
-
-
-def test_complete_lemma_check_budget_caps_give_the_report_or_no_confirmation():
-    A = mathieu("M11")
-    full, outcomes = _every_cap(
-        lambda b: complete_lemma_check(A, 4, out_trivial=True, maximal_in_alt=True, budget=b), 32
-    )
-    for out in outcomes:
-        if isinstance(out, BudgetExceededError) or out == full:
-            continue
-        assert out.status == "predicted, unconfirmed"
-        assert out.closure_order_at_k == full.closure_order_at_k
 
 
 def test_complete_lemma_check_confirms_psl27():

@@ -5,7 +5,7 @@ CPython 3.11's parser peak rises by about 0.25 MB once one module passes
 4,096 tokens. Every module under that line stays under it, and no module
 keeps a private top-level name that nothing in the package uses, or an
 import that it never reads. Only perm.py knows where packed images stop
-being bytes.
+being bytes, and only the command line ends a budget error without raising.
 """
 
 import ast
@@ -145,3 +145,35 @@ def test_only_perm_and_harness_know_the_bytes_line():
         if isinstance(node, ast.Constant) and type(node.value) is int and node.value == 256
     }
     assert holders == {"perm", "harness"}
+
+
+def _handlers(node, where):
+    """(function, handler) for every except clause under node, named by the
+    innermost function around it."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _handlers(child, child.name)
+            continue
+        if isinstance(child, ast.ExceptHandler):
+            yield where, child
+        yield from _handlers(child, where)
+
+
+def test_only_the_cli_ends_a_budget_error_without_raising():
+    # a search that runs out raises with its finished part; a handler that
+    # ends without raising returns that part as if it were the answer. The
+    # command line prints the finished part, then raises to exit 3.
+    handlers = [
+        (module, function, handler)
+        for module, tree in _modules()
+        if module != "cli"
+        for function, handler in _handlers(tree, None)
+        if handler.type is not None and "BudgetExceededError" in ast.unparse(handler.type)
+    ]
+    assert {module for module, _, _ in handlers} >= {"closure", "basesize"}
+    swallowing = {
+        (module, function)
+        for module, function, handler in handlers
+        if not isinstance(handler.body[-1], ast.Raise)
+    }
+    assert not swallowing, swallowing
