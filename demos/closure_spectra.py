@@ -37,5 +37,6 @@ print("== The closure number over every faithful transitive action ==")
 value, cert = k_trans(catalog_group("A5").group, degree_bound=12)
 print(f"  A5: largest minimal closure index = {value} (certified: {cert.certified})")
 for entry in cert.entries:
-    print(f"    degree {entry.degree:3d}: {entry.kind} {entry.value}")
-print("  the natural degree-5 action is the hardest one to close")
+    print(f"    degree {entry.degree:3d}: {entry.kind} {entry.value} ({entry.source})")
+print("  the natural degree-5 action is the hardest one to close; the wide")
+print("  actions take their bounds from the bases of overgroups' actions")

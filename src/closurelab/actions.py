@@ -445,7 +445,17 @@ def setwise_block_stabilizer(A: ActionInstance, S: BlockSystem, block_indices) -
 
 
 def subgroups_up_to_conjugacy(G: PermGroup) -> list[PermGroup]:
-    """One representative per conjugacy class of subgroups, sorted by order.
+    """One representative per conjugacy class of subgroups, sorted by
+    order: the classes of subgroup_lattice(G)."""
+    return subgroup_lattice(G)[0]
+
+
+def subgroup_lattice(G: PermGroup) -> tuple[list[PermGroup], list[tuple[int, ...]]]:
+    """One representative per conjugacy class of subgroups, sorted by
+    order, and over: over[i] lists the classes j of the proper extensions
+    <H_i, x> the scan registers or finds, so H_i lies in a member of class
+    j. A class other than G with an empty over list has G as its only
+    extension, so it is maximal.
 
     Starts from the trivial group and closes under single-element extension
     of class representatives, so the trivial group's extensions are the
@@ -486,14 +496,16 @@ def subgroups_up_to_conjugacy(G: PermGroup) -> list[PermGroup]:
         g, inverse = pair
         return frozenset(g.translate(translation_table(h.translate(inverse))) for h in K)
 
-    known = set()
+    # every member of a known class, mapped to the class's place in reps
+    known = {}
     reps = []
+    over = []
 
     def register(H, seed_gens):
         if H in known:
-            return
+            return known[H]
         cls = _orbit(H, conjugators, conjugate)
-        known.update(cls)
+        known.update(dict.fromkeys(cls, len(reps)))
         canon = min(cls, key=sorted)
         if canon is not H:
             # regenerate a small generating list for the canonical member
@@ -503,10 +515,12 @@ def subgroups_up_to_conjugacy(G: PermGroup) -> list[PermGroup]:
                     seed_gens.append(x)
                     H = generated(seed_gens)
         reps.append((canon, seed_gens))
+        return known[canon]
 
     register(frozenset([identity]), [])
     # reps grows while it is walked, as a breadth-first queue
     for H, H_gens in reps:
+        over.append(set())
         if len(H) == N:
             continue
         tables = list(map(translation_table, H_gens))
@@ -535,10 +549,12 @@ def subgroups_up_to_conjugacy(G: PermGroup) -> list[PermGroup]:
             if build_chain(degree, K_gens, known_order=N).order() == N:
                 register(whole, K_gens)
             else:
-                register(generated(K_gens), K_gens)
+                over[-1].add(register(generated(K_gens), K_gens))
 
-    reps.sort(key=lambda item: (len(item[0]), sorted(item[0])))
-    return [
-        PermGroup(degree, [Permutation(g) for g in H_gens], known_order=len(H))
-        for H, H_gens in reps
+    order = sorted(range(len(reps)), key=lambda c: (len(reps[c][0]), sorted(reps[c][0])))
+    place = {c: i for i, c in enumerate(order)}
+    groups = [
+        PermGroup(degree, [Permutation(g) for g in reps[c][1]], known_order=len(reps[c][0]))
+        for c in order
     ]
+    return groups, [tuple(sorted(place[j] for j in over[c])) for c in order]

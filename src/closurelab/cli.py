@@ -285,6 +285,7 @@ def _run_command(args) -> int:
                     "point_stabilizer_order": e.point_stabilizer_order,
                     "kind": e.kind,
                     "value": e.value,
+                    "source": e.source,
                 }
                 for e in cert.entries
             ],
@@ -323,9 +324,17 @@ def _run_command(args) -> int:
 
 
 def _run_verify(args) -> int:
-    result = run_suite(args.suite)
+    # set when a claim's search ran out: the claims finished before it are
+    # printed without a suite verdict, then this is raised to exit 3
+    exhausted: BudgetExceededError | None = None
+    try:
+        result = run_suite(args.suite)
+    except BudgetExceededError as exc:
+        exhausted, result = exc, exc.partial
     if args.json:
         payload = result.to_dict()
+        if exhausted is not None:
+            payload["passed"] = None
         if not args.timings:
             for claim in payload["claims"]:
                 claim["elapsed_ms"] = 0
@@ -335,7 +344,10 @@ def _run_verify(args) -> int:
             status = "pass" if c.passed else "FAIL"
             print(f"[{status}] {c.claim_id}: expected {c.expected}, got {c.computed}")
             print(f"       {c.citation}")
-        print(f"suite {result.suite}: {'pass' if result.passed else 'FAIL'}")
+        if exhausted is None:
+            print(f"suite {result.suite}: {'pass' if result.passed else 'FAIL'}")
+    if exhausted is not None:
+        raise exhausted
     return 0 if result.passed else 2
 
 

@@ -28,7 +28,7 @@ from .actions import (
     quotient_action,
     restriction,
     setwise_block_stabilizer,
-    subgroups_up_to_conjugacy,
+    subgroup_lattice,
     transitivity_degree,
 )
 from .basesize import greedy_base
@@ -290,12 +290,20 @@ def closure_spectrum(
 
 @dataclass(frozen=True)
 class KTransEntry:
-    """One faithful transitive action examined by k_trans."""
+    """One faithful transitive action examined by k_trans.
+
+    kind "exact" is the minimal closure index of the action's own walk;
+    "bound" is one past a base size, an upper bound for it. source is
+    "own" when the action itself gave the value, else it names the
+    overgroup class, as point stabilizer order and degree, whose base
+    bounded it.
+    """
 
     degree: int
     point_stabilizer_order: int
     kind: str  # "exact" or "bound"
     value: int
+    source: str = "own"
 
 
 @dataclass(frozen=True)
@@ -303,7 +311,7 @@ class KTransCertificate:
     """Evidence for a closure-number computation.
 
     certified means every action too large for an exact walk had its
-    greedy upper bound dominated by some exact value, so k is the true
+    upper bound dominated by some exact value, so k is the true
     maximum; otherwise k is only an upper bound for it.
     """
 
@@ -317,20 +325,27 @@ def k_trans(
     G: PermGroup, degree_bound: int, budget: Budget | None = None
 ) -> tuple[int, KTransCertificate]:
     """Largest minimal closure index over the faithful transitive actions
-    of G, one per equivalence class.
+    of G, one per equivalence class: the actions on the cosets of the
+    subgroup classes of subgroup_lattice, faithful exactly when the class
+    is core-free.
 
-    Actions are the coset actions on subgroups H enumerated up to
-    conjugacy. Each is built and asked whether it is faithful, which holds
-    exactly when H is core-free; the image's chain stops once it reaches
-    |G| and serves the walks and bounds that follow.
-    Those of degree at most degree_bound get an exact closure chain walk,
-    all of them charging the one budget; larger ones get the cheap upper
-    bound one-past-greedy-base.
+    First, in ascending order of the class list, each class of index at
+    most degree_bound has its coset action built; a faithful one gets an
+    exact closure chain walk, all of them charging the one budget, and its
+    greedy base size is recorded. Then the wider classes, in descending
+    order, get the bound one past a base size. If H lies in a core-free
+    K, with base Kg_1, ..., Kg_b of G on the cosets of K, the H^{g_i}
+    meet inside the K^{g_i}, trivially; so H is core-free and b(G/H) is
+    at most b(G/K). A class takes the least recorded base of its
+    overgroup classes, and builds its own action and greedy base only when
+    it inherits none, or when the inherited base plus one exceeds the
+    exact maximum; then the smaller base is recorded for it.
+
     When no bound exceeds the best exact value the result is certified
     exact; otherwise it is the largest of all the per-action values, an
     upper bound. A walk that exhausts the budget raises
-    BudgetExceededError whose partial is an uncertified certificate of the
-    actions finished so far.
+    BudgetExceededError whose partial is an uncertified certificate of
+    the exact walks finished so far; it holds no bound entry.
     """
     if G.order() == 1:
         cert = KTransCertificate(
@@ -342,41 +357,59 @@ def k_trans(
         return 1, cert
     if budget is None:
         budget = Budget()
+    N = G.order()
+    classes, over = subgroup_lattice(G)
     entries: list[KTransEntry] = []
+    # class index -> (recorded base size, the source naming that class)
+    base: dict[int, tuple[int, str]] = {}
     exact_max = 0
-    bound_max = 0
 
     def certificate(k: int, certified: bool, note: str) -> KTransCertificate:
         entries.sort(key=lambda e: (e.degree, e.point_stabilizer_order))
         return KTransCertificate(k=k, certified=certified, entries=tuple(entries), note=note)
 
-    for H in subgroups_up_to_conjugacy(G):
+    def record(i: int, kind: str, value: int, size: int, source: str = "own") -> None:
+        H = classes[i]
+        entries.append(KTransEntry(N // H.order(), H.order(), kind, value, source))
+        base[i] = size, f"overgroup of order {H.order()}, degree {N // H.order()}"
+
+    for i, H in enumerate(classes):
+        if N // H.order() > degree_bound:
+            continue
         A = coset_action(G, H)
         if not A.faithful:
             continue
-        if A.degree <= degree_bound:
-            try:
-                report = closure_spectrum(A, budget=budget)
-            except BudgetExceededError as exc:
-                raise BudgetExceededError(
-                    f"the degree-{A.degree} action's walk stopped: {exc}",
-                    partial=certificate(
-                        exact_max,
-                        False,
-                        "partial: the budget ran out; k is the largest exact "
-                        "value among the finished actions, a lower bound",
-                    ),
-                ) from None
-            kind, value = "exact", report.minimal_k
-            exact_max = max(exact_max, value)
-        else:
-            kind, value = "bound", greedy_base(A).size + 1
-            bound_max = max(bound_max, value)
-        entries.append(
-            KTransEntry(
-                degree=A.degree, point_stabilizer_order=H.order(), kind=kind, value=value
-            )
-        )
+        try:
+            report = closure_spectrum(A, budget=budget)
+        except BudgetExceededError as exc:
+            raise BudgetExceededError(
+                f"the degree-{A.degree} action's walk stopped: {exc}",
+                partial=certificate(
+                    exact_max,
+                    False,
+                    "partial: the budget ran out; k is the largest exact "
+                    "value among the finished actions, a lower bound",
+                ),
+            ) from None
+        exact_max = max(exact_max, report.minimal_k)
+        record(i, "exact", report.minimal_k, greedy_base(A).size)
+    bound_max = 0
+    for i in reversed(range(len(classes))):
+        H = classes[i]
+        if N // H.order() <= degree_bound:
+            continue
+        # only core-free classes have a recorded base; with none inherited,
+        # N exceeds every base size, so the class builds its own action
+        size, source = min((base[j] for j in over[i] if j in base), default=(N, ""))
+        if size + 1 > exact_max:
+            A = coset_action(G, H)
+            if not A.faithful:
+                continue
+            own = greedy_base(A).size
+            if own < size:
+                size, source = own, "own"
+        bound_max = max(bound_max, size + 1)
+        record(i, "bound", size + 1, size, source)
     certified = bound_max <= exact_max
     value = exact_max if certified else max(exact_max, bound_max)
     note = (

@@ -57,8 +57,9 @@ class BudgetExceededError(ClosureLabError):
     ClosureReport of the steps finished before the one that ran out; for a
     base search, the best base so far, a BaseRecord flagged non-exhaustive
     whose size is an upper bound; for k_trans, an uncertified certificate
-    of the actions finished so far. It is never the final answer and
-    callers must not present it as one.
+    of the exact walks finished so far; for a suite, the SuiteResult of the
+    claims finished before the one that ran out. It is never the final
+    answer and callers must not present it as one.
     """
 
     def __init__(self, message: str, partial=None):

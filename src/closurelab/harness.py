@@ -33,7 +33,7 @@ from .closure import (
     k_trans,
     restriction_lemma_check,
 )
-from .errors import DegreeLimitError, ValidationError
+from .errors import BudgetExceededError, DegreeLimitError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -95,9 +95,11 @@ class SuiteResult:
 class _Recorder:
     def __init__(self):
         self.claims: list[Claim] = []
+        self.running = ""
 
     def claim(self, claim_id: str, citation: str, expected, compute) -> None:
         """Record one claim; expected is a value or a callable, timed with compute."""
+        self.running = claim_id
         t0 = time.monotonic()
         if callable(expected):
             expected = expected()
@@ -256,8 +258,10 @@ def _suite_halasi_bases(rec: _Recorder) -> None:
         rec.claim(
             f"{name.lower()}-{k}subsets",
             cite,
-            (expected, True),
-            lambda name=name, k=k: _base_verdict(ksubsets_action(catalog_group(name).group, k)),
+            expected,
+            lambda name=name, k=k: exact_base_size(
+                ksubsets_action(catalog_group(name).group, k)
+            ).size,
         )
     for n in range(5, 10):
         rec.claim(
@@ -295,8 +299,8 @@ def _suite_psl_bases(rec: _Recorder) -> None:
             "on projective points the special linear group needs one more base "
             "point than its matrix dimension over the field of two elements, "
             "and exactly the dimension otherwise",
-            (expected, True),
-            lambda n=n, q=q: _base_verdict(psl_projective(n, q)),
+            expected,
+            lambda n=n, q=q: exact_base_size(psl_projective(n, q)).size,
         )
         rec.claim(
             f"psl-{n}-{q}-witness",
@@ -305,12 +309,6 @@ def _suite_psl_bases(rec: _Recorder) -> None:
             (expected, "trivial stabilizer"),
             lambda n=n, q=q: _psl_witness_summary(n, q),
         )
-
-
-def _base_verdict(A):
-    """Exact base size and whether the search behind it was exhaustive."""
-    r = exact_base_size(A)
-    return (r.size, r.exhaustive)
 
 
 def _halasi_summary(n: int) -> str:
@@ -353,8 +351,8 @@ def _suite_m24_base(rec: _Recorder) -> None:
         "m24-exact-base",
         "the degree-24 Mathieu action has minimal base size 7, met with an "
         "exhaustive search certificate",
-        (7, True),
-        lambda: _base_verdict(catalog_group("M24")),
+        7,
+        lambda: exact_base_size(catalog_group("M24")).size,
     )
 
 
@@ -388,7 +386,7 @@ def _monotone_facts(A):
     orders = [e.order for e in report.entries]
     descending = all(x >= y for x, y in zip(orders, orders[1:]))
     divisible = all(x % y == 0 for x, y in zip(orders, orders[1:]))
-    reaches = report.minimal_k is not None and orders[-1] == A.group.order()
+    reaches = orders[-1] == A.group.order()
     return (
         "descending" if descending else f"not descending: {orders}",
         "divisible" if divisible else f"not divisible: {orders}",
@@ -589,7 +587,9 @@ def run_suite(name: str) -> SuiteResult:
     """Run one named suite and return its report.
 
     Unknown names raise ValueError. A suite that records no claims is a
-    registration error.
+    registration error. A claim whose search runs out raises
+    BudgetExceededError naming that claim, whose partial is the SuiteResult
+    of the claims finished before it.
     """
     try:
         fn = _SUITES[name]
@@ -598,7 +598,12 @@ def run_suite(name: str) -> SuiteResult:
             f"unknown suite {name!r}; registered: {', '.join(suite_names())}"
         ) from None
     rec = _Recorder()
-    fn(rec)
+    try:
+        fn(rec)
+    except BudgetExceededError as exc:
+        raise BudgetExceededError(
+            f"claim {rec.running} stopped: {exc}", partial=SuiteResult(name, tuple(rec.claims))
+        ) from None
     if not rec.claims:
         raise RuntimeError(f"suite {name!r} registered no claims")
     return SuiteResult(suite=name, claims=tuple(rec.claims))

@@ -24,6 +24,7 @@ from closurelab.actions import (
     quotient_action,
     restriction,
     setwise_block_stabilizer,
+    subgroup_lattice,
     subgroups_up_to_conjugacy,
     transitivity_degree,
     union,
@@ -47,6 +48,8 @@ from oracles import (
     brute_maximal_block_systems,
     brute_setwise_stabilizer,
     brute_transitivity_degree,
+    inv,
+    mul,
 )
 from test_harness import generator_sets
 
@@ -459,6 +462,27 @@ def test_subgroup_classes_match_brute_enumeration():
         rep_sets = [frozenset(p.images for p in H.elements()) for H in reps]
         for cls in want:
             assert sum(1 for r in rep_sets if r in cls) == 1
+
+
+@pytest.mark.parametrize("name", ["S4", "A5", "S5", "PSL(2,7)", "A6"])
+def test_subgroup_lattice_records_overgroups_and_maximal_classes(name):
+    # over[i] holds class j only if a conjugate of H_j contains H_i, checked
+    # on element sets; a class other than G is maximal, so that its coset
+    # action is primitive, exactly when the scan found no proper extension
+    G = catalog_group(name).group
+    elems = brute_elements([g.images for g in G.generators], G.degree)
+    classes, over = subgroup_lattice(G)
+    assert [H.generators for H in classes] == [
+        H.generators for H in subgroups_up_to_conjugacy(G)
+    ]
+    sets = [frozenset(p.images for p in H.elements()) for H in classes]
+    top = len(classes) - 1
+    assert len(sets[top]) == len(elems) and over[top] == ()
+    for i, above in enumerate(over[:top]):
+        for j in above:
+            assert i < j < top
+            assert any(sets[i] <= {mul(mul(inv(g), k), g) for k in sets[j]} for g in elems)
+        assert is_primitive(coset_action(G, classes[i])) == (not above)
 
 
 def _forbid_listing(monkeypatch, why):

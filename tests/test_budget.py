@@ -16,8 +16,8 @@ from closurelab import budget as budget_module
 from closurelab.actions import ksubsets_action
 from closurelab.basesize import exact_base_size
 from closurelab.budget import Budget
-from closurelab.catalog import alternating, symmetric
-from closurelab.closure import closure_spectrum, k_closure
+from closurelab.catalog import alternating, catalog_group, symmetric
+from closurelab.closure import closure_spectrum, k_closure, k_trans
 from closurelab.errors import BudgetExceededError
 
 
@@ -114,3 +114,29 @@ def test_closure_spectrum_stops_under_a_time_cap_as_under_a_node_cap(stepping_cl
             assert report.entries == full.entries[:done]
             assert report.minimal_k is None
 
+
+@pytest.mark.parametrize("name,degree_bound", [("A5", 12), ("S4", 8)])
+def test_k_trans_stops_under_a_time_cap_as_under_a_node_cap(stepping_clock, name, degree_bound):
+    # the walks run from the widest class within the bound to the narrowest,
+    # and the bounds above it come after them all; entries are sorted by
+    # degree, so a partial holds the widest of the full run's exact entries
+    # and no bound
+    G = catalog_group(name).group
+
+    def run(budget):
+        return k_trans(G, degree_bound, budget)
+
+    full_budget = Budget()
+    full = run(full_budget)
+    exact = [e for e in full[1].entries if e.kind == "exact"]
+    assert full_budget.nodes > 1 and len(exact) > 1
+    for cap, by_nodes, by_time in _caps(full_budget.nodes):
+        kind, out = _answer_or_partial(run, by_time)
+        assert (kind, out) == _answer_or_partial(run, by_nodes)
+        assert by_time.nodes == by_nodes.nodes <= cap + 1
+        if kind == "answer":
+            assert out == full
+        else:
+            assert not out.certified
+            assert all(e.kind == "exact" for e in out.entries)
+            assert list(out.entries) == exact[len(exact) - len(out.entries):]

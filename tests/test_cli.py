@@ -274,41 +274,60 @@ def test_a_suite_whose_search_runs_out_exits_three(capsys, monkeypatch, suite):
     assert "budget exceeded" in err
 
 
+def test_verify_names_the_stopped_claim_when_the_first_search_runs_out(capsys, monkeypatch):
+    # the first claim's closure chain needs 5 nodes, so nothing finished
+    monkeypatch.setenv("CLOSURELAB_BUDGET_NODES", "0")
+    code, out, err = run(capsys, "verify", "--suite", "eq1-monotone")
+    assert (code, out) == (3, "")
+    assert "budget exceeded: claim monotone-A4 stopped" in err
+
+
+def test_verify_prints_the_finished_claims_when_a_search_runs_out(capsys, monkeypatch):
+    # each claim's walk has its own budget: the first five need at most 8
+    # nodes, the S4 pairs walk 17
+    monkeypatch.setenv("CLOSURELAB_BUDGET_NODES", "10")
+    code, out, err = run(capsys, "verify", "--suite", "eq1-monotone")
+    assert code == 3
+    assert [line.split(":")[0] for line in out.splitlines()[::2]] == [
+        f"[pass] monotone-{name}" for name in ("A4", "S4", "A5", "A6", "C8")
+    ]
+    assert "suite eq1-monotone" not in out
+    assert "claim monotone-S4-on-2-subsets stopped" in err
+    code, out, _ = run(capsys, "verify", "--suite", "eq1-monotone", "--json")
+    assert code == 3
+    result = json.loads(out)["result"]
+    # a partial suite has no verdict
+    assert result["passed"] is None
+    assert [c["id"] for c in result["claims"]] == [
+        f"monotone-{name}" for name in ("A4", "S4", "A5", "A6", "C8")
+    ]
+
+
 def test_ktrans_honours_budget_seconds(capsys):
     code, out, err = run(capsys, "ktrans", "--catalog", "A5", "--max-degree", "12",
                          "--budget-seconds", "0.000001")
-    # only the greedy bounds above the degree bound finish: they take no search
+    # the first walk's first node is past the cap, and the bounds above the
+    # degree bound come only after every walk, so nothing finished
     assert code == 3
-    assert out == (
-        "  degree 15: bound 3\n  degree 20: bound 3\n  degree 30: bound 3\n  degree 60: bound 2\n"
-    )
+    assert out == ""
     assert "budget exceeded" in err
 
 
 def test_ktrans_prints_the_finished_actions_when_the_budget_runs_out(capsys):
-    # the degree-12 walk takes 35 nodes, the degree-10 one 31 more
+    # the degree-12 walk takes 35 nodes, the degree-10 one 31 more; a
+    # partial holds the finished walks and no bound
     argv = ["ktrans", "--catalog", "A5", "--max-degree", "12", "--budget-nodes", "50"]
     code, out, err = run(capsys, *argv)
     assert code == 3
-    assert out == (
-        "  degree 12: exact 3\n"
-        "  degree 15: bound 3\n"
-        "  degree 20: bound 3\n"
-        "  degree 30: bound 3\n"
-        "  degree 60: bound 2\n"
-    )
+    assert out == "  degree 12: exact 3\n"
     assert "budget exceeded" in err
     code, out, _ = run(capsys, *argv, "--json")
     assert code == 3
     result = json.loads(out)["result"]
     assert result["k"] is None
     assert result["certified"] is False
-    assert [(e["degree"], e["kind"], e["value"]) for e in result["entries"]] == [
-        (12, "exact", 3),
-        (15, "bound", 3),
-        (20, "bound", 3),
-        (30, "bound", 3),
-        (60, "bound", 2),
+    assert [(e["degree"], e["kind"], e["value"], e["source"]) for e in result["entries"]] == [
+        (12, "exact", 3, "own"),
     ]
 
 

@@ -6,7 +6,7 @@ from math import factorial
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from closurelab import stabchain
+from closurelab import closure as closure_module, stabchain
 from closurelab.actions import (
     BlockSystem,
     coset_action,
@@ -338,13 +338,8 @@ def test_k_trans_exhaustion_keeps_the_finished_actions():
     cert = info.value.partial
     assert isinstance(cert, KTransCertificate)
     assert not cert.certified
-    assert [(e.degree, e.kind, e.value) for e in cert.entries] == [
-        (12, "exact", 3),
-        (15, "bound", 3),
-        (20, "bound", 3),
-        (30, "bound", 3),
-        (60, "bound", 2),
-    ]
+    # the bounds come after every walk, so the partial holds none
+    assert [(e.degree, e.kind, e.value) for e in cert.entries] == [(12, "exact", 3)]
 
 
 def test_psl27_is_3_closed_on_the_projective_line():
@@ -382,6 +377,47 @@ def test_k_trans_skips_exactly_the_unfaithful_classes(G, degree_bound):
     _, cert = k_trans(G, degree_bound)
     assert sorted((e.degree, e.point_stabilizer_order) for e in cert.entries) == sorted(want)
     assert all(e.kind == ("exact" if e.degree <= degree_bound else "bound") for e in cert.entries)
+
+
+@pytest.mark.parametrize("name,degree_bound", [
+    ("S4", 8), ("S4", 4), ("A5", 12), ("A5", 6), ("S5", 10), ("S5", 5),
+    ("PSL(2,7)", 14), ("PSL(2,7)", 24), ("A6", 15), ("A6", 10),
+])
+def test_k_trans_inherited_bounds_hold(name, degree_bound):
+    # a class inherits an overgroup's base, so the exact base size of its
+    # own action is at most the bound less one; entries are matched to
+    # classes by point stabilizer order, and every class of that order must
+    # meet the bound
+    G = catalog_group(name).group
+    _, cert = k_trans(G, degree_bound)
+    inherited = [e for e in cert.entries if e.source != "own"]
+    assert inherited and all(e.kind == "bound" for e in inherited)
+    bound = {}
+    for e in inherited:
+        bound[e.point_stabilizer_order] = min(e.value, bound.get(e.point_stabilizer_order, e.value))
+    for H in subgroups_up_to_conjugacy(G):
+        if H.order() in bound:
+            assert exact_base_size(coset_action(G, H)).size <= bound[H.order()] - 1
+
+
+@pytest.mark.parametrize("name,degree_bound,built", [
+    ("A5", 12, 5), ("A6", 15, 6), ("PSL(2,7)", 24, 9), ("PSL(2,8)", 36, 4),
+])
+def test_k_trans_builds_few_coset_actions(monkeypatch, name, degree_bound, built):
+    # every class within the degree bound has its action built; a wider one
+    # only when no overgroup's base brings its bound down to the exact
+    # maximum, which happens on PSL(2,7) alone: its maximal classes give 4
+    degrees = []
+    real = closure_module.coset_action
+
+    def counting(G, H):
+        degrees.append(G.order() // H.order())
+        return real(G, H)
+
+    monkeypatch.setattr(closure_module, "coset_action", counting)
+    k_trans(catalog_group(name).group, degree_bound)
+    assert len(degrees) == built
+    assert any(d > degree_bound for d in degrees) == (name == "PSL(2,7)")
 
 
 def test_k_trans_trivial_group():
