@@ -415,17 +415,16 @@ def actions_equivalent(a: ActionInstance, b: ActionInstance) -> bool:
     return any(all(g(p) == p for g in stab.generators) for p in range(a.degree, 2 * a.degree))
 
 
-def transitivity_degree(A) -> int:
-    """Largest m such that the action is m-transitive (0 if intransitive).
+def transitivity_degree(G: PermGroup) -> int:
+    """Largest m such that G is m-transitive (0 if intransitive).
 
-    Accepts an ActionInstance or a PermGroup. Read off the chain with base
-    0, 1, ..., n-1: level j holds the orbit of j under the pointwise
-    stabilizer of 0, ..., j-1, so G is m-transitive exactly when the first m
-    levels have orbits of sizes n, n-1, ..., n-m+1. m-transitivity does not
-    depend on which points are fixed, so this one chain decides it; the
-    closure backtrack reads the same chain.
+    Read off the chain with base 0, 1, ..., n-1: level j holds the orbit
+    of j under the pointwise stabilizer of 0, ..., j-1, so G is
+    m-transitive exactly when the first m levels have orbits of sizes n,
+    n-1, ..., n-m+1. m-transitivity does not depend on which points are
+    fixed, so this one chain decides it; the closure backtrack reads the
+    same chain.
     """
-    G = A.group if isinstance(A, ActionInstance) else A
     n = G.degree
     levels = G.chain(preferred_base=range(n)).levels
     m = 0

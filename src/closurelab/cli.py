@@ -123,11 +123,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_group(args) -> tuple[str, ActionInstance]:
-    if getattr(args, "catalog", None) and getattr(args, "group_file", None):
+    if args.catalog and args.group_file:
         raise ClosureLabError("pass only one of --catalog and --group-file")
-    if getattr(args, "catalog", None):
+    if args.catalog:
         return args.catalog, catalog_group(args.catalog)
-    if getattr(args, "group_file", None):
+    if args.group_file:
         with open(args.group_file, "r", encoding="utf-8") as fh:
             degree, gens = read_generator_file(fh.read())
         G = PermGroup(degree, gens)

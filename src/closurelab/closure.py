@@ -303,7 +303,7 @@ class KTransEntry:
     point_stabilizer_order: int
     kind: str  # "exact" or "bound"
     value: int
-    source: str = "own"
+    source: str
 
 
 @dataclass(frozen=True)
@@ -312,7 +312,8 @@ class KTransCertificate:
 
     certified means every action too large for an exact walk had its
     upper bound dominated by some exact value, so k is the true
-    maximum; otherwise k is only an upper bound for it.
+    maximum; otherwise k is only an upper bound for it. The entries come
+    in the order k_trans met the classes, by ascending degree.
     """
 
     k: int
@@ -329,32 +330,27 @@ def k_trans(
     subgroup classes of subgroup_lattice, faithful exactly when the class
     is core-free.
 
-    First, in ascending order of the class list, each class of index at
-    most degree_bound has its coset action built; a faithful one gets an
-    exact closure chain walk, all of them charging the one budget, and its
-    greedy base size is recorded. Then the wider classes, in descending
-    order, get the bound one past a base size. If H lies in a core-free
-    K, with base Kg_1, ..., Kg_b of G on the cosets of K, the H^{g_i}
-    meet inside the K^{g_i}, trivially; so H is core-free and b(G/H) is
-    at most b(G/K). A class takes the least recorded base of its
-    overgroup classes, and builds its own action and greedy base only when
-    it inherits none, or when the inherited base plus one exceeds the
-    exact maximum; then the smaller base is recorded for it.
+    The classes are taken once, in descending order of the class list,
+    so by ascending degree and each after its overgroup classes. A class
+    of index at most degree_bound has its coset action built; a faithful
+    one gets an exact closure chain walk, all of them charging the one
+    budget, and its greedy base size is recorded. These all come before
+    the first wider class, which gets the bound one past a base size. If
+    H lies in a core-free K, with base Kg_1, ..., Kg_b of G on the cosets
+    of K, the H^{g_i} meet inside the K^{g_i}, trivially; so H is
+    core-free and b(G/H) is at most b(G/K). A wider class takes the least
+    recorded base of its overgroup classes, and builds its own action and
+    greedy base only when it inherits none, or when the inherited base
+    plus one exceeds the exact maximum; then the smaller base is recorded
+    for it.
 
     When no bound exceeds the best exact value the result is certified
     exact; otherwise it is the largest of all the per-action values, an
     upper bound. A walk that exhausts the budget raises
     BudgetExceededError whose partial is an uncertified certificate of
-    the exact walks finished so far; it holds no bound entry.
+    the exact walks finished so far, the narrowest actions; it holds no
+    bound entry.
     """
-    if G.order() == 1:
-        cert = KTransCertificate(
-            k=1,
-            certified=True,
-            entries=(KTransEntry(degree=1, point_stabilizer_order=1, kind="exact", value=1),),
-            note="trivial group: only the one-point action",
-        )
-        return 1, cert
     if budget is None:
         budget = Budget()
     N = G.order()
@@ -362,62 +358,52 @@ def k_trans(
     entries: list[KTransEntry] = []
     # class index -> (recorded base size, the source naming that class)
     base: dict[int, tuple[int, str]] = {}
-    exact_max = 0
-
-    def certificate(k: int, certified: bool, note: str) -> KTransCertificate:
-        entries.sort(key=lambda e: (e.degree, e.point_stabilizer_order))
-        return KTransCertificate(k=k, certified=certified, entries=tuple(entries), note=note)
-
-    def record(i: int, kind: str, value: int, size: int, source: str = "own") -> None:
-        H = classes[i]
-        entries.append(KTransEntry(N // H.order(), H.order(), kind, value, source))
-        base[i] = size, f"overgroup of order {H.order()}, degree {N // H.order()}"
-
-    for i, H in enumerate(classes):
-        if N // H.order() > degree_bound:
-            continue
-        A = coset_action(G, H)
-        if not A.faithful:
-            continue
-        try:
-            report = closure_spectrum(A, budget=budget)
-        except BudgetExceededError as exc:
-            raise BudgetExceededError(
-                f"the degree-{A.degree} action's walk stopped: {exc}",
-                partial=certificate(
-                    exact_max,
-                    False,
-                    "partial: the budget ran out; k is the largest exact "
-                    "value among the finished actions, a lower bound",
-                ),
-            ) from None
-        exact_max = max(exact_max, report.minimal_k)
-        record(i, "exact", report.minimal_k, greedy_base(A).size)
-    bound_max = 0
+    exact_max = bound_max = 0
     for i in reversed(range(len(classes))):
         H = classes[i]
-        if N // H.order() <= degree_bound:
-            continue
-        # only core-free classes have a recorded base; with none inherited,
-        # N exceeds every base size, so the class builds its own action
-        size, source = min((base[j] for j in over[i] if j in base), default=(N, ""))
-        if size + 1 > exact_max:
+        degree = N // H.order()
+        if degree <= degree_bound:
             A = coset_action(G, H)
             if not A.faithful:
                 continue
-            own = greedy_base(A).size
-            if own < size:
-                size, source = own, "own"
-        bound_max = max(bound_max, size + 1)
-        record(i, "bound", size + 1, size, source)
+            try:
+                value = closure_spectrum(A, budget=budget).minimal_k
+            except BudgetExceededError as exc:
+                raise BudgetExceededError(
+                    f"the degree-{degree} action's walk stopped: {exc}",
+                    partial=KTransCertificate(
+                        exact_max,
+                        False,
+                        tuple(entries),
+                        "partial: the budget ran out; k is the largest exact "
+                        "value among the finished actions, a lower bound",
+                    ),
+                ) from None
+            exact_max = max(exact_max, value)
+            kind, size, source = "exact", greedy_base(A).size, "own"
+        else:
+            # only core-free classes have a recorded base; with none inherited,
+            # N exceeds every base size, so the class builds its own action
+            size, source = min((base[j] for j in over[i] if j in base), default=(N, ""))
+            if size + 1 > exact_max:
+                A = coset_action(G, H)
+                if not A.faithful:
+                    continue
+                own = greedy_base(A).size
+                if own < size:
+                    size, source = own, "own"
+            kind, value = "bound", size + 1
+            bound_max = max(bound_max, value)
+        entries.append(KTransEntry(degree, H.order(), kind, value, source))
+        base[i] = size, f"overgroup of order {H.order()}, degree {degree}"
     certified = bound_max <= exact_max
-    value = exact_max if certified else max(exact_max, bound_max)
+    k = max(exact_max, bound_max)
     note = (
         "exact on all actions within the degree bound; no upper bound exceeds the maximum"
         if certified
         else "upper bound only: some action above the degree bound could exceed the exact maximum"
     )
-    return value, certificate(value, certified, note)
+    return k, KTransCertificate(k, certified, tuple(entries), note)
 
 
 # ---------------------------------------------------------------------------

@@ -468,7 +468,9 @@ def test_subgroup_classes_match_brute_enumeration():
 def test_subgroup_lattice_records_overgroups_and_maximal_classes(name):
     # over[i] holds class j only if a conjugate of H_j contains H_i, checked
     # on element sets; a class other than G is maximal, so that its coset
-    # action is primitive, exactly when the scan found no proper extension
+    # action is primitive, exactly when the scan found no proper extension;
+    # every overgroup class comes later and is larger, so k_trans, walking
+    # the list backwards, meets each class after its overgroups
     G = catalog_group(name).group
     elems = brute_elements([g.images for g in G.generators], G.degree)
     classes, over = subgroup_lattice(G)
@@ -481,6 +483,7 @@ def test_subgroup_lattice_records_overgroups_and_maximal_classes(name):
     for i, above in enumerate(over[:top]):
         for j in above:
             assert i < j < top
+            assert classes[j].order() > classes[i].order()
             assert any(sets[i] <= {mul(mul(inv(g), k), g) for k in sets[j]} for g in elems)
         assert is_primitive(coset_action(G, classes[i])) == (not above)
 
@@ -614,7 +617,7 @@ def test_transitivity_degree():
         assert transitivity_degree(G) == want
         elems = brute_elements([g.images for g in G.generators], G.degree)
         assert brute_transitivity_degree(elems, G.degree) == want
-    assert transitivity_degree(ksubsets_action(A5(), 2)) == 1
+    assert transitivity_degree(ksubsets_action(A5(), 2).group) == 1
 
 
 @settings(max_examples=60, deadline=None)

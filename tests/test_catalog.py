@@ -194,10 +194,10 @@ def test_psl_orders_and_degrees():
 
 
 def test_psl_transitivity():
-    assert transitivity_degree(psl_projective(2, 4)) == 3
-    assert transitivity_degree(psl_projective(2, 8)) == 3
-    assert transitivity_degree(psl_projective(2, 5)) == 2
-    assert transitivity_degree(psl_projective(3, 2)) == 2
+    assert transitivity_degree(psl_projective(2, 4).group) == 3
+    assert transitivity_degree(psl_projective(2, 8).group) == 3
+    assert transitivity_degree(psl_projective(2, 5).group) == 2
+    assert transitivity_degree(psl_projective(3, 2).group) == 2
 
 
 def test_psl_2_4_is_the_natural_alternating_group():

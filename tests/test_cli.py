@@ -314,12 +314,13 @@ def test_ktrans_honours_budget_seconds(capsys):
 
 
 def test_ktrans_prints_the_finished_actions_when_the_budget_runs_out(capsys):
-    # the degree-12 walk takes 35 nodes, the degree-10 one 31 more; a
-    # partial holds the finished walks and no bound
+    # the walks run narrowest first: degrees 5, 6 and 10 take 6, 10 and 31
+    # nodes, and the degree-12 one would take 35 more; a partial holds the
+    # finished walks and no bound
     argv = ["ktrans", "--catalog", "A5", "--max-degree", "12", "--budget-nodes", "50"]
     code, out, err = run(capsys, *argv)
     assert code == 3
-    assert out == "  degree 12: exact 3\n"
+    assert out == "  degree 5: exact 4\n  degree 6: exact 3\n  degree 10: exact 3\n"
     assert "budget exceeded" in err
     code, out, _ = run(capsys, *argv, "--json")
     assert code == 3
@@ -327,7 +328,7 @@ def test_ktrans_prints_the_finished_actions_when_the_budget_runs_out(capsys):
     assert result["k"] is None
     assert result["certified"] is False
     assert [(e["degree"], e["kind"], e["value"], e["source"]) for e in result["entries"]] == [
-        (12, "exact", 3, "own"),
+        (5, "exact", 4, "own"), (6, "exact", 3, "own"), (10, "exact", 3, "own"),
     ]
 
 

@@ -28,6 +28,7 @@ from closurelab.catalog import (
 )
 from closurelab.closure import (
     KTransCertificate,
+    KTransEntry,
     block_lemma_check,
     closure_spectrum,
     complete_lemma_check,
@@ -332,14 +333,17 @@ def test_k_trans_honours_a_time_budget():
 
 
 def test_k_trans_exhaustion_keeps_the_finished_actions():
-    # the degree-12 walk takes 35 nodes, the degree-10 one 31 more
+    # the walks run narrowest first: degrees 5, 6 and 10 take 6, 10 and 31
+    # nodes, and the degree-12 one would take 35 more
     with pytest.raises(BudgetExceededError) as info:
         k_trans(alternating(5), 12, budget=Budget(50))
     cert = info.value.partial
     assert isinstance(cert, KTransCertificate)
     assert not cert.certified
     # the bounds come after every walk, so the partial holds none
-    assert [(e.degree, e.kind, e.value) for e in cert.entries] == [(12, "exact", 3)]
+    assert [(e.degree, e.kind, e.value) for e in cert.entries] == [
+        (5, "exact", 4), (6, "exact", 3), (10, "exact", 3),
+    ]
 
 
 def test_psl27_is_3_closed_on_the_projective_line():
@@ -421,9 +425,20 @@ def test_k_trans_builds_few_coset_actions(monkeypatch, name, degree_bound, built
 
 
 def test_k_trans_trivial_group():
+    # the one class is the group itself, whose one-point action walks to 1;
+    # at bound 0 it is wider than the bound and takes its own base, of size 0
     value, cert = k_trans(PermGroup.trivial(1), 10)
     assert value == 1
-    assert cert.certified
+    assert cert == KTransCertificate(
+        k=1,
+        certified=True,
+        entries=(KTransEntry(1, 1, "exact", 1, "own"),),
+        note="exact on all actions within the degree bound; no upper bound exceeds the maximum",
+    )
+    value, cert = k_trans(PermGroup.trivial(1), 0)
+    assert value == 1
+    assert not cert.certified
+    assert cert.entries == (KTransEntry(1, 1, "bound", 1, "own"),)
 
 
 def test_k_trans_uncertified_when_degree_bound_is_too_small():
