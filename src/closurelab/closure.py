@@ -310,10 +310,11 @@ class KTransEntry:
 class KTransCertificate:
     """Evidence for a closure-number computation.
 
-    certified means every action too large for an exact walk had its
-    upper bound dominated by some exact value, so k is the true
-    maximum; otherwise k is only an upper bound for it. The entries come
-    in the order k_trans met the classes, by ascending degree.
+    Every action not walked exactly has its upper bound dominated by some
+    exact value, so k is the true maximum. certified is True on every
+    certificate k_trans returns, and False only on the partial of a
+    BudgetExceededError, whose k is a lower bound. The entries come in
+    the order k_trans met the classes, by ascending degree.
     """
 
     k: int
@@ -331,25 +332,22 @@ def k_trans(
     is core-free.
 
     The classes are taken once, in descending order of the class list,
-    so by ascending degree and each after its overgroup classes. A class
-    of index at most degree_bound has its coset action built; a faithful
-    one gets an exact closure chain walk, all of them charging the one
-    budget, and its greedy base size is recorded. These all come before
-    the first wider class, which gets the bound one past a base size. If
-    H lies in a core-free K, with base Kg_1, ..., Kg_b of G on the cosets
-    of K, the H^{g_i} meet inside the K^{g_i}, trivially; so H is
-    core-free and b(G/H) is at most b(G/K). A wider class takes the least
-    recorded base of its overgroup classes, and builds its own action and
-    greedy base only when it inherits none, or when the inherited base
-    plus one exceeds the exact maximum; then the smaller base is recorded
-    for it.
+    so by ascending degree and each after its overgroup classes. If H lies
+    in a core-free K, with base Kg_1, ..., Kg_b of G on the cosets of K,
+    the H^{g_i} meet inside the K^{g_i}, trivially; so H is core-free and
+    b(G/H) is at most b(G/K). Each class takes the least recorded base of
+    its overgroup classes. It builds its own coset action and greedy base
+    when its index is at most degree_bound, or when that base plus one
+    exceeds the exact maximum, and records the smaller base. Its closure
+    chain is walked exactly, charging the one budget, under the same two
+    conditions; otherwise its entry is the bound, one past its base. The
+    exact maximum only grows, so no bound ever exceeds it and the result
+    is always certified: a wider class is walked by need.
+    degree_bound only chooses which narrow classes are walked regardless.
 
-    When no bound exceeds the best exact value the result is certified
-    exact; otherwise it is the largest of all the per-action values, an
-    upper bound. A walk that exhausts the budget raises
-    BudgetExceededError whose partial is an uncertified certificate of
-    the exact walks finished so far, the narrowest actions; it holds no
-    bound entry.
+    A walk that exhausts the budget raises BudgetExceededError whose
+    partial is an uncertified certificate of the entries finished so far,
+    the narrowest actions: exact walks and, before a walk by need, bounds.
     """
     if budget is None:
         budget = Budget()
@@ -358,14 +356,24 @@ def k_trans(
     entries: list[KTransEntry] = []
     # class index -> (recorded base size, the source naming that class)
     base: dict[int, tuple[int, str]] = {}
-    exact_max = bound_max = 0
+    exact_max = 0
     for i in reversed(range(len(classes))):
         H = classes[i]
         degree = N // H.order()
-        if degree <= degree_bound:
+        within = degree <= degree_bound
+        # only core-free classes have a recorded base; with none inherited,
+        # N exceeds every base size, so the class builds its own action
+        size, source = min((base[j] for j in over[i] if j in base), default=(N, ""))
+        if within or size + 1 > exact_max:
             A = coset_action(G, H)
             if not A.faithful:
                 continue
+            own = greedy_base(A).size
+            if own < size:
+                size, source = own, "own"
+        kind, value = "bound", size + 1
+        # size only fell since the check above, so A is built whenever this holds
+        if within or value > exact_max:
             try:
                 value = closure_spectrum(A, budget=budget).minimal_k
             except BudgetExceededError as exc:
@@ -380,30 +388,11 @@ def k_trans(
                     ),
                 ) from None
             exact_max = max(exact_max, value)
-            kind, size, source = "exact", greedy_base(A).size, "own"
-        else:
-            # only core-free classes have a recorded base; with none inherited,
-            # N exceeds every base size, so the class builds its own action
-            size, source = min((base[j] for j in over[i] if j in base), default=(N, ""))
-            if size + 1 > exact_max:
-                A = coset_action(G, H)
-                if not A.faithful:
-                    continue
-                own = greedy_base(A).size
-                if own < size:
-                    size, source = own, "own"
-            kind, value = "bound", size + 1
-            bound_max = max(bound_max, value)
+            kind, source = "exact", "own"
         entries.append(KTransEntry(degree, H.order(), kind, value, source))
         base[i] = size, f"overgroup of order {H.order()}, degree {degree}"
-    certified = bound_max <= exact_max
-    k = max(exact_max, bound_max)
-    note = (
-        "exact on all actions within the degree bound; no upper bound exceeds the maximum"
-        if certified
-        else "upper bound only: some action above the degree bound could exceed the exact maximum"
-    )
-    return k, KTransCertificate(k, certified, tuple(entries), note)
+    note = "exact on all actions within the degree bound; no upper bound exceeds the maximum"
+    return exact_max, KTransCertificate(exact_max, True, tuple(entries), note)
 
 
 # ---------------------------------------------------------------------------

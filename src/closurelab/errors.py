@@ -57,7 +57,8 @@ class BudgetExceededError(ClosureLabError):
     ClosureReport of the steps finished before the one that ran out; for a
     base search, the best base so far, a BaseRecord flagged non-exhaustive
     whose size is an upper bound; for k_trans, an uncertified certificate
-    of the exact walks finished so far; for a suite, the SuiteResult of the
+    of the entries finished so far, the exact walks and, when a walk by
+    need stopped, the bounds before it; for a suite, the SuiteResult of the
     claims finished before the one that ran out. It is never the final
     answer and callers must not present it as one.
     """

@@ -117,10 +117,10 @@ def test_closure_spectrum_stops_under_a_time_cap_as_under_a_node_cap(stepping_cl
 
 @pytest.mark.parametrize("name,degree_bound", [("A5", 12), ("S4", 8)])
 def test_k_trans_stops_under_a_time_cap_as_under_a_node_cap(stepping_clock, name, degree_bound):
-    # the walks run from the narrowest class within the bound to the widest,
-    # and the bounds above it come after them all; entries come in walk
-    # order, so a partial holds a prefix of the full run's exact entries,
-    # the narrowest, and no bound
+    # the walks run from the narrowest class within the bound to the widest;
+    # no wider class is walked by need here, so the bounds above it come
+    # after them all; entries come in walk order, so a partial holds a
+    # prefix of the full run's exact entries, the narrowest, and no bound
     G = catalog_group(name).group
 
     def run(budget):

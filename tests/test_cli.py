@@ -315,8 +315,8 @@ def test_ktrans_honours_budget_seconds(capsys):
 
 def test_ktrans_prints_the_finished_actions_when_the_budget_runs_out(capsys):
     # the walks run narrowest first: degrees 5, 6 and 10 take 6, 10 and 31
-    # nodes, and the degree-12 one would take 35 more; a partial holds the
-    # finished walks and no bound
+    # nodes, and the degree-12 one would take 35 more; no wider class is
+    # walked by need, so a partial holds the finished walks and no bound
     argv = ["ktrans", "--catalog", "A5", "--max-degree", "12", "--budget-nodes", "50"]
     code, out, err = run(capsys, *argv)
     assert code == 3

@@ -340,7 +340,8 @@ def test_k_trans_exhaustion_keeps_the_finished_actions():
     cert = info.value.partial
     assert isinstance(cert, KTransCertificate)
     assert not cert.certified
-    # the bounds come after every walk, so the partial holds none
+    # no wider class is walked by need, so its bounds come after every
+    # walk and the partial holds none
     assert [(e.degree, e.kind, e.value) for e in cert.entries] == [
         (5, "exact", 4), (6, "exact", 3), (10, "exact", 3),
     ]
@@ -426,26 +427,45 @@ def test_k_trans_builds_few_coset_actions(monkeypatch, name, degree_bound, built
 
 def test_k_trans_trivial_group():
     # the one class is the group itself, whose one-point action walks to 1;
-    # at bound 0 it is wider than the bound and takes its own base, of size 0
-    value, cert = k_trans(PermGroup.trivial(1), 10)
-    assert value == 1
-    assert cert == KTransCertificate(
-        k=1,
-        certified=True,
-        entries=(KTransEntry(1, 1, "exact", 1, "own"),),
-        note="exact on all actions within the degree bound; no upper bound exceeds the maximum",
-    )
-    value, cert = k_trans(PermGroup.trivial(1), 0)
-    assert value == 1
-    assert not cert.certified
-    assert cert.entries == (KTransEntry(1, 1, "bound", 1, "own"),)
+    # at bound 0 it is wider than the bound and takes its own base, of size
+    # 0, whose bound 1 exceeds the exact maximum 0, so it is walked by need
+    for degree_bound in (10, 0):
+        value, cert = k_trans(PermGroup.trivial(1), degree_bound)
+        assert value == 1
+        assert cert == KTransCertificate(
+            k=1,
+            certified=True,
+            entries=(KTransEntry(1, 1, "exact", 1, "own"),),
+            note="exact on all actions within the degree bound; no upper bound exceeds the maximum",
+        )
 
 
-def test_k_trans_uncertified_when_degree_bound_is_too_small():
+def test_k_trans_walks_a_wider_class_by_need():
+    # S3's natural action walks to 1, so the free action's bound 2 (its own
+    # base of 1, plus one) exceeds the maximum and it is walked
     value, cert = k_trans(symmetric(3), 3)
-    assert not cert.certified
-    assert value >= 2
-    assert "upper bound" in cert.note
+    assert (value, cert.certified) == (2, True)
+    assert [(e.degree, e.kind, e.value) for e in cert.entries] == [(3, "exact", 1), (6, "exact", 2)]
+    # PSL(2,13)'s degree-28 and degree-42 classes inherit 4 from the
+    # degree-14 class's greedy base of 3, and their own greedy bases are no
+    # smaller; their walks give 3, which then dominates every bound
+    budget = Budget()
+    value, cert = k_trans(catalog_group("PSL(2,13)").group, 14, budget)
+    assert (value, cert.certified, budget.nodes) == (3, True, 344)
+    exact = [(e.degree, e.value) for e in cert.entries if e.kind == "exact"]
+    assert exact == [(14, 3), (28, 3), (42, 3)]
+    assert all(e.value <= 3 for e in cert.entries)
+
+
+@pytest.mark.parametrize("name,degree_bound,k", [
+    ("S4", 8, 3), ("S5", 10, 4), ("S6", 15, 5), ("A5", 12, 4), ("A6", 15, 5),
+    ("PSL(2,7)", 14, 3), ("PSL(2,8)", 36, 4), ("PSL(2,11)", 12, 3), ("PSL(2,13)", 14, 3),
+])
+def test_k_trans_answer_does_not_depend_on_the_degree_bound(name, degree_bound, k):
+    G = catalog_group(name).group
+    for bound in (1, degree_bound):
+        value, cert = k_trans(G, bound)
+        assert (value, cert.k, cert.certified) == (k, k, True)
 
 
 def test_require_nonabelian_simple():
@@ -658,13 +678,22 @@ def _every_cap(run, nodes):
 
 
 def test_k_trans_budget_caps_give_the_answer_or_an_uncertified_partial():
-    full, outcomes = _every_cap(lambda b: k_trans(alternating(5), 12, budget=b), 82)
-    for out in outcomes:
-        if isinstance(out, BudgetExceededError):
-            assert not out.partial.certified
-            assert set(out.partial.entries) <= set(full[1].entries)
-        else:
-            assert out == full
+    # S3/3 spends every node in the by-need walk of the free action
+    for G, degree_bound, nodes in [(alternating(5), 12, 82), (symmetric(3), 3, 6)]:
+        full, outcomes = _every_cap(lambda b: k_trans(G, degree_bound, budget=b), nodes)
+        for out in outcomes:
+            if isinstance(out, BudgetExceededError):
+                assert not out.partial.certified
+                assert set(out.partial.entries) <= set(full[1].entries)
+            else:
+                assert out == full
+    # PSL(2,13)/14: the degree-14 walk takes 125 nodes, and the degree-28
+    # walk by need stops after 75 more
+    with pytest.raises(BudgetExceededError, match="degree-28") as info:
+        k_trans(catalog_group("PSL(2,13)").group, 14, budget=Budget(200))
+    cert = info.value.partial
+    assert not cert.certified
+    assert cert.entries == (KTransEntry(14, 78, "exact", 3, "own"),)
 
 
 def _a5_natural_plus_pairs():
