@@ -309,7 +309,7 @@ def _coset_canonical(H_chain, x: Images) -> Images:
     """The element of Hx whose base-image tuple is lexicographically least."""
     y = x
     for level in H_chain.levels:
-        best = min(level.transversal, key=lambda gamma: y[gamma])
+        best = min(level.orbit, key=lambda gamma: y[gamma])
         if best != level.beta:
             y = compose_images(level.transversal[best], y)
     return y
@@ -428,7 +428,7 @@ def transitivity_degree(G: PermGroup) -> int:
     n = G.degree
     levels = G.chain(preferred_base=range(n)).levels
     m = 0
-    while m < n and len(levels[m].transversal) == n - m:
+    while m < n and len(levels[m].orbit) == n - m:
         m += 1
     return m
 

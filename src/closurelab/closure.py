@@ -134,9 +134,8 @@ def _closure_backtrack(G: PermGroup, k: int, budget: Budget) -> PermGroup:
         w = wit[j]
         if w is not None:
             x = w.index(beta)
-            u = natural[j].transversal.get(x)
-            if u is not None:
-                wit[j + 1] = compose_images(u, w)
+            if x in natural[j].orbit:
+                wit[j + 1] = compose_images(natural[j].transversal[x], w)
                 return True
             if j + 1 <= k:
                 return False

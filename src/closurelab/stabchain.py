@@ -15,20 +15,24 @@ any nontrivial residue as a new strong generator. One routine, place, inserts
 every strong generator, given or found. No randomization, so chains (and
 all downstream reports) are reproducible functions of the generator list.
 
-One constructor builds every level: _Level(beta, gens, degree) takes its
-generators as given and walks the orbit of beta under them (_grow).
-Nothing assigns a level's generators or transversal afterwards.
-Schreier-Sims replaces a level whose generator list has grown by a new
-level on the same list; the one change in place is _swap growing its new
-second level's orbit from each generator it adjoins.
+One constructor builds every level: _Level(beta, gens, identity) takes
+its generators as given and walks the orbit of beta under them (_grow).
+A bytes level composes each representative as the walk reaches its point;
+a tuple level records the orbit as a Schreier tree and composes a
+representative when it is first read, so a search that reads few of a wide
+orbit's representatives composes few. Nothing assigns a level's generators
+or orbit afterwards. Schreier-Sims replaces a level whose generator list
+has grown by a new level on the same list; the one change in place is
+_swap growing its new second level's orbit from each generator it adjoins.
 
 One sift, _sift, serves Schreier-Sims and membership alike. It reads the
 inverse h of the element g it strips: g sends a base point beta to
 h.index(beta), and the inverse of g-then-u^-1 is u-then-h. So no
 transversal element is inverted to sift. Schreier-Sims sifts the inverse of
 each Schreier generator, inverting one transversal element per orbit point
-that yields a nontrivial one, and turns back only a nontrivial residue,
-which becomes a strong generator.
+but the base point that yields a nontrivial one, and turns back only a
+nontrivial residue, which becomes a strong generator. A level's next scan
+starts at the point where its last one found a residue.
 
 A pointwise stabilizer is never rebuilt from scratch. The chain rebased at
 the fixed points already holds it: the levels below that prefix are a
@@ -49,6 +53,8 @@ levels are shared and never changed. So Schreier-Sims runs once per group.
 
 from __future__ import annotations
 
+from itertools import islice
+
 from .budget import DEFAULT_MAX_DEGREE, DEFAULT_ORDER_BOUND
 from .errors import DegreeLimitError, DegreeMismatchError
 from .perm import (
@@ -62,21 +68,60 @@ from .perm import (
 
 
 class _Level:
-    """One chain level: base point beta, strong generators gens, and the
-    transversal of beta's orbit under them, built here by one breadth-first
-    walk (_grow): the representative u stored for a point p satisfies
-    beta^u = p, and FIFO expansion with the generators applied in list
-    order keeps it deterministic. Sifting reads the inverse of the element
-    it strips, so no transversal element is inverted for it and no inverse
-    is stored."""
+    """One chain level: base point beta, strong generators gens, the orbit
+    of beta under them, and the transversal: the representative u stored
+    for a point p satisfies beta^u = p. One breadth-first walk (_grow)
+    finds the orbit; FIFO expansion with the generators applied in list
+    order keeps it deterministic. Code that asks about membership, size or
+    order of the orbit reads orbit, code that needs a representative reads
+    transversal[p].
 
-    __slots__ = ("beta", "gens", "transversal")
+    identity is the packed identity of the degree, the representative of
+    beta. A bytes level (identity is bytes) composes each representative as
+    the walk reaches its point, and orbit is transversal. A tuple level
+    keeps the orbit as a Schreier tree (Holt, Eick and O'Brien 2005, section
+    4.1), orbit[p] = (parent, generator) with orbit[beta] = None, and its
+    transversal composes a representative when it is first read
+    (_Transversal): the same product, parent's representative then the
+    generator. Sifting reads the inverse of the element it strips, so no
+    transversal element is inverted for it and no inverse is stored."""
 
-    def __init__(self, beta: int, gens: list[Images], degree: int):
+    __slots__ = ("beta", "gens", "orbit", "transversal")
+
+    def __init__(self, beta: int, gens: list[Images], identity: Images):
         self.beta = beta
         self.gens = gens
-        self.transversal = {beta: identity_images(degree)}
-        _grow(self.transversal, [beta], gens)
+        if type(identity) is bytes:
+            self.orbit = self.transversal = {beta: identity}
+        else:
+            self.orbit = {beta: None}
+            self.transversal = _Transversal(self.orbit, beta, identity)
+        _grow(self, [beta], gens)
+
+
+class _Transversal(dict):
+    """The representatives of a tuple level composed so far, keyed by point;
+    reading a missing point of the orbit tree composes it from its nearest
+    stored ancestor down, storing each representative on the path. The walk
+    is iterative, as a tree can be as deep as the degree. get() composes
+    nothing: it returns None for a point not composed yet."""
+
+    __slots__ = ("tree",)
+
+    def __init__(self, tree: dict, beta: int, identity: Images):
+        super().__init__({beta: identity})
+        self.tree = tree
+
+    def __missing__(self, pt: int) -> Images:
+        path = []
+        while pt not in self:
+            parent, g = self.tree[pt]
+            path.append((pt, g))
+            pt = parent
+        u = self[pt]
+        for pt, g in reversed(path):
+            u = self[pt] = compose_images(u, g)
+        return u
 
 
 def _orbit_ids(gens, degree: int) -> tuple[int, ...]:
@@ -111,15 +156,25 @@ def _orbit(start, gens, act) -> dict:
     return seen
 
 
-def _grow(trans: dict[int, Images], queue: list[int], gens) -> None:
-    """Extend the transversal trans breadth-first from the points queue
-    under gens, composing a representative only for each point it adds."""
+def _grow(level: _Level, queue: list[int], gens) -> None:
+    """Extend level's orbit breadth-first from the points queue under gens:
+    on a bytes level composing a representative for each point it adds, on
+    a tuple level recording the tree edge to it."""
+    orbit = level.orbit
+    if orbit is level.transversal:
+        for pt in queue:
+            u = orbit[pt]
+            for g in gens:
+                img = g[pt]
+                if img not in orbit:
+                    orbit[img] = compose_images(u, g)
+                    queue.append(img)
+        return
     for pt in queue:
-        u = trans[pt]
         for g in gens:
             img = g[pt]
-            if img not in trans:
-                trans[img] = compose_images(u, g)
+            if img not in orbit:
+                orbit[img] = (pt, g)
                 queue.append(img)
 
 
@@ -132,7 +187,9 @@ def _sift(levels, h: Images) -> Images:
         pt = h.index(level.beta)
         u = level.transversal.get(pt)
         if u is None:
-            return h
+            if pt not in level.orbit:
+                return h
+            u = level.transversal[pt]
         if pt != level.beta:
             h = compose_images(u, h)
     return h
@@ -153,7 +210,7 @@ class StabilizerChain:
     def order(self) -> int:
         n = 1
         for level in self.levels:
-            n *= len(level.transversal)
+            n *= len(level.orbit)
         return n
 
     def contains_images(self, images) -> bool:
@@ -213,15 +270,22 @@ def build_chain(degree: int, gens, known_order: int | None = None) -> Stabilizer
         level."""
         while True:
             if idx == len(levels):
-                levels.append(_Level(min(p for p in range(degree) if g[p] != p), [], degree))
+                levels.append(_Level(min(p for p in range(degree) if g[p] != p), [], identity))
             level = levels[idx]
             level.gens.append(g)
             if g[level.beta] != level.beta:
                 return idx
             idx += 1
 
+    # per level, the position in its orbit of the point whose scan last
+    # found a residue; the Schreier generators of the points before it sift
+    # to the identity through the levels below however those grow, so the
+    # next scan of the level starts there, until refresh rebuilds it
+    resume: dict[int, int] = {}
+
     def refresh(idx: int) -> None:
-        levels[idx] = _Level(levels[idx].beta, levels[idx].gens, degree)
+        levels[idx] = _Level(levels[idx].beta, levels[idx].gens, identity)
+        resume[idx] = 0
 
     # inverses of the strong generators, for this build only; keyed by id,
     # which is stable because every generator stays in levels until the end
@@ -232,7 +296,9 @@ def build_chain(degree: int, gens, known_order: int | None = None) -> Stabilizer
         not sift through the levels below it, or None if every one does."""
         level = levels[i]
         below = levels[i + 1 :]
-        for pt, u in level.transversal.items():
+        start = resume[i]
+        for k, pt in enumerate(islice(level.orbit, start, None), start):
+            u = level.transversal[pt]
             u_inv = None
             for s in level.gens:
                 # Schreier generator u * s * inv(rep of pt^s), sifted through
@@ -241,12 +307,14 @@ def build_chain(degree: int, gens, known_order: int | None = None) -> Stabilizer
                 if compose_images(u, s) == rep:
                     continue
                 if u_inv is None:
-                    u_inv = inverse_images(u)
+                    # the representative of beta is the identity, its own inverse
+                    u_inv = u if pt == level.beta else inverse_images(u)
                 s_inv = gen_inverses.get(id(s))
                 if s_inv is None:
                     s_inv = gen_inverses[id(s)] = inverse_images(s)
                 h = _sift(below, compose_images(compose_images(rep, s_inv), u_inv))
                 if h != identity:
+                    resume[i] = k
                     return inverse_images(h)
         return None
 
@@ -269,7 +337,7 @@ def build_chain(degree: int, gens, known_order: int | None = None) -> Stabilizer
     return chain
 
 
-def _swap(levels: list[_Level], i: int, degree: int) -> None:
+def _swap(levels: list[_Level], i: int, identity: Images) -> None:
     """Exchange the base points a and b of levels i and i + 1 in place of
     those two levels (deterministic BASESWAP; Holt, Eick and O'Brien 2005,
     section 4.4.7). The new level i is the orbit of b under level i's
@@ -282,20 +350,21 @@ def _swap(levels: list[_Level], i: int, degree: int) -> None:
     changed, as other chains may share it."""
     lo, hi = levels[i], levels[i + 1]
     a, b = lo.beta, hi.beta
-    first = _Level(b, lo.gens, degree)
-    target = len(lo.transversal) * len(hi.transversal) // len(first.transversal)
-    second = _Level(a, list(levels[i + 2].gens) if i + 2 < len(levels) else [], degree)
-    for c, u in lo.transversal.items():
-        if len(second.transversal) == target:
+    first = _Level(b, lo.gens, identity)
+    target = len(lo.orbit) * len(hi.orbit) // len(first.orbit)
+    second = _Level(a, list(levels[i + 2].gens) if i + 2 < len(levels) else [], identity)
+    for c in lo.orbit:
+        if len(second.orbit) == target:
             break
-        if c in second.transversal:
+        if c in second.orbit:
             continue
         # u sends a to c, and v sends b to u^-1(b) fixing a, so v-then-u
         # fixes b and sends a to c
-        v = hi.transversal.get(u.index(b))
-        if v is not None:
-            second.gens.append(compose_images(v, u))
-            _grow(second.transversal, list(second.transversal), second.gens)
+        u = lo.transversal[c]
+        x = u.index(b)
+        if x in hi.orbit:
+            second.gens.append(compose_images(hi.transversal[x], u))
+            _grow(second, list(second.orbit), second.gens)
     levels[i : i + 2] = [first, second]
 
 
@@ -305,7 +374,7 @@ def _rebase(chain: StabilizerChain, key: tuple[int, ...]) -> StabilizerChain:
     level, or inserted with a trivial orbit at the first level whose group
     fixes it, and swapped up to its position. Levels past the prefix with a
     trivial orbit are dropped. The levels of chain are shared, not changed."""
-    degree = chain.degree
+    identity = identity_images(chain.degree)
     levels = list(chain.levels)
     for pos, p in enumerate(key):
         j = next((j for j in range(pos, len(levels)) if levels[j].beta == p), None)
@@ -314,11 +383,11 @@ def _rebase(chain: StabilizerChain, key: tuple[int, ...]) -> StabilizerChain:
                 (j for j in range(pos, len(levels)) if all(g[p] == p for g in levels[j].gens)),
                 len(levels),
             )
-            levels.insert(j, _Level(p, levels[j].gens if j < len(levels) else [], degree))
+            levels.insert(j, _Level(p, levels[j].gens if j < len(levels) else [], identity))
         for i in range(j - 1, pos - 1, -1):
-            _swap(levels, i, degree)
-    levels[len(key) :] = [level for level in levels[len(key) :] if len(level.transversal) > 1]
-    return StabilizerChain(degree, levels)
+            _swap(levels, i, identity)
+    levels[len(key) :] = [level for level in levels[len(key) :] if len(level.orbit) > 1]
+    return StabilizerChain(chain.degree, levels)
 
 
 class PermGroup:

@@ -122,6 +122,15 @@ def test_ksubsets_base_sizes():
     assert exact_base_size(ksubsets_action(symmetric(6), 3)).size == 3
 
 
+def test_exact_base_size_composes_few_representatives_above_the_bytes_line():
+    # S10 on its 945 partitions into five pairs: a tuple chain composes a
+    # representative only when it is read, and the search reads 92 of level 0
+    A = partitions_action(symmetric(10), 2, 5)
+    assert exact_base_size(A).size == 3
+    level = A.group.chain().levels[0]
+    assert (len(level.transversal), len(level.orbit)) == (92, 945)
+
+
 def test_greedy_base_is_a_base_and_flags_tightness():
     A5 = natural_action(alternating(5))
     rec = greedy_base(A5)

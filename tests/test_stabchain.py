@@ -1,6 +1,7 @@
 """Stabilizer chains against brute-force enumeration."""
 
 import hashlib
+import sys
 from itertools import permutations
 
 import pytest
@@ -122,9 +123,10 @@ def test_degree_guard():
 
 def _tuples(level):
     """A level's generators and transversal with every element as a tuple,
-    whichever representation the chain stores."""
+    whichever representation the chain stores, reading the representative of
+    every orbit point."""
     gens = [tuple(g) for g in level.gens]
-    return gens, {pt: tuple(u) for pt, u in level.transversal.items()}
+    return gens, {pt: tuple(level.transversal[pt]) for pt in level.orbit}
 
 
 def _level_digests(chain):
@@ -228,7 +230,7 @@ def _check_rebased(G, prefix, elems):
     assert chain.order() == len(elems)
     for i, level in enumerate(chain.levels):
         stab = brute_pointwise_stabilizer(elems, base[:i])
-        assert set(level.transversal) == {e[level.beta] for e in stab}
+        assert set(level.orbit) == {e[level.beta] for e in stab}
         gens, trans = _tuples(level)
         for pt, u in trans.items():
             assert u[level.beta] == pt
@@ -265,13 +267,15 @@ def _check_same_chain(small, big, n):
     # the bytes chain and the tuple chain of the embedded group: the same
     # base, orbits in the same order, and elements that agree on 0..n-1
     assert big.base == small.base
+    # (the tuple chain composes its representatives when they are read, the
+    # bytes chain as it walks its orbits)
     for lo, hi in zip(small.levels, big.levels, strict=True):
-        assert list(hi.transversal) == list(lo.transversal)
-        assert all(type(u) is bytes for u in lo.transversal.values())
-        assert all(type(u) is tuple for u in hi.transversal.values())
+        assert list(hi.orbit) == list(lo.orbit)
+        assert all(type(lo.transversal[pt]) is bytes for pt in lo.orbit)
+        assert all(type(hi.transversal[pt]) is tuple for pt in hi.orbit)
         lo_gens, lo_trans = _tuples(lo)
         assert [g[:n] for g in hi.gens] == lo_gens
-        assert [u[:n] for u in hi.transversal.values()] == list(lo_trans.values())
+        assert [hi.transversal[pt][:n] for pt in hi.orbit] == list(lo_trans.values())
 
 
 @settings(max_examples=60, deadline=None)
@@ -304,7 +308,8 @@ def test_chains_on_either_side_of_the_bytes_line(n, kind):
     swap = Permutation([1, 0] + list(range(2, n)))
     cyclic = PermGroup(n, [rotation])
     assert cyclic.order() == n
-    assert all(type(u) is kind for u in cyclic.chain().levels[0].transversal.values())
+    level = cyclic.chain().levels[0]
+    assert all(type(level.transversal[pt]) is kind for pt in level.orbit)
     assert cyclic.contains(rotation * rotation * rotation)
     assert not cyclic.contains(swap)
     assert not cyclic.contains(reflection)
@@ -319,6 +324,27 @@ def test_chains_on_either_side_of_the_bytes_line(n, kind):
     assert [Permutation(g.images) for g in H.generators] == [reflection]
     assert all(type(g.images) is tuple for g in H.generators)
     assert H.contains(reflection) and not H.contains(rotation)
+
+
+def test_tuple_transversals_compose_paths_longer_than_the_recursion_limit():
+    # with its order known, the chain of a cyclic group walks its one orbit
+    # and composes no representative; the tree path from 0 to n - 1 has
+    # n - 1 edges
+    n = 1500
+    assert n - 1 > sys.getrecursionlimit()
+    rotation = Permutation([(i + 1) % n for i in range(n)])
+    power = Permutation([(i + n - 1) % n for i in range(n)])
+    swap = Permutation([1, 0] + list(range(2, n)))
+    cyclic = PermGroup(n, [rotation], known_order=n)
+    level = cyclic.chain().levels[0]
+    assert (len(level.orbit), len(level.transversal)) == (n, 1)
+    assert level.transversal[n - 1] == power.images
+    assert len(level.transversal) == n
+    # membership composes the representatives it reads, from a fresh chain
+    fresh = PermGroup(n, [rotation], known_order=n)
+    assert fresh.contains(power * power)
+    assert not fresh.contains(swap)
+    assert fresh.contains(rotation) and fresh.contains(power)
 
 
 @pytest.mark.parametrize("n,kind", [(256, bytes), (257, tuple)])
