@@ -544,8 +544,9 @@ def subgroup_lattice(G: PermGroup) -> tuple[list[PermGroup], list[tuple[int, ...
                             double.append(z)
             K_gens = H_gens + [x]
             # the chain stops once its order reaches N, and that order
-            # never exceeds |<H, x>|; only a proper subgroup is closed up
-            if build_chain(degree, K_gens, known_order=N).order() == N:
+            # never exceeds |<H, x>|; only a proper subgroup is closed up.
+            # Over the trivial group <x> is cyclic, of order len(powers)
+            if (build_chain(degree, K_gens, known_order=N).order() if H_gens else len(powers)) == N:
                 register(whole, K_gens)
             else:
                 over[-1].add(register(generated(K_gens), K_gens))

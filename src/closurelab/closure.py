@@ -100,7 +100,9 @@ def k_closure(A: ActionInstance, k: int, budget: Budget | None = None) -> PermGr
     return _closure_backtrack(G, k, budget if budget is not None else Budget())
 
 
-def _closure_backtrack(G: PermGroup, k: int, budget: Budget) -> PermGroup:
+def _closure_backtrack(G: PermGroup, k: int, budget: Budget, witness: bool = False):
+    """The k-closure of G; with witness, the first leaf outside G instead,
+    or None when the closure is G, by the same search and charges."""
     n = G.degree
     K = G
     h = [0] * n
@@ -171,14 +173,16 @@ def _closure_backtrack(G: PermGroup, k: int, budget: Budget) -> PermGroup:
             )
         return stab_stack[j]
 
-    def dfs(j: int) -> None:
+    def dfs(j: int) -> Permutation | None:
         nonlocal K
         if j == n:
             p = Permutation(tuple(h))
             if not K.contains(p):
+                if witness:
+                    return p
                 K = PermGroup(n, tuple(K.generators) + (p,))
                 stab_stack[:] = [K]
-            return
+            return None
         ids = stab_at(j).chain().orbit_ids(0)
         # only images in j's domain that are least in their orbit under the
         # stabilizer are nodes
@@ -195,11 +199,14 @@ def _closure_backtrack(G: PermGroup, k: int, budget: Budget) -> PermGroup:
             h[j] = beta
             dom[j + 1 :] = [nxt]
             del stab_stack[j + 1 :]
-            dfs(j + 1)
+            found = dfs(j + 1)
+            if found is not None:
+                return found
         del stab_stack[j + 1 :]
+        return None
 
     try:
-        dfs(0)
+        found = dfs(0)
     except BudgetExceededError as exc:
         raise BudgetExceededError(
             f"closure backtrack stopped after {budget.nodes} nodes: {exc}",
@@ -210,7 +217,36 @@ def _closure_backtrack(G: PermGroup, k: int, budget: Budget) -> PermGroup:
         # breaks that cycle, so the tables and the stabilizer stack are
         # freed on return instead of whenever the cyclic collector next runs.
         del dfs
-    return K
+    return found if witness else K
+
+
+def _closure_witness(A: ActionInstance, k: int, budget: Budget) -> Permutation | None:
+    """A permutation of the k-closure of A's group outside the group, or
+    None when the k-closure is the group. Where k_closure takes a shortcut
+    (k = 1, k at least the degree, or k at most the transitivity degree),
+    its orders decide, and some generator of a larger closure lies outside;
+    otherwise the closure backtrack stops at its first leaf outside."""
+    G = A.group
+    if k == 1 or k >= G.degree or transitivity_degree(G) >= k:
+        U = k_closure(A, k)
+        if U.order() == G.order():
+            return None
+        return next(g for g in U.generators if not G.contains(g))
+    return _closure_backtrack(G, k, budget, witness=True)
+
+
+def _closure_index(A: ActionInstance, size: int, budget: Budget) -> int:
+    """The minimal closure index of A, given the size of a base of it.
+
+    An action with a base of size b is (b + 1)-closed, and closures shrink
+    as k grows, so the walk runs downward from k = size and the first k
+    whose k-closure has a witness outside the group gives k + 1; with none
+    down to k = 1 the action is 1-closed. Only the exact value's k = value
+    step is a full search, and none is run when value is size + 1."""
+    for k in range(size, 0, -1):
+        if _closure_witness(A, k, budget) is not None:
+            return k + 1
+    return 1
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +327,9 @@ def closure_spectrum(
 class KTransEntry:
     """One faithful transitive action examined by k_trans.
 
-    kind "exact" is the minimal closure index of the action's own walk;
+    kind "exact" is the minimal closure index v of the action, settled by
+    a witness outside the group in its (v - 1)-closure and either a full
+    search showing the v-closure is the group or the base bound v = b + 1;
     "bound" is one past a base size, an upper bound for it. source is
     "own" when the action itself gave the value, else it names the
     overgroup class, as point stabilizer order and degree, whose base
@@ -309,11 +347,12 @@ class KTransEntry:
 class KTransCertificate:
     """Evidence for a closure-number computation.
 
-    Every action not walked exactly has its upper bound dominated by some
-    exact value, so k is the true maximum. certified is True on every
-    certificate k_trans returns, and False only on the partial of a
-    BudgetExceededError, whose k is a lower bound. The entries come in
-    the order k_trans met the classes, by ascending degree.
+    Every exact value v rests on a witness at v - 1 and on a full search
+    at v or the base bound, and every action not settled exactly has its
+    upper bound dominated by some exact value, so k is the true maximum.
+    certified is True on every certificate k_trans returns, and False only
+    on the partial of a BudgetExceededError, whose k is a lower bound. The
+    entries come in the order k_trans met the classes, by ascending degree.
     """
 
     k: int
@@ -337,12 +376,15 @@ def k_trans(
     b(G/H) is at most b(G/K). Each class takes the least recorded base of
     its overgroup classes. It builds its own coset action and greedy base
     when its index is at most degree_bound, or when that base plus one
-    exceeds the exact maximum, and records the smaller base. Its closure
-    chain is walked exactly, charging the one budget, under the same two
-    conditions; otherwise its entry is the bound, one past its base. The
-    exact maximum only grows, so no bound ever exceeds it and the result
-    is always certified: a wider class is walked by need.
-    degree_bound only chooses which narrow classes are walked regardless.
+    exceeds the exact maximum, and records the smaller base. Under the same
+    two conditions its minimal closure index is settled exactly, charging
+    the one budget, by a walk down from the recorded base (_closure_index):
+    an exact value v is a witness outside G in the (v - 1)-closure plus
+    either a full search at v or the base bound. Otherwise its entry is
+    the bound, one past its base. The exact maximum only grows, so no bound
+    ever exceeds it and the result is always certified: a wider class is
+    walked by need. degree_bound only chooses which narrow classes are
+    walked regardless.
 
     A walk that exhausts the budget raises BudgetExceededError whose
     partial is an uncertified certificate of the entries finished so far,
@@ -374,7 +416,7 @@ def k_trans(
         # size only fell since the check above, so A is built whenever this holds
         if within or value > exact_max:
             try:
-                value = closure_spectrum(A, budget=budget).minimal_k
+                value = _closure_index(A, size, budget)
             except BudgetExceededError as exc:
                 raise BudgetExceededError(
                     f"the degree-{degree} action's walk stopped: {exc}",

@@ -297,10 +297,15 @@ def build_chain(degree: int, gens, known_order: int | None = None) -> Stabilizer
         level = levels[i]
         below = levels[i + 1 :]
         start = resume[i]
+        tree = level.orbit is not level.transversal
         for k, pt in enumerate(islice(level.orbit, start, None), start):
             u = level.transversal[pt]
             u_inv = None
             for s in level.gens:
+                # on a tuple level, a tree edge (pt, s) defines the
+                # representative of pt^s as u * s: the generator is trivial
+                if tree and level.orbit[s[pt]] == (pt, s):
+                    continue
                 # Schreier generator u * s * inv(rep of pt^s), sifted through
                 # its inverse rep * inv(s) * inv(u)
                 rep = level.transversal[s[pt]]

@@ -76,6 +76,23 @@ def brute_orbits(gens, degree):
     return out
 
 
+def brute_tuple_orbits(elems, degree, k):
+    """The orbit under elems of each injective k-tuple (of every injective
+    tuple of all points when k exceeds the degree), keyed by the tuple."""
+    tuples = list(permutations(range(degree), min(k, degree)))
+    table = {t: set() for t in tuples}
+    for e in elems:
+        for t in tuples:
+            table[t].add(tuple(e[i] for i in t))
+    return table
+
+
+def brute_keeps_tuple_orbits(table, h):
+    """Whether h sends every tuple of a brute_tuple_orbits table inside
+    its own orbit."""
+    return all(tuple(h[i] for i in t) in orbit for t, orbit in table.items())
+
+
 def brute_k_closure(elems, degree, k):
     """All h in Sym(degree) preserving every orbit on injective k-tuples.
 
@@ -83,16 +100,8 @@ def brute_k_closure(elems, degree, k):
     keep the permutations h whose action sends every tuple inside its own
     orbit table row.
     """
-    tuples = list(permutations(range(degree), min(k, degree)))
-    table = {t: set() for t in tuples}
-    for e in elems:
-        for t in tuples:
-            table[t].add(tuple(e[i] for i in t))
-    out = set()
-    for h in permutations(range(degree)):
-        if all(tuple(h[i] for i in t) in table[t] for t in tuples):
-            out.add(h)
-    return out
+    table = brute_tuple_orbits(elems, degree, k)
+    return {h for h in permutations(range(degree)) if brute_keeps_tuple_orbits(table, h)}
 
 
 def brute_transitivity_degree(elems, degree):

@@ -563,11 +563,12 @@ def test_subgroup_enumeration_skips_double_cosets(monkeypatch):
 
     monkeypatch.setattr(actions, "build_chain", counting)
     assert len(subgroups_up_to_conjugacy(catalog_group("A6").group)) == 22
-    # the extensions <H, x>, one per double coset HxH and cyclic subgroup
-    # <x>, each checked by a chain, less those whose chain already has the
-    # order of the group; those of the trivial group are the cyclic
-    # subgroups, each closed once
-    assert 0 < len(chains) <= 391
+    # the extensions <H, x> of a nontrivial H, one per double coset HxH and
+    # cyclic subgroup <x>, each checked by a chain, less those whose chain
+    # already has the order of the group; those of the trivial group are
+    # the cyclic subgroups, whose order is the number of powers of x, so
+    # they take no chain and each is closed once
+    assert 0 < len(chains) <= 225
     assert 0 < len(closures) <= 318
 
 

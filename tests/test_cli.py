@@ -306,18 +306,19 @@ def test_verify_prints_the_finished_claims_when_a_search_runs_out(capsys, monkey
 def test_ktrans_honours_budget_seconds(capsys):
     code, out, err = run(capsys, "ktrans", "--catalog", "A5", "--max-degree", "12",
                          "--budget-seconds", "0.000001")
-    # the first walk's first node is past the cap, and the bounds above the
-    # degree bound come only after every walk, so nothing finished
+    # the natural action's walk is settled by the symmetric shortcut and
+    # charges no node; the degree-6 walk's first node is past the cap, and
+    # the bounds above the degree bound come only after every walk
     assert code == 3
-    assert out == ""
+    assert out == "  degree 5: exact 4\n"
     assert "budget exceeded" in err
 
 
 def test_ktrans_prints_the_finished_actions_when_the_budget_runs_out(capsys):
-    # the walks run narrowest first: degrees 5, 6 and 10 take 6, 10 and 31
-    # nodes, and the degree-12 one would take 35 more; no wider class is
+    # the walks run narrowest first: degrees 5, 6 and 10 take 0, 10 and 18
+    # nodes, and the degree-12 one would take 22 more; no wider class is
     # walked by need, so a partial holds the finished walks and no bound
-    argv = ["ktrans", "--catalog", "A5", "--max-degree", "12", "--budget-nodes", "50"]
+    argv = ["ktrans", "--catalog", "A5", "--max-degree", "12", "--budget-nodes", "30"]
     code, out, err = run(capsys, *argv)
     assert code == 3
     assert out == "  degree 5: exact 4\n  degree 6: exact 3\n  degree 10: exact 3\n"

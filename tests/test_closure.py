@@ -12,10 +12,11 @@ from closurelab.actions import (
     coset_action,
     ksubsets_action,
     natural_action,
+    subgroup_lattice,
     subgroups_up_to_conjugacy,
     union,
 )
-from closurelab.basesize import exact_base_size
+from closurelab.basesize import exact_base_size, greedy_base
 from closurelab.budget import DEFAULT_ORDER_BOUND, Budget
 from closurelab.catalog import (
     alternating,
@@ -29,6 +30,8 @@ from closurelab.catalog import (
 from closurelab.closure import (
     KTransCertificate,
     KTransEntry,
+    _closure_index,
+    _closure_witness,
     block_lemma_check,
     closure_spectrum,
     complete_lemma_check,
@@ -42,7 +45,13 @@ from closurelab.errors import BudgetExceededError, DegreeLimitError, SimplicityE
 from closurelab.perm import Permutation, parse_cycles
 from closurelab.stabchain import PermGroup
 
-from oracles import brute_elements, brute_k_closure, brute_simplicity_defect
+from oracles import (
+    brute_elements,
+    brute_k_closure,
+    brute_keeps_tuple_orbits,
+    brute_simplicity_defect,
+    brute_tuple_orbits,
+)
 from test_harness import generator_sets
 
 
@@ -333,10 +342,10 @@ def test_k_trans_honours_a_time_budget():
 
 
 def test_k_trans_exhaustion_keeps_the_finished_actions():
-    # the walks run narrowest first: degrees 5, 6 and 10 take 6, 10 and 31
-    # nodes, and the degree-12 one would take 35 more
+    # the walks run narrowest first: degrees 5, 6 and 10 take 0, 10 and 18
+    # nodes, and the degree-12 one would take 22 more
     with pytest.raises(BudgetExceededError) as info:
-        k_trans(alternating(5), 12, budget=Budget(50))
+        k_trans(alternating(5), 12, budget=Budget(30))
     cert = info.value.partial
     assert isinstance(cert, KTransCertificate)
     assert not cert.certified
@@ -466,6 +475,52 @@ def test_k_trans_answer_does_not_depend_on_the_degree_bound(name, degree_bound, 
     for bound in (1, degree_bound):
         value, cert = k_trans(G, bound)
         assert (value, cert.k, cert.certified) == (k, k, True)
+
+
+@pytest.mark.parametrize("name", ["S4", "S5", "A5", "PSL(2,7)", "A6", "PSL(2,8)"])
+def test_k_trans_decision_walk_matches_the_closure_chain(name):
+    # every faithful coset action, at every degree: the base each class
+    # records as k_trans does (its own greedy base or an overgroup's,
+    # whichever is smaller) bounds the minimal closure index, and the walk
+    # down from it gives the index the upward closure chain finds
+    G = catalog_group(name).group
+    classes, over = subgroup_lattice(G)
+    size = {}
+    for i in reversed(range(len(classes))):
+        A = coset_action(G, classes[i])
+        if not A.faithful:
+            continue
+        size[i] = min([greedy_base(A).size] + [size[j] for j in over[i] if j in size])
+        minimal_k = closure_spectrum(A).minimal_k
+        assert size[i] + 1 >= minimal_k
+        assert _closure_index(A, size[i], Budget()) == minimal_k
+    assert size
+
+
+@pytest.mark.parametrize("name,degree_bound", [("A5", 12), ("PSL(2,7)", 14)])
+def test_k_trans_exact_values_have_a_witness_one_below(name, degree_bound):
+    # the entries follow the faithful classes in the order k_trans takes
+    # them; an exact value v > 1 rests on a permutation outside G that
+    # keeps every orbit of G on injective (v - 1)-tuples, checked by brute
+    # force on the tuples
+    G = catalog_group(name).group
+    _, cert = k_trans(G, degree_bound)
+    actions = [coset_action(G, H) for H in reversed(subgroups_up_to_conjugacy(G))]
+    actions = [A for A in actions if A.faithful]
+    assert [(A.degree, A.group.order() // A.degree) for A in actions] == [
+        (e.degree, e.point_stabilizer_order) for e in cert.entries
+    ]
+    checked = 0
+    for A, e in zip(actions, cert.entries):
+        if e.kind != "exact" or e.value == 1:
+            continue
+        w = _closure_witness(A, e.value - 1, Budget())
+        elems = brute_elements([g.images for g in A.group.generators], A.degree)
+        assert w is not None and w.images not in elems
+        table = brute_tuple_orbits(elems, A.degree, e.value - 1)
+        assert brute_keeps_tuple_orbits(table, w.images)
+        checked += 1
+    assert checked == sum(e.kind == "exact" for e in cert.entries)
 
 
 def test_require_nonabelian_simple():
@@ -678,8 +733,9 @@ def _every_cap(run, nodes):
 
 
 def test_k_trans_budget_caps_give_the_answer_or_an_uncertified_partial():
-    # S3/3 spends every node in the by-need walk of the free action
-    for G, degree_bound, nodes in [(alternating(5), 12, 82), (symmetric(3), 3, 6)]:
+    # S4/8: the natural action's walk charges no node, the three wider
+    # walks 8, 10 and 12
+    for G, degree_bound, nodes in [(alternating(5), 12, 50), (symmetric(4), 8, 30)]:
         full, outcomes = _every_cap(lambda b: k_trans(G, degree_bound, budget=b), nodes)
         for out in outcomes:
             if isinstance(out, BudgetExceededError):
