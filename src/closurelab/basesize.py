@@ -201,8 +201,6 @@ def partition_base_check(n: int, a: int, b: int, budget: Budget | None = None) -
     """Compare exact partition-action base sizes against the n-2 bound."""
     if a * b != n:
         raise ValueError(f"{a} blocks size times {b} blocks must equal n={n}")
-    if n > 8:
-        raise ValueError("partition base checks are desk scale: n <= 8")
     sym = exact_base_size(partitions_action(symmetric(n), a, b), budget)
     alt = exact_base_size(partitions_action(alternating(n), a, b), budget)
     bound = n - 2

@@ -42,6 +42,7 @@ from .perm import (
     identity_images,
     inverse_images,
     pack_images,
+    print_cycles,
 )
 from .stabchain import PermGroup, _canonical_image, _orbit, _orbitals, build_chain
 
@@ -50,17 +51,37 @@ from .stabchain import PermGroup, _canonical_image, _orbit, _orbitals, build_cha
 # the closure backtrack
 
 
+def _shortcut(G: PermGroup, k: int) -> PermGroup | None:
+    """The k-closure of G where no search is needed, else None: k = 1 gives
+    the direct product of symmetric groups on the orbits, of order the
+    product of the orbit-size factorials; k at least the degree gives G
+    back; a k-transitive group has the full symmetric group, of order n!,
+    as its k-closure. The symmetric groups carry their order, so order()
+    on them builds no chain."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    n = G.degree
+    if k == 1:
+        gens = []
+        order = 1
+        for orbit in G.orbits():
+            gens.extend(_symmetric_on(orbit, n))
+            order *= factorial(len(orbit))
+        return PermGroup(n, tuple(gens), known_order=order)
+    if k >= n:
+        return G
+    if transitivity_degree(G) >= k:
+        return PermGroup(n, tuple(_symmetric_on(range(n), n)), known_order=factorial(n))
+    return None
+
+
 def k_closure(A: ActionInstance, k: int, budget: Budget | None = None) -> PermGroup:
     """The largest group with the same ordered k-tuple orbits as A's group.
 
-    Shortcuts: k = 1 gives the direct product of symmetric groups on the
-    orbits, of order the product of the orbit-size factorials; k at least
-    the degree gives the group back; a k-transitive group has the full
-    symmetric group, of order n!, as its k-closure. The two symmetric
-    shortcuts return groups that carry their order, so order() on them
-    builds no chain. Otherwise a depth-first search assigns images point
-    by point in domain order, and no node runs a search: every check is a
-    lookup in stabilizer chains of G.
+    The shortcuts of _shortcut (k = 1, k at least the degree, k at most the
+    transitivity degree) are taken first. Otherwise a depth-first search
+    assigns images point by point in domain order, and no node runs a
+    search: every check is a lookup in stabilizer chains of G.
 
     Forward checking keeps candidates to a domain per point. The k-closure
     lies in the 2-closure, so each pair (i, j) must go into the orbit of G
@@ -82,22 +103,10 @@ def k_closure(A: ActionInstance, k: int, budget: Budget | None = None) -> PermGr
     leaf. Budget exhaustion raises an error carrying the subgroup found so
     far, a valid lower bound.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    G = A.group
-    n = G.degree
-    if k == 1:
-        gens = []
-        order = 1
-        for orbit in G.orbits():
-            gens.extend(_symmetric_on(orbit, n))
-            order *= factorial(len(orbit))
-        return PermGroup(n, tuple(gens), known_order=order)
-    if k >= n:
-        return G
-    if transitivity_degree(G) >= k:
-        return PermGroup(n, tuple(_symmetric_on(range(n), n)), known_order=factorial(n))
-    return _closure_backtrack(G, k, budget if budget is not None else Budget())
+    U = _shortcut(A.group, k)
+    if U is not None:
+        return U
+    return _closure_backtrack(A.group, k, budget if budget is not None else Budget())
 
 
 def _closure_backtrack(G: PermGroup, k: int, budget: Budget, witness: bool = False):
@@ -108,7 +117,7 @@ def _closure_backtrack(G: PermGroup, k: int, budget: Budget, witness: bool = Fal
     h = [0] * n
     # Level j of the chain with base 0..n-1 holds the orbit of j under the
     # pointwise stabilizer of 0..j-1 in G. It is the chain transitivity_degree
-    # read in k_closure, cached on G.
+    # read in _shortcut, cached on G.
     natural = G.chain(preferred_base=range(n)).levels
     # wit[j] is the packed images of an element of G agreeing with h on
     # points 0..j-1, or None when G has no such element; it composes with
@@ -222,17 +231,17 @@ def _closure_backtrack(G: PermGroup, k: int, budget: Budget, witness: bool = Fal
 
 def _closure_witness(A: ActionInstance, k: int, budget: Budget) -> Permutation | None:
     """A permutation of the k-closure of A's group outside the group, or
-    None when the k-closure is the group. Where k_closure takes a shortcut
-    (k = 1, k at least the degree, or k at most the transitivity degree),
-    its orders decide, and some generator of a larger closure lies outside;
-    otherwise the closure backtrack stops at its first leaf outside."""
+    None when the k-closure is the group: the one yes/no closure decision.
+    Where _shortcut gives the closure, which contains the group, it is the
+    group exactly when each of its generators lies in it, so the first
+    generator outside is the witness; otherwise the closure backtrack stops
+    at its first leaf outside, and where the closure is the group it charges
+    the nodes of the full search."""
     G = A.group
-    if k == 1 or k >= G.degree or transitivity_degree(G) >= k:
-        U = k_closure(A, k)
-        if U.order() == G.order():
-            return None
-        return next(g for g in U.generators if not G.contains(g))
-    return _closure_backtrack(G, k, budget, witness=True)
+    U = _shortcut(G, k)
+    if U is None:
+        return _closure_backtrack(G, k, budget, witness=True)
+    return next((g for g in U.generators if not G.contains(g)), None)
 
 
 def _closure_index(A: ActionInstance, size: int, budget: Budget) -> int:
@@ -511,8 +520,9 @@ def intransitive_certificate(
     ordered orbit pair, a point stabilizer from the first orbit that is
     intransitive on the second (one point per orbit suffices, stabilizers
     of orbit-mates being conjugate), plus each orbit restriction equal to
-    its own k-closure; equivalent orbit restrictions share one closure
-    computation. All the closures charge the one budget.
+    its own k-closure, decided by the witness search (_closure_witness),
+    whose witness the failing verdict names; equivalent orbit restrictions
+    share one decision. All the searches charge the one budget.
     """
     G = A.group
     orbs = G.orbits()
@@ -550,13 +560,13 @@ def intransitive_certificate(
     if budget is None:
         budget = Budget()
     for r in class_reps:
-        H = k_closure(insts[r], k, budget=budget)
-        if H.order() != insts[r].group.order():
+        witness = _closure_witness(insts[r], k, budget)
+        if witness is not None:
             return IntransitiveVerdict(
                 status="per-orbit-closure-fails",
                 detail=(
-                    f"orbit {r}: the {k}-closure has order {H.order()}, "
-                    f"the orbit image only {insts[r].group.order()}"
+                    f"orbit {r}: the {k}-closure holds {print_cycles(witness)}, "
+                    "which is outside the orbit image"
                 ),
                 orbit_count=len(orbs),
                 failing_orbit=r,
@@ -579,12 +589,12 @@ class LemmaCheckReport:
 
     The two attested flags record facts supplied by the caller (trivial
     outer automorphism group; maximality in the alternating group) that are
-    not computed here. status is "confirmed" when the predicted closure
-    collapse was verified by search, "prediction-fails" when the computed
-    closures differ from it, "hypotheses-not-applicable" for the full
-    symmetric or alternating group, and "hypotheses-fail" when a computable
-    hypothesis or an attestation is missing. A closure search that runs out
-    of budget raises BudgetExceededError instead of giving a report.
+    not computed here. status is "confirmed" when the computed closures
+    match the predicted collapse, "prediction-fails" when they differ,
+    "hypotheses-not-applicable" for the full symmetric or alternating
+    group, and "hypotheses-fail" when a computable hypothesis or an
+    attestation is missing. A closure search that runs out of budget
+    raises BudgetExceededError instead of giving a report.
     """
 
     status: str
@@ -609,9 +619,12 @@ def complete_lemma_check(
     alternating group, with trivial outer automorphism group and maximal in
     the alternating group (both attested by the caller), the k-closure is
     the full symmetric group while the (k+1)-closure is the group itself.
-    This checks the computable hypotheses, then confirms both closure
-    identities by search, producing a witness separating the group from its
-    k-closure. Both closures charge the one budget."""
+    This checks the computable hypotheses; the k-closure of an exactly
+    k-transitive group is then the full symmetric group by _shortcut, with
+    no search, and its witness outside the group comes from
+    _closure_witness: for k at least 2 the transposition (1 2), since a
+    k-transitive group holding a transposition is the full symmetric group.
+    The (k+1)-closure is computed by search, charging the one budget."""
     G = A.group
     n = G.degree
     full = factorial(n)
@@ -649,16 +662,8 @@ def complete_lemma_check(
         )
     if budget is None:
         budget = Budget()
-    closure_k = k_closure(A, k, budget=budget)
-    ck = closure_k.order()
-    witness = None
-    for j in range(1, n):
-        images = list(range(n))
-        images[0], images[j] = images[j], images[0]
-        candidate = Permutation(tuple(images))
-        if not G.contains(candidate):
-            witness = candidate
-            break
+    ck = k_closure(A, k, budget=budget).order()
+    witness = _closure_witness(A, k, budget)
     ck1 = k_closure(A, k + 1, budget=budget).order()
     if ck == full and ck1 == G.order():
         return report(

@@ -103,8 +103,7 @@ class _Transversal(dict):
     """The representatives of a tuple level composed so far, keyed by point;
     reading a missing point of the orbit tree composes it from its nearest
     stored ancestor down, storing each representative on the path. The walk
-    is iterative, as a tree can be as deep as the degree. get() composes
-    nothing: it returns None for a point not composed yet."""
+    is iterative, as a tree can be as deep as the degree."""
 
     __slots__ = ("tree",)
 
@@ -185,13 +184,10 @@ def _sift(levels, h: Images) -> Images:
     group the levels describe."""
     for level in levels:
         pt = h.index(level.beta)
-        u = level.transversal.get(pt)
-        if u is None:
-            if pt not in level.orbit:
-                return h
-            u = level.transversal[pt]
+        if pt not in level.orbit:
+            return h
         if pt != level.beta:
-            h = compose_images(u, h)
+            h = compose_images(level.transversal[pt], h)
     return h
 
 

@@ -23,7 +23,7 @@ from closurelab.basesize import (
 )
 from closurelab.budget import Budget
 from closurelab.catalog import alternating, dihedral, mathieu, symmetric
-from closurelab.errors import BudgetExceededError, NotFaithfulError
+from closurelab.errors import BudgetExceededError, DegreeLimitError, NotFaithfulError
 from closurelab.perm import Permutation, parse_cycles
 from closurelab.stabchain import PermGroup
 
@@ -301,7 +301,11 @@ def test_partition_base_check_eight_points():
 def test_partition_base_check_validates_shape():
     with pytest.raises(ValueError):
         partition_base_check(6, 2, 2)
-    with pytest.raises(ValueError):
-        partition_base_check(9, 3, 3)
     with pytest.raises(NotFaithfulError):
         partition_base_check(4, 2, 2)
+    # no cap on n: S9 on 3 blocks of 3 (280 points) runs, and S12 on 3
+    # blocks of 4 (5,775 points) meets the point guard
+    rec = partition_base_check(9, 3, 3)
+    assert (rec.sym.size, rec.alt.size, rec.consistent) == (3, 3, True)
+    with pytest.raises(DegreeLimitError):
+        partition_base_check(12, 4, 3)

@@ -370,6 +370,12 @@ def test_catalog_list(capsys):
     assert code == 0
     assert "M11 M12 M22 M23 M24" in out
     assert "an-closure" in out
+    code, out, _ = run(capsys, "catalog", "--list", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["command"] == "catalog"
+    assert "M11 M12 M22 M23 M24   Mathieu groups" in payload["result"]["groups"]
+    assert "an-closure" in payload["result"]["suites"]
 
 
 def test_workers_flag_is_rejected(capsys):

@@ -631,6 +631,19 @@ def test_intransitive_certificate_detects_transitive_cross_stabilizer():
     assert verdict.failing_pair == (0, 1)
 
 
+def test_intransitive_certificate_names_a_witness_outside_an_orbit_image():
+    # A5 on the 6 cosets of its order-10 subgroup is 2-transitive, so the
+    # 2-closure of each copy is S6; the stabilizer hypothesis holds
+    A5 = alternating(5)
+    sub10 = next(S for S in subgroups_up_to_conjugacy(A5) if S.order() == 10)
+    six = coset_action(A5, sub10)
+    verdict = intransitive_certificate(union([six, six]), 2)
+    assert verdict.status == "per-orbit-closure-fails"
+    assert verdict.failing_orbit == 0
+    cycles = verdict.detail[verdict.detail.index("(") : verdict.detail.rindex(")") + 1]
+    assert not six.group.contains(parse_cycles(cycles, 6))
+
+
 def test_intransitive_certificate_input_screening():
     with pytest.raises(ValueError):
         intransitive_certificate(natural_action(alternating(5)), 2)
@@ -782,6 +795,28 @@ def test_complete_lemma_check_confirms_psl27():
     assert report.status == "confirmed"
     assert report.closure_order_at_k == 40320
     assert report.closure_order_at_k_plus_1 == 168
+
+
+def test_complete_lemma_check_reports_a_failed_prediction():
+    # A5 on pairs is exactly 1-transitive, but its 2-closure is S5 on
+    # pairs, of order 120, not the group
+    report = complete_lemma_check(
+        ksubsets_action(alternating(5), 2), 1, out_trivial=True, maximal_in_alt=True
+    )
+    assert report.status == "prediction-fails"
+    assert (report.transitivity, report.closure_order_at_k) == (1, factorial(10))
+    assert report.closure_order_at_k_plus_1 == 120
+    assert report.witness == parse_cycles("(1 2)", 10)
+
+
+def test_block_lemma_checks_faithfulness_where_two_blocks_fix_nothing():
+    # S3 regular on 6 points: each of the 3 blocks has a stabilizer of
+    # order 2, and two of them meet trivially
+    s3 = natural_action(group(6, "(1 2 3)(4 6 5)", "(1 4)(2 5)(3 6)"))
+    S = BlockSystem.from_blocks([[0, 3], [1, 5], [2, 4]], 6)
+    record = block_lemma_check(s3, S, 2)
+    assert record.faithful_ok is True
+    assert record.holds
 
 
 def test_block_lemma_on_imprimitive_actions():
