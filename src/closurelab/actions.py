@@ -2,9 +2,10 @@
 
 Orbits, block systems and primitivity, quotient actions on blocks, actions
 on k-subsets and on partitions into equal parts, coset actions, restrictions
-to invariant subsets, disjoint unions, and desk-scale subgroup enumeration.
-Every construction returns an ActionInstance that remembers where its domain
-came from, so downstream reports stay readable.
+to invariant subsets, and disjoint unions. The subgroup classes whose coset
+actions k_trans walks are enumerated in lattice.py. Every construction
+returns an ActionInstance that remembers where its domain came from, so
+downstream reports stay readable.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
-from math import gcd
 
 from .budget import DEFAULT_MAX_DEGREE
 from .errors import (
@@ -28,12 +28,10 @@ from .perm import (
     Permutation,
     compose_images,
     identity_images,
-    inverse_images,
     pack_images,
     print_cycles,
-    translation_table,
 )
-from .stabchain import PermGroup, _orbit, build_chain
+from .stabchain import PermGroup, _orbit
 
 
 @dataclass(frozen=True)
@@ -441,120 +439,3 @@ def setwise_block_stabilizer(A: ActionInstance, S: BlockSystem, block_indices) -
     fixed = [n + _check_index(j, S.num_blocks, "block index") for j in block_indices]
     stab = union([A, quotient_action(A, S)]).group.pointwise_stabilizer(fixed)
     return PermGroup(n, [Permutation(h.images[:n]) for h in stab.generators])
-
-
-def subgroups_up_to_conjugacy(G: PermGroup) -> list[PermGroup]:
-    """One representative per conjugacy class of subgroups, sorted by
-    order: the classes of subgroup_lattice(G)."""
-    return subgroup_lattice(G)[0]
-
-
-def subgroup_lattice(G: PermGroup) -> tuple[list[PermGroup], list[tuple[int, ...]]]:
-    """One representative per conjugacy class of subgroups, sorted by
-    order, and over: over[i] lists the classes j of the proper extensions
-    <H_i, x> the scan registers or finds, so H_i lies in a member of class
-    j. A class other than G with an empty over list has G as its only
-    extension, so it is maximal.
-
-    Starts from the trivial group and closes under single-element extension
-    of class representatives, so the trivial group's extensions are the
-    cyclic subgroups; every subgroup shows up because it is reachable by
-    adjoining generators one at a time along a chain of subgroups.
-    Element-set fingerprints deduplicate across classes.
-
-    Elements are packed images (perm.py): x.translate(translation_table(g))
-    is x, then g, so closures and conjugacy classes are _orbit walks with
-    bytes.translate at their core, and sorted bytes order as image tuples
-    do. Past perm.py's bytes line there is no table: translation_table
-    raises DegreeLimitError before any element is listed. The listing
-    itself refuses a group of order above DEFAULT_ORDER_BOUND.
-
-    Since <H, hyh'> = <H, y> for h, h' in H, and <H, x> = <H, x^k> for k
-    prime to the order of x, an uncovered x marks the double cosets HyH of
-    every generator y of <x> as covered, and is the one element of them
-    extended. A covered element gives the subgroup of an earlier one, whose
-    registration came first, so the representatives and their generators
-    do not depend on the marking. An extension whose stabilizer chain
-    reaches the order of G is G, whose element set is at hand, so it is
-    never closed up by multiplication.
-    """
-    N = G.order()
-    degree = G.degree
-    identity = identity_images(degree)
-    packed = [pack_images(g.images) for g in G.generators]
-    # g, then K, then the inverse of g: K conjugated by the inverse of g; the
-    # tables refuse a degree past the bytes line before the elements are listed
-    conjugators = [(g, translation_table(inverse_images(g))) for g in packed]
-    elems = sorted(G._element_images())
-    whole = frozenset(elems)
-
-    def generated(seed):
-        return frozenset(_orbit(identity, list(map(translation_table, seed)), bytes.translate))
-
-    def conjugate(K, pair):
-        g, inverse = pair
-        return frozenset(g.translate(translation_table(h.translate(inverse))) for h in K)
-
-    # every member of a known class, mapped to the class's place in reps
-    known = {}
-    reps = []
-    over = []
-
-    def register(H, seed_gens):
-        if H in known:
-            return known[H]
-        cls = _orbit(H, conjugators, conjugate)
-        known.update(dict.fromkeys(cls, len(reps)))
-        canon = min(cls, key=sorted)
-        if canon is not H:
-            # regenerate a small generating list for the canonical member
-            seed_gens, H = [], {identity}
-            for x in sorted(canon):
-                if x not in H:
-                    seed_gens.append(x)
-                    H = generated(seed_gens)
-        reps.append((canon, seed_gens))
-        return known[canon]
-
-    register(frozenset([identity]), [])
-    # reps grows while it is walked, as a breadth-first queue
-    for H, H_gens in reps:
-        over.append(set())
-        if len(H) == N:
-            continue
-        tables = list(map(translation_table, H_gens))
-        covered = set(H)
-        for x in elems:
-            if x in covered:
-                continue
-            # mark the double cosets HyH of the generators y = x^k of <x>,
-            # the closure of those y under multiplication by H's generators
-            # on either side
-            powers, step = [x], translation_table(x)
-            while powers[-1] != identity:
-                powers.append(powers[-1].translate(step))
-            double = [y for k, y in enumerate(powers, 1) if gcd(k, len(powers)) == 1]
-            covered.update(double)
-            for y in double:
-                table = translation_table(y)
-                for g, gt in zip(H_gens, tables):
-                    for z in (g.translate(table), y.translate(gt)):
-                        if z not in covered:
-                            covered.add(z)
-                            double.append(z)
-            K_gens = H_gens + [x]
-            # the chain stops once its order reaches N, and that order
-            # never exceeds |<H, x>|; only a proper subgroup is closed up.
-            # Over the trivial group <x> is cyclic, of order len(powers)
-            if (build_chain(degree, K_gens, known_order=N).order() if H_gens else len(powers)) == N:
-                register(whole, K_gens)
-            else:
-                over[-1].add(register(generated(K_gens), K_gens))
-
-    order = sorted(range(len(reps)), key=lambda c: (len(reps[c][0]), sorted(reps[c][0])))
-    place = {c: i for i, c in enumerate(order)}
-    groups = [
-        PermGroup(degree, [Permutation(g) for g in reps[c][1]], known_order=len(reps[c][0]))
-        for c in order
-    ]
-    return groups, [tuple(sorted(place[j] for j in over[c])) for c in order]

@@ -28,12 +28,12 @@ from .actions import (
     quotient_action,
     restriction,
     setwise_block_stabilizer,
-    subgroup_lattice,
     transitivity_degree,
 )
 from .basesize import greedy_base
 from .budget import Budget
 from .errors import BudgetExceededError, SimplicityError
+from .lattice import subgroup_lattice
 from .perm import (
     Images,
     Permutation,

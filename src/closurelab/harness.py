@@ -19,7 +19,6 @@ from .actions import (
     maximal_block_systems,
     natural_action,
     quotient_action,
-    subgroups_up_to_conjugacy,
     union,
 )
 from .basesize import exact_base_size, halasi_base, partition_base_check
@@ -34,6 +33,7 @@ from .closure import (
     restriction_lemma_check,
 )
 from .errors import BudgetExceededError, DegreeLimitError, ValidationError
+from .lattice import subgroups_up_to_conjugacy
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from closurelab import actions, stabchain
+from closurelab import actions, lattice, stabchain
 from closurelab.actions import (
     ActionInstance,
     BlockSystem,
@@ -24,8 +24,6 @@ from closurelab.actions import (
     quotient_action,
     restriction,
     setwise_block_stabilizer,
-    subgroup_lattice,
-    subgroups_up_to_conjugacy,
     transitivity_degree,
     union,
 )
@@ -37,6 +35,7 @@ from closurelab.errors import (
     InvalidPartitionError,
     NotASubgroupError,
 )
+from closurelab.lattice import subgroup_lattice, subgroups_up_to_conjugacy
 from closurelab.perm import Permutation, parse_cycles
 from closurelab.stabchain import PermGroup
 
@@ -464,6 +463,25 @@ def test_subgroup_classes_match_brute_enumeration():
             assert sum(1 for r in rep_sets if r in cls) == 1
 
 
+@pytest.mark.parametrize("name,total", [
+    ("S4", 30), ("A5", 59), ("S5", 156), ("PSL(2,7)", 179), ("A6", 501),
+])
+def test_class_sizes_add_up_to_the_number_of_subgroups(name, total):
+    # a class has |G : N_G(H)| members; N_G(H) is found here by conjugating
+    # H's generators by every element of G, not by the enumeration's own
+    # walk, and the totals are the published numbers of subgroups. S4 and
+    # S5 have normal classes besides 1 and G: A4, V4 and A5
+    G = catalog_group(name).group
+    elems = brute_elements([g.images for g in G.generators], G.degree)
+    found = 0
+    for H in subgroups_up_to_conjugacy(G):
+        members = {p.images for p in H.elements()}
+        gens = [h.images for h in H.generators]
+        normalizer = sum(all(mul(mul(inv(g), h), g) in members for h in gens) for g in elems)
+        found += len(elems) // normalizer
+    assert found == total
+
+
 @pytest.mark.parametrize("name", ["S4", "A5", "S5", "PSL(2,7)", "A6"])
 def test_subgroup_lattice_records_overgroups_and_maximal_classes(name):
     # over[i] holds class j only if a conjugate of H_j contains H_i, checked
@@ -540,7 +558,7 @@ def _count_closures(monkeypatch, sizes):
     The listing of G's elements is not one of them; it is walked in
     stabchain. Callers assert that some closure was counted, so a change of
     the act cannot pass a cap vacuously."""
-    real = actions._orbit
+    real = lattice._orbit
 
     def counting(start, gens, act, *args):
         out = real(start, gens, act, *args)
@@ -548,28 +566,30 @@ def _count_closures(monkeypatch, sizes):
             sizes.append(len(out))
         return out
 
-    monkeypatch.setattr(actions, "_orbit", counting)
+    monkeypatch.setattr(lattice, "_orbit", counting)
 
 
 def test_subgroup_enumeration_skips_double_cosets(monkeypatch):
     closures = []
     _count_closures(monkeypatch, closures)
     chains = []
-    real = actions.build_chain
+    real = lattice.build_chain
 
     def counting(*args, **kwargs):
         chains.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(actions, "build_chain", counting)
+    monkeypatch.setattr(lattice, "build_chain", counting)
     assert len(subgroups_up_to_conjugacy(catalog_group("A6").group)) == 22
-    # the extensions <H, x> of a nontrivial H, one per double coset HxH and
-    # cyclic subgroup <x>, each checked by a chain, less those whose chain
-    # already has the order of the group; those of the trivial group are
-    # the cyclic subgroups, whose order is the number of powers of x, so
-    # they take no chain and each is closed once
-    assert 0 < len(chains) <= 225
-    assert 0 < len(closures) <= 318
+    # the extensions <H, x> of a nontrivial H, one per N_G(H)-orbit of the
+    # double cosets HxH and cyclic subgroup <x>, each checked by a chain;
+    # those whose chain already has the order of the group are not closed
+    # up. The trivial group's extensions are the cyclic subgroups, read off
+    # the powers of x, so they take no chain and no closure. The other
+    # closures grow a normalizer by a kept Schreier generator or regenerate
+    # a canonical member's generators
+    assert 0 < len(chains) <= 133
+    assert 0 < len(closures) <= 102
 
 
 @pytest.mark.parametrize("name", ["A6", "PSL(2,7)"])

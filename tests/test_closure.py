@@ -12,8 +12,6 @@ from closurelab.actions import (
     coset_action,
     ksubsets_action,
     natural_action,
-    subgroup_lattice,
-    subgroups_up_to_conjugacy,
     union,
 )
 from closurelab.basesize import exact_base_size, greedy_base
@@ -42,6 +40,7 @@ from closurelab.closure import (
     restriction_lemma_check,
 )
 from closurelab.errors import BudgetExceededError, DegreeLimitError, SimplicityError
+from closurelab.lattice import subgroup_lattice, subgroups_up_to_conjugacy
 from closurelab.perm import Permutation, parse_cycles
 from closurelab.stabchain import PermGroup
 

@@ -113,6 +113,7 @@ def test_private_names_cross_modules_only_where_listed():
     assert imported == {
         ("_orbit", "actions"),
         ("_orbit", "closure"),
+        ("_orbit", "lattice"),
         ("_canonical_image", "closure"),
         ("_orbitals", "closure"),
         ("_symmetric_on", "closure"),
