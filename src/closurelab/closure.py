@@ -102,7 +102,11 @@ def k_closure(A: ActionInstance, k: int, budget: Budget | None = None) -> PermGr
     order are explored, so each coset of the final closure contributes one
     leaf. Budget exhaustion raises an error carrying the subgroup found so
     far, a valid lower bound.
+
+    The group's first chain is built through A.faithful, so it stops at the
+    order of the acting group when the action is faithful.
     """
+    A.faithful
     U = _shortcut(A.group, k)
     if U is not None:
         return U
@@ -182,51 +186,48 @@ def _closure_backtrack(G: PermGroup, k: int, budget: Budget, witness: bool = Fal
             )
         return stab_stack[j]
 
-    def dfs(j: int) -> Permutation | None:
-        nonlocal K
-        if j == n:
+    def candidates(j: int):
+        # only images in j's domain that are least in their orbit under the
+        # stabilizer are nodes
+        ids = stab_at(j).chain().orbit_ids(0)
+        here = dom[j][j]
+        return (beta for beta in range(n) if here >> beta & 1 and ids[beta] == beta)
+
+    # The depth-first search runs on an explicit stack of frames (j, the
+    # candidates for point j not yet tried), one per assigned point, so its
+    # depth is not bounded by the interpreter's recursion limit.
+    try:
+        frames = [(0, candidates(0))]
+        while frames:
+            j, todo = frames[-1]
+            for beta in todo:
+                budget.charge()
+                if constraints_ok(j, beta):
+                    nxt = forward(j, beta)
+                    if nxt is not None:
+                        break
+            else:
+                del stab_stack[j + 1 :]
+                frames.pop()
+                continue
+            h[j] = beta
+            dom[j + 1 :] = [nxt]
+            del stab_stack[j + 1 :]
+            if j + 1 < n:
+                frames.append((j + 1, candidates(j + 1)))
+                continue
             p = Permutation(tuple(h))
             if not K.contains(p):
                 if witness:
                     return p
                 K = PermGroup(n, tuple(K.generators) + (p,))
                 stab_stack[:] = [K]
-            return None
-        ids = stab_at(j).chain().orbit_ids(0)
-        # only images in j's domain that are least in their orbit under the
-        # stabilizer are nodes
-        here = dom[j][j]
-        for beta in range(n):
-            if not here >> beta & 1 or ids[beta] != beta:
-                continue
-            budget.charge()
-            if not constraints_ok(j, beta):
-                continue
-            nxt = forward(j, beta)
-            if nxt is None:
-                continue
-            h[j] = beta
-            dom[j + 1 :] = [nxt]
-            del stab_stack[j + 1 :]
-            found = dfs(j + 1)
-            if found is not None:
-                return found
-        del stab_stack[j + 1 :]
-        return None
-
-    try:
-        found = dfs(0)
     except BudgetExceededError as exc:
         raise BudgetExceededError(
             f"closure backtrack stopped after {budget.nodes} nodes: {exc}",
             partial=K,
         ) from None
-    finally:
-        # dfs refers to itself through its closure cell; clearing the cell
-        # breaks that cycle, so the tables and the stabilizer stack are
-        # freed on return instead of whenever the cyclic collector next runs.
-        del dfs
-    return found if witness else K
+    return None if witness else K
 
 
 def _closure_witness(A: ActionInstance, k: int, budget: Budget) -> Permutation | None:
@@ -293,7 +294,9 @@ def closure_spectrum(
     one budget, and each entry records the nodes its own step used. A step
     that exhausts the budget raises BudgetExceededError whose partial is
     the ClosureReport of the steps finished before it, with minimal_k None.
+    As in k_closure, the group's first chain is built through A.faithful.
     """
+    A.faithful
     G = A.group
     if budget is None:
         budget = Budget()

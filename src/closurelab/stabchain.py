@@ -6,14 +6,25 @@ transversal for the orbit of b_l under them. Everything else in the
 package (order, membership, stabilizers, canonical tuple images, and
 through them closures and base sizes) reduces to chain queries.
 
-The construction, build_chain, is the deterministic textbook algorithm on
-generators given as image sequences, which it packs (perm.pack_images):
-every chain element is bytes up to degree 256, composed by one
-bytes.translate call, and a tuple above. It verifies, level by level from
-the bottom, that every Schreier generator sifts to the identity, adjoining
-any nontrivial residue as a new strong generator. One routine, place, inserts
-every strong generator, given or found. No randomization, so chains (and
-all downstream reports) are reproducible functions of the generator list.
+The construction, build_chain, is Schreier-Sims on generators given as
+image sequences, which it packs (perm.pack_images): every chain element is
+bytes up to degree 256, composed by one bytes.translate call, and a tuple
+above. It verifies, level by level from the bottom, that every Schreier
+generator sifts to the identity, adjoining any nontrivial residue as a new
+strong generator. One routine, place, inserts every strong generator,
+given or found. Above the bytes line, given a bound on the group order
+(the order of the group an action is an image of), it first sifts random
+elements from a product-replacement walk with a fixed seed instead, and
+stops when the product of the orbit lengths reaches the bound. That stop
+is a proof: each level's group lies in the stabilizer of its base point in
+the level above, so the product is at most the group order, and equals it
+only for a complete chain. Ten sifts in a row with no residue before the
+bound end the walk, and the build starts over with the full scan, so an
+action that is not faithful still gets a verified chain. Either way a chain
+is a reproducible function of its generators and bound. Its base may
+differ from the full scan's. Orbits, orders, membership and rebased chains
+do not depend on it; coset_action's labels read a subgroup's base, and so
+could move only for a subgroup above the bytes line given with its order.
 
 One constructor builds every level: _Level(beta, gens, identity) takes
 its generators as given and walks the orbit of beta under them (_grow).
@@ -54,6 +65,7 @@ levels are shared and never changed. So Schreier-Sims runs once per group.
 from __future__ import annotations
 
 from itertools import islice
+from random import Random
 
 from .budget import DEFAULT_MAX_DEGREE, DEFAULT_ORDER_BOUND
 from .errors import DegreeLimitError, DegreeMismatchError
@@ -243,22 +255,45 @@ class StabilizerChain:
 
 
 def build_chain(degree: int, gens, known_order: int | None = None) -> StabilizerChain:
-    """Deterministic Schreier-Sims for the group the image sequences gens
-    generate on 0..degree-1, packed on entry.
+    """Schreier-Sims for the group the image sequences gens generate on
+    0..degree-1, packed on entry.
 
-    known_order allows early termination as soon as the transversal product
-    reaches it, which is sound because the product never exceeds the group
-    order.
+    known_order is a bound on the group order, such as the order of a group
+    the generators are images of; the build stops as soon as the product of
+    the basic orbit lengths reaches it. That stop is sound: every level's
+    group lies in the stabilizer of its base point in the level above, so
+    the product never exceeds the group order, and equals it only when
+    every level is the full stabilizer.
 
     One routine, place, adds every strong generator to its levels: the
-    generators first, then each nontrivial residue that _sift leaves of a
-    Schreier generator. A level is rebuilt by its constructor exactly when
-    its generators change.
+    generators first, then each nontrivial residue that _sift leaves. A
+    level is rebuilt by its constructor exactly when its generators change.
+    With known_order and tuple levels (degree above 256) the residues are
+    first those of random elements (Celler, Leedham-Green, Murray, Niemeyer
+    and O'Brien 1995; Seress, Permutation Group Algorithms, 2003, section
+    4.3), from a product-replacement walk with a fixed seed, so a chain is
+    still a function of its generators and known_order. A residue fixes the
+    base points above the level where its sift stopped and lies in the
+    group, so place puts it into every level from 1 to that one. If ten
+    sifts in a row leave no residue before known_order is reached, the
+    build starts over without the walk: each Schreier generator of each
+    level, from the bottom up, is sifted, which verifies the chain whatever
+    its order.
     """
     if degree > DEFAULT_MAX_DEGREE:
         raise DegreeLimitError(f"degree {degree} exceeds guard {DEFAULT_MAX_DEGREE}")
     identity = identity_images(degree)
+    packed = [g for g in map(pack_images, gens) if g != identity]
+
     levels: list[_Level] = []
+    # per level, the position in its orbit of the point whose scan last
+    # found a residue; the Schreier generators of the points before it sift
+    # to the identity through the levels below however those grow, so the
+    # next scan of the level starts there, until refresh rebuilds it
+    resume: dict[int, int] = {}
+    # inverses of the strong generators, cleared with the levels; keyed by
+    # id, which is stable because every generator stays in levels until then
+    gen_inverses: dict[int, Images] = {}
 
     def place(g: Images, idx: int) -> int:
         """Add g to levels idx, idx + 1, ... up to the first whose base
@@ -273,19 +308,9 @@ def build_chain(degree: int, gens, known_order: int | None = None) -> Stabilizer
                 return idx
             idx += 1
 
-    # per level, the position in its orbit of the point whose scan last
-    # found a residue; the Schreier generators of the points before it sift
-    # to the identity through the levels below however those grow, so the
-    # next scan of the level starts there, until refresh rebuilds it
-    resume: dict[int, int] = {}
-
     def refresh(idx: int) -> None:
         levels[idx] = _Level(levels[idx].beta, levels[idx].gens, identity)
         resume[idx] = 0
-
-    # inverses of the strong generators, for this build only; keyed by id,
-    # which is stable because every generator stays in levels until the end
-    gen_inverses: dict[int, Images] = {}
 
     def residue(i: int) -> Images | None:
         """The residue of the first Schreier generator of level i that does
@@ -319,12 +344,42 @@ def build_chain(degree: int, gens, known_order: int | None = None) -> Stabilizer
                     return inverse_images(h)
         return None
 
-    for g in map(pack_images, gens):
-        if g != identity:
+    def begin() -> StabilizerChain:
+        """Discard every level and all scan state, and place the generators."""
+        levels.clear()
+        resume.clear()
+        gen_inverses.clear()
+        for g in packed:
             place(g, 0)
-    for idx in range(len(levels)):
-        refresh(idx)
-    chain = StabilizerChain(degree, levels)
+        for idx in range(len(levels)):
+            refresh(idx)
+        return StabilizerChain(degree, levels)
+
+    chain = begin()
+    if known_order is not None and type(identity) is not bytes and packed:
+        rng = Random(0)
+        # at least ten slots, so the walk mixes even from one or two generators
+        walk = packed * (10 // len(packed) + 1)
+        element = identity
+        misses = 0
+        while misses < 10 and chain.order() != known_order:
+            # product replacement: one slot becomes its product with
+            # another, and the element walks on by the new slot
+            i, j = rng.sample(range(len(walk)), 2)
+            walk[i] = compose_images(walk[i], walk[j])
+            element = compose_images(element, walk[i])
+            # the inverse of the residue of the inverse of element, itself a
+            # random element
+            h = _sift(levels, element)
+            misses += 1
+            if h != identity:
+                misses = 0
+                stop = place(inverse_images(h), 1)
+                for idx in range(1, stop + 1):
+                    refresh(idx)
+        if chain.order() == known_order:
+            return chain
+        chain = begin()
     i = len(levels) - 1
     while i >= 0 and (known_order is None or chain.order() != known_order):
         r = residue(i)

@@ -124,13 +124,13 @@ def test_ksubsets_base_sizes():
 
 def test_exact_base_size_composes_few_representatives_above_the_bytes_line():
     # S10 on its 945 partitions into five pairs: a tuple chain composes a
-    # representative only when it is read, and the build and the search
-    # read 65 of level 0; the build reads none for a Schreier generator
-    # along a tree edge, which is the identity by construction
+    # representative only when it is read. The build stops at the order of
+    # S10 after 14 random elements, whose sifts read 87 of level 0 (the
+    # tree paths to the points they strip), and the search reads no other
     A = partitions_action(symmetric(10), 2, 5)
     assert exact_base_size(A).size == 3
     level = A.group.chain().levels[0]
-    assert (len(level.transversal), len(level.orbit)) == (65, 945)
+    assert (len(level.transversal), len(level.orbit)) == (87, 945)
 
 
 def test_greedy_base_is_a_base_and_flags_tightness():

@@ -34,6 +34,13 @@ def test_closure_command(capsys):
     assert "gen" in out
 
 
+def test_closure_command_above_a_thousand_points(capsys):
+    # M22 on its 1,540 3-sets: the search runs deeper than the recursion limit
+    code, out, _ = run(capsys, "closure", "--catalog", "M22", "--action", "ksubsets:3", "--k", "2")
+    assert code == 0
+    assert "order 443520\n" in out
+
+
 def test_spectrum_json(capsys):
     code, out, _ = run(capsys, "spectrum", "--catalog", "A5", "--json")
     assert code == 0

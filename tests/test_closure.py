@@ -1,5 +1,6 @@
 """Closure backtrack, closure chains, and the structural certificates."""
 
+import sys
 from itertools import product
 from math import factorial
 
@@ -56,6 +57,13 @@ from test_harness import generator_sets
 
 def group(degree, *cycle_texts):
     return PermGroup(degree, [parse_cycles(t, degree) for t in cycle_texts])
+
+
+def test_closure_backtrack_goes_deeper_than_the_recursion_limit():
+    # the search holds one frame per assigned point on a stack of its own
+    A = catalog_group("C1000")
+    assert A.degree >= sys.getrecursionlimit()
+    assert k_closure(A, 2).order() == 1000
 
 
 def closure_order(G, k):

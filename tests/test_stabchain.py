@@ -3,14 +3,15 @@
 import hashlib
 import sys
 from itertools import permutations
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from closurelab import stabchain
-from closurelab.actions import ksubsets_action
+from closurelab.actions import ksubsets_action, partitions_action, restriction
 from closurelab.budget import DEFAULT_MAX_DEGREE
-from closurelab.catalog import catalog_group, dihedral, symmetric
+from closurelab.catalog import alternating, catalog_group, dihedral, symmetric
 from closurelab.errors import DegreeLimitError
 from closurelab.perm import Permutation, parse_cycles
 from closurelab.stabchain import (
@@ -381,6 +382,80 @@ def test_chain_is_deterministic():
     assert c1.base == c2.base
     # generators and transversals, keys and elements alike
     assert [_tuples(level) for level in c1.levels] == [_tuples(level) for level in c2.levels]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ksubsets_action(catalog_group("M24").group, 2),
+        lambda: ksubsets_action(catalog_group("M22").group, 3),
+        lambda: ksubsets_action(catalog_group("M11").group, 4),
+        lambda: partitions_action(catalog_group("M12").group, 6, 2),
+        lambda: ksubsets_action(alternating(12), 4),
+        lambda: ksubsets_action(symmetric(12), 4),
+        lambda: ksubsets_action(symmetric(14), 3),
+        lambda: partitions_action(alternating(10), 2, 5),
+        lambda: partitions_action(symmetric(10), 2, 5),
+        lambda: catalog_group("D600"),
+    ],
+    ids=[
+        "M24 on pairs",
+        "M22 on 3-sets",
+        "M11 on 4-sets",
+        "M12 on 6+6 partitions",
+        "A12 on 4-sets",
+        "S12 on 4-sets",
+        "S14 on 3-sets",
+        "A10 on 5 pairs",
+        "S10 on 5 pairs",
+        "D600",
+    ],
+)
+def test_chains_stopped_at_a_known_order_match_the_full_scan(make):
+    # the chain stopped at the known order against the chain that sifts
+    # every Schreier generator: the same order, each holds the other's
+    # strong generators, and rebased at one base prefix, the same orbit at
+    # every level; and the stopped chain is the same on a second build
+    A = make()
+    gens = [g.images for g in A.group.generators]
+    scan = build_chain(A.degree, gens)
+    stopped = build_chain(A.degree, gens, known_order=A.source_order)
+    assert type(scan.levels[0].gens[0]) is tuple
+    assert scan.order() == stopped.order() == A.source_order
+    assert all(stopped.contains_images(g) for g in scan.strong_generators())
+    assert all(scan.contains_images(g) for g in stopped.strong_generators())
+    key = tuple(dict.fromkeys(stopped.base + scan.base))
+    a, b = stabchain._rebase(scan, key), stabchain._rebase(stopped, key)
+    assert a.base[: len(key)] == b.base[: len(key)] == key
+    assert [set(level.orbit) for level in a.levels] == [set(level.orbit) for level in b.levels]
+    again = build_chain(A.degree, gens, known_order=A.source_order)
+    assert again.base == stopped.base
+    assert [level.gens for level in again.levels] == [level.gens for level in stopped.levels]
+
+
+def test_a_chain_whose_known_order_is_not_reached_is_still_verified():
+    # C2 x S24 on 26 points, acting on its orbit of the 276 pairs inside
+    # the S24 part: the C2 acts trivially there, so no chain reaches the
+    # order of the acting group
+    S24 = symmetric(24)
+    gens = [Permutation(tuple(g.images) + (24, 25)) for g in S24.generators]
+    G = PermGroup(26, gens + [Permutation(tuple(range(24)) + (25, 24))])
+    pairs = ksubsets_action(G, 2)
+    A = restriction(pairs, pairs.group.orbit_of(0))
+    assert A.degree == 276 and A.source_order == 2 * factorial(24)
+    assert not A.faithful
+    assert A.kernel_order == 2
+    assert A.group.order() == factorial(24)
+    # the random sifts end short of the bound, and the build starts over
+    # with the full scan, so the chain is the full scan's
+    chain = A.group.chain()
+    scan = build_chain(276, [g.images for g in A.group.generators])
+    assert chain.base == scan.base
+    assert [level.gens for level in chain.levels] == [level.gens for level in scan.levels]
+    # a bound of twice the order: the chain is built to the end
+    B = partitions_action(symmetric(10), 2, 5).group
+    assert not B._has_order(2 * factorial(10))
+    assert B.order() == factorial(10)
 
 
 def test_pointwise_stabilizer_matches_brute():
