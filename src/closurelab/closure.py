@@ -14,7 +14,6 @@ transitive actions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from itertools import combinations
 from math import factorial
 
@@ -44,7 +43,8 @@ from .perm import (
     pack_images,
     print_cycles,
 )
-from .stabchain import PermGroup, _canonical_image, _orbit, _orbitals, build_chain
+from .stabchain import PermGroup, _orbit, build_chain
+from .tupleorbits import _canonical_image, _orbitals
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +128,6 @@ def _closure_backtrack(G: PermGroup, k: int, budget: Budget, witness: bool = Fal
     # the chain's elements.
     wit: list[Images | None] = [None] * (n + 1)
     wit[0] = identity_images(n)
-    canonical = cache(lambda t: _canonical_image(G, t))
     # Forward checking on orbitals: the k-closure lies in the 2-closure, so
     # every leaf maps each pair (i, q) into the orbital of (i, q). dom[j][q]
     # is the bitmask of images left to q by the assignments to 0..j-1; it
@@ -156,7 +155,8 @@ def _closure_backtrack(G: PermGroup, k: int, budget: Budget, witness: bool = Fal
                 return False
         wit[j + 1] = None
         for sub in combinations(range(j), k - 1):
-            if canonical(sub + (j,)) != canonical(tuple(h[t] for t in sub) + (beta,)):
+            target = tuple(h[t] for t in sub) + (beta,)
+            if _canonical_image(G, sub + (j,)) != _canonical_image(G, target):
                 return False
         return True
 

@@ -4,7 +4,9 @@ A chain for G fixes a base b_0, b_1, ... and stores, per level l, strong
 generators of the pointwise stabilizer of b_0..b_{l-1} together with a
 transversal for the orbit of b_l under them. Everything else in the
 package (order, membership, stabilizers, canonical tuple images, and
-through them closures and base sizes) reduces to chain queries.
+through them closures and base sizes) reduces to chain queries. The
+canonical images and orbital numbers of tuples, read from rebased chains,
+are in tupleorbits.
 
 The construction, build_chain, is Schreier-Sims on generators given as
 image sequences, which it packs (perm.pack_images): every chain element is
@@ -473,6 +475,8 @@ class PermGroup:
         self._chain: StabilizerChain | None = None
         self._rebased: dict[tuple[int, ...], StabilizerChain] = {}
         self._orbit_ids: tuple[int, ...] | None = None
+        # canonical images of tuples and of their prefixes (tupleorbits)
+        self._tuple_images: dict = {}
 
     @staticmethod
     def trivial(degree: int) -> "PermGroup":
@@ -580,57 +584,3 @@ class PermGroup:
         label = self.name or f"{len(self.generators)} gens"
         return f"PermGroup(degree={self.degree}, {label})"
 
-
-def _canonical_image(G: PermGroup, t: tuple[int, ...]) -> tuple[int, ...]:
-    """The least image of the injective tuple t under G.
-
-    Entry by entry: the first entry goes to the least point m_1 of its
-    G-orbit, by the inverse of the transversal element of the chain rebased
-    at m_1, applied to the whole tuple; the next entry then goes to the least
-    point of its orbit under the stabilizer of m_1, and so on. The last entry
-    needs no chain: its image is the least point of its orbit. Once the
-    stabilizer of the image so far is trivial, the rest of the tuple is
-    fixed. Two tuples lie in one G-orbit exactly when their canonical images
-    are equal.
-    """
-    ids = G.chain().orbit_ids(0)
-    image: list[int] = []
-    rest = tuple(t)
-    while rest:
-        x, rest = rest[0], rest[1:]
-        m = ids[x]
-        image.append(m)
-        if not rest:
-            break
-        depth = len(image)
-        chain = G.chain(preferred_base=image)
-        if x != m:
-            # u's inverse sends y to u.index(y), the point u sends to y
-            u = chain.levels[depth - 1].transversal[x]
-            rest = tuple(u.index(y) for y in rest)
-        if len(chain.levels) == depth:
-            image.extend(rest)
-            break
-        ids = chain.orbit_ids(depth)
-    return tuple(image)
-
-
-def _orbitals(G: PermGroup) -> list[list[int]]:
-    """rows[a][b] numbers the orbit of G containing the pair (a, b).
-
-    The number is read from the pair's canonical image (m, m'): m is the
-    least point of a's orbit, and m' that of u^-1(b) under the stabilizer
-    of m, where u carries m to a. The diagonal (m, m) numbers the orbit of
-    the point a.
-    """
-    n = G.degree
-    ids = G.chain().orbit_ids(0)
-    number: dict[int, int] = {}
-    rows = []
-    for a in range(n):
-        m = ids[a]
-        chain = G.chain(preferred_base=(m,))
-        inv = inverse_images(chain.levels[0].transversal[a])
-        below = chain.orbit_ids(1)
-        rows.append([number.setdefault(m * n + below[inv[b]], len(number)) for b in range(n)])
-    return rows

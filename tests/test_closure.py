@@ -386,6 +386,68 @@ def test_k_trans_s3():
     assert {e.degree for e in cert.entries} == {3, 6}
 
 
+def _count_canonical_lookups(monkeypatch):
+    """A list that grows by one per rebased chain (PermGroup.chain with a
+    preferred base) asked for inside a canonical image."""
+    lookups, inside = [], []
+    real_chain = stabchain.PermGroup.chain
+    real_image = closure_module._canonical_image
+
+    def chain(self, preferred_base=None):
+        if preferred_base is not None and inside:
+            lookups.append(1)
+        return real_chain(self, preferred_base)
+
+    def image(G, t):
+        inside.append(1)
+        try:
+            return real_image(G, t)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(stabchain.PermGroup, "chain", chain)
+    monkeypatch.setattr(closure_module, "_canonical_image", image)
+    return lookups
+
+
+@pytest.mark.parametrize(
+    "name,degree_bound,value,cap", [("A6", 15, 5, 300), ("PSL(2,7)", 24, 3, 75)]
+)
+def test_k_trans_canonical_images_share_prefixes(monkeypatch, name, degree_bound, value, cap):
+    # every closure backtrack over a group resumes its canonical images from
+    # the longest prefix memoised on the group (291 lookups on A6, 69 on
+    # PSL(2,7)); rebuilding every prefix from the first entry took 2,676 and 616
+    lookups = _count_canonical_lookups(monkeypatch)
+    assert k_trans(catalog_group(name).group, degree_bound)[0] == value
+    assert 0 < len(lookups) <= cap
+
+
+@pytest.mark.parametrize("name", ["A6", "M11", "PSL(2,8)"])
+def test_canonical_image_with_a_memoised_prefix_costs_one_lookup(monkeypatch, name):
+    G = catalog_group(name).group
+    n = G.degree
+    lookups = _count_canonical_lookups(monkeypatch)
+    image = closure_module._canonical_image
+    # tuples of length 2 to 5, up to and past the base (3 for PSL(2,8), 4
+    # for A6 and M11)
+    for k in range(2, 6):
+        for start in range(0, n, 2):
+            t = tuple((start + s) % n for s in (0, 2, 1, 5, 3)[:k])
+            other = next(p for p in range(n) if p not in t)
+            # the prefix asked for whole costs one chain to resume from
+            fresh = PermGroup(n, G.generators)
+            image(fresh, t[:-1])
+            del lookups[:]
+            image(fresh, t)
+            assert len(lookups) <= 1
+            # the prefix held as the state of a tuple that extends it, none
+            fresh = PermGroup(n, G.generators)
+            image(fresh, t[:-1] + (other,))
+            del lookups[:]
+            image(fresh, t)
+            assert not lookups
+
+
 @pytest.mark.parametrize("G,degree_bound", [(symmetric(3), 6), (symmetric(4), 8)])
 def test_k_trans_skips_exactly_the_unfaithful_classes(G, degree_bound):
     # faithfulness read from a chain of each coset image built afresh,

@@ -9,17 +9,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from closurelab import stabchain
-from closurelab.actions import ksubsets_action, partitions_action, restriction
+from closurelab.actions import ksubsets_action, natural_action, partitions_action, restriction
 from closurelab.budget import DEFAULT_MAX_DEGREE
 from closurelab.catalog import alternating, catalog_group, dihedral, symmetric
+from closurelab.closure import closure_spectrum
 from closurelab.errors import DegreeLimitError
 from closurelab.perm import Permutation, parse_cycles
-from closurelab.stabchain import (
-    PermGroup,
-    _canonical_image,
-    _orbitals,
-    build_chain,
-)
+from closurelab.stabchain import PermGroup, build_chain
+from closurelab.tupleorbits import _canonical_image, _orbitals
 
 from oracles import (
     brute_elements,
@@ -587,6 +584,25 @@ def test_canonical_image_is_the_least_image(G, data):
     assert image == min(tuple(e[p] for p in src) for e in elems)
     same = image == _canonical_image(G, dst)
     assert same == (brute_transporter(elems, src, dst) is not None)
+
+
+@settings(max_examples=40, deadline=None)
+@given(generator_sets(max_degree=5), st.randoms(use_true_random=False))
+def test_canonical_images_do_not_depend_on_the_memo(G, rng):
+    # the closure chain fills G's memo of tuples and prefixes; images asked
+    # for afterwards in any order must be those of a fresh copy of G, with no
+    # memo, and the least images. All tuples of lengths 1 to 4 are asked,
+    # so those whose image's stabilizer is trivial before the last entry are
+    # among them wherever G has any
+    closure_spectrum(natural_action(G))
+    n = G.degree
+    elems = brute_elements([g.images for g in G.generators], n)
+    tuples = [t for k in range(1, min(4, n) + 1) for t in permutations(range(n), k)]
+    rng.shuffle(tuples)
+    for t in tuples:
+        image = _canonical_image(G, t)
+        assert image == _canonical_image(PermGroup(n, G.generators), t)
+        assert image == min(tuple(e[p] for p in t) for e in elems)
 
 
 @settings(max_examples=40, deadline=None)
