@@ -10,7 +10,6 @@ downstream reports stay readable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
 
@@ -26,6 +25,7 @@ from .perm import (
     Domain,
     Images,
     Permutation,
+    Record,
     compose_images,
     identity_images,
     pack_images,
@@ -34,8 +34,7 @@ from .perm import (
 from .stabchain import PermGroup, _orbit
 
 
-@dataclass(frozen=True)
-class ActionInstance:
+class ActionInstance(Record):
     """A group acting on a labeled domain, with provenance.
 
     group is the image of the action (a permutation group on the domain);
@@ -75,8 +74,7 @@ def natural_action(G: PermGroup) -> ActionInstance:
     return ActionInstance(G, Domain.natural(G.degree), "natural", G.order())
 
 
-@dataclass(frozen=True)
-class BlockSystem:
+class BlockSystem(Record):
     """An invariant partition of the domain into blocks.
 
     Blocks are stored sorted internally and ordered by least point, so equal

@@ -10,17 +10,16 @@ the rest of the base.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .actions import ActionInstance, ksubsets_action, partitions_action
 from .budget import Budget
 from .catalog import alternating, symmetric
 from .errors import BudgetExceededError, NotFaithfulError, ValidationError
+from .perm import Record
 
 
-@dataclass(frozen=True)
-class BaseRecord:
+class BaseRecord(Record):
     """Result of a base computation.
 
     exhaustive means the size is provably minimal: the exact search ran to
@@ -178,8 +177,7 @@ def halasi_base(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-@dataclass(frozen=True)
-class PartitionBaseRecord:
+class PartitionBaseRecord(Record):
     """Exact base sizes for the symmetric and alternating groups acting on
     partitions into b blocks of size a, compared against the bound n-2 and
     the known characterization of when it is attained (only the symmetric

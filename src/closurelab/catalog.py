@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import re
 import zlib
-from dataclasses import dataclass
 from importlib import resources
 from itertools import product
 from math import factorial, gcd
@@ -22,7 +21,7 @@ from math import factorial, gcd
 from .actions import ActionInstance, transitivity_degree
 from .budget import DEFAULT_MAX_DEGREE
 from .errors import DegreeLimitError, SimplicityError, ValidationError
-from .perm import Domain, Permutation, parse_cycles, print_cycles
+from .perm import Domain, Permutation, Record, parse_cycles, print_cycles
 from .stabchain import PermGroup
 
 # ---------------------------------------------------------------------------
@@ -181,8 +180,7 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
 # projective point domains
 
 
-@dataclass(frozen=True)
-class ProjectivePointDomain:
+class ProjectivePointDomain(Record):
     """The points of projective (n-1)-space over GF(q).
 
     Each point is the unique vector in its line whose last nonzero
@@ -207,7 +205,7 @@ class ProjectivePointDomain:
         expected = (q**n - 1) // (q - 1)
         if len(pts) != expected:
             raise ValidationError("projective point count mismatch")
-        return cls(field=field, n=n, points=tuple(pts))
+        return cls(field, n, tuple(pts))
 
     @property
     def count(self) -> int:
@@ -239,7 +237,7 @@ def symmetric(n: int) -> PermGroup:
     if n > 2:
         gens.append(Permutation(tuple(list(range(1, n)) + [0])))
     G = PermGroup(n, tuple(gens), name=f"S{n}")
-    _validate_order(G, factorial(n), f"S{n}")
+    _validate_order(G, factorial(n), f"S{n}", bounded=True)
     return G
 
 
@@ -258,7 +256,9 @@ def alternating(n: int) -> PermGroup:
         else:
             big = Permutation(tuple([0] + list(range(2, n)) + [1]))
         G = PermGroup(n, (three, big), name=f"A{n}")
-    _validate_order(G, factorial(n) // 2, f"A{n}")
+    if not all(g.is_even() for g in G.generators):
+        raise ValidationError(f"A{n}: a generator is odd")
+    _validate_order(G, factorial(n) // 2, f"A{n}", bounded=True)
     return G
 
 
@@ -298,8 +298,11 @@ def dihedral(n: int) -> PermGroup:
     return G
 
 
-def _validate_order(G: PermGroup, expected: int, name: str) -> None:
-    if G.order() != expected:
+def _validate_order(G: PermGroup, expected: int, name: str, bounded: bool = False) -> None:
+    """Raise unless G has order expected. bounded says that expected also
+    bounds the order before any chain is built (n! on n points, n!/2 for
+    even generators), so G's chain stops once it reaches expected."""
+    if not (G._has_order(expected) if bounded else G.order() == expected):
         raise ValidationError(f"{name}: order check failed, got {G.order()}, expected {expected}")
 
 

@@ -13,7 +13,6 @@ transitive actions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import factorial
 
@@ -36,6 +35,7 @@ from .lattice import subgroup_lattice
 from .perm import (
     Images,
     Permutation,
+    Record,
     _symmetric_on,
     compose_images,
     identity_images,
@@ -263,8 +263,7 @@ def _closure_index(A: ActionInstance, size: int, budget: Budget) -> int:
 # the closure chain
 
 
-@dataclass(frozen=True)
-class ClosureEntry:
+class ClosureEntry(Record):
     """One step of the closure chain."""
 
     k: int
@@ -273,8 +272,7 @@ class ClosureEntry:
     nodes: int
 
 
-@dataclass(frozen=True)
-class ClosureReport:
+class ClosureReport(Record):
     """The closure chain of an action, walked from k = 1 upward."""
 
     action: str
@@ -335,8 +333,7 @@ def closure_spectrum(
 # the closure number over all faithful transitive actions
 
 
-@dataclass(frozen=True)
-class KTransEntry:
+class KTransEntry(Record):
     """One faithful transitive action examined by k_trans.
 
     kind "exact" is the minimal closure index v of the action, settled by
@@ -355,8 +352,7 @@ class KTransEntry:
     source: str
 
 
-@dataclass(frozen=True)
-class KTransCertificate:
+class KTransCertificate(Record):
     """Evidence for a closure-number computation.
 
     Every exact value v rests on a witness at v - 1 and on a full search
@@ -493,8 +489,7 @@ def require_nonabelian_simple(G: PermGroup) -> None:
 # certificates for intransitive actions
 
 
-@dataclass(frozen=True)
-class IntransitiveVerdict:
+class IntransitiveVerdict(Record):
     """Outcome of the intransitive total-closure certificate.
 
     status is one of "certified", "hypothesis-fails" (some point stabilizer
@@ -586,8 +581,7 @@ def intransitive_certificate(
 # the complete-closure check for sharply structured k-transitive actions
 
 
-@dataclass(frozen=True)
-class LemmaCheckReport:
+class LemmaCheckReport(Record):
     """Outcome of complete_lemma_check.
 
     The two attested flags record facts supplied by the caller (trivial
@@ -691,8 +685,7 @@ def complete_lemma_check(
 # structural property checks used by the verification suites
 
 
-@dataclass(frozen=True)
-class BlockLemmaRecord:
+class BlockLemmaRecord(Record):
     """How a k-closure interacts with an invariant block system.
 
     preserved: the closure leaves the block system invariant.
@@ -762,8 +755,7 @@ def block_lemma_check(
     )
 
 
-@dataclass(frozen=True)
-class RestrictionLemmaRecord:
+class RestrictionLemmaRecord(Record):
     """Per-orbit containment of a closure's restrictions."""
 
     orbit_count: int

@@ -9,7 +9,6 @@ deterministic: same inputs, same report.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from itertools import permutations
 from math import factorial
 
@@ -34,10 +33,10 @@ from .closure import (
 )
 from .errors import BudgetExceededError, DegreeLimitError, ValidationError
 from .lattice import subgroups_up_to_conjugacy
+from .perm import Record
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(Record):
     """One verified statement inside a suite."""
 
     claim_id: str
@@ -48,8 +47,7 @@ class Claim:
     elapsed_ms: int
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(Record):
     """A suite's claims and overall verdict."""
 
     suite: str

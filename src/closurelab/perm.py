@@ -1,4 +1,5 @@
-"""Permutations on a fixed finite domain, plus cycle-notation text.
+"""Permutations on a fixed finite domain, plus cycle-notation text, and
+Record, the immutable base of the package's result types.
 
 Points are 0-based integers internally; every text format (cycle notation,
 domain labels, reports) is 1-based. A permutation is stored as its image
@@ -9,7 +10,6 @@ Degree is fixed per permutation; mixing degrees is an error, never padding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import CycleParseError, DegreeLimitError, DegreeMismatchError
@@ -95,6 +95,10 @@ class Permutation:
 
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.images))
+
+    def is_even(self) -> bool:
+        """Whether the permutation is a product of an even number of transpositions."""
+        return sum(len(c) - 1 for c in self.cycles()) % 2 == 0
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each starting at its least point, sorted by it."""
@@ -203,8 +207,71 @@ def print_cycles(p: Permutation) -> str:
     return "".join("(" + " ".join(str(pt + 1) for pt in cyc) + ")" for cyc in cycles)
 
 
-@dataclass(frozen=True)
-class Domain:
+class Record:
+    """An immutable record whose fields are the annotations of its class.
+
+    Fields are given by position or by name, in annotation order; a field
+    with a value in the class body defaults to it. A subclass checks its
+    fields in __post_init__. Records of one class compare and hash by their
+    fields, never equal a record of another class or a tuple, and print as
+    Name(field=value, ...). Nothing is generated when a subclass is created:
+    every method reads the fields from type(self).__annotations__.
+    """
+
+    def __init__(self, *args, **kwargs):
+        names = type(self).__annotations__
+        if kwargs or len(args) != len(names):
+            args = self._complete(args, kwargs)
+        self.__dict__.update(zip(names, args))
+        self.__post_init__()
+
+    def _complete(self, args: tuple, kwargs: dict) -> list:
+        """The field values in order, from args, then kwargs, then defaults."""
+        cls = type(self)
+        names = list(cls.__annotations__)
+        if len(args) > len(names):
+            raise TypeError(f"{cls.__name__}() takes {len(names)} fields but {len(args)} were given")
+        values = list(args)
+        for name in names[len(args) :]:
+            if name in kwargs:
+                values.append(kwargs.pop(name))
+            elif name in cls.__dict__:
+                values.append(cls.__dict__[name])
+            else:
+                raise TypeError(f"{cls.__name__}() missing field {name!r}")
+        if kwargs:
+            name = next(iter(kwargs))
+            problem = "got multiple values for" if name in names else "got an unexpected"
+            raise TypeError(f"{cls.__name__}() {problem} field {name!r}")
+        return values
+
+    def __post_init__(self) -> None:
+        """Check the fields; a subclass with invariants overrides this."""
+
+    def _values(self) -> tuple:
+        """The field values in annotation order."""
+        return tuple(map(self.__dict__.__getitem__, type(self).__annotations__))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = zip(type(self).__annotations__, self._values())
+        return f"{type(self).__qualname__}({', '.join(f'{name}={value!r}' for name, value in fields)})"
+
+
+class Domain(Record):
     """A labeled point set: index i carries the printable label labels[i]."""
 
     labels: tuple[str, ...]

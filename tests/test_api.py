@@ -1,5 +1,10 @@
 """The package's public surface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import closurelab
 from closurelab import actions, stabchain
 
@@ -21,3 +26,13 @@ def test_removed_names_stay_removed():
         assert not hasattr(stabchain, name)
     assert not hasattr(stabchain.PermGroup, "tuple_transporter")
     assert not hasattr(actions, "orbits")
+
+
+def test_import_leaves_dataclasses_unloaded():
+    # the result types are Records, so importing the package and its command
+    # line compiles no generated methods and loads no dataclasses module; -S
+    # keeps site-packages' start-up hooks out of the count
+    code = "import sys, closurelab, closurelab.cli; print(sorted(m for m in sys.modules if 'dataclass' in m))"
+    env = dict(os.environ, PYTHONPATH=str(Path(closurelab.__file__).parent.parent))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -1,5 +1,7 @@
 """Stock groups: fields, projective actions, elementary series, Mathieu."""
 
+from math import factorial
+
 import pytest
 
 from closurelab.actions import transitivity_degree
@@ -21,6 +23,7 @@ from closurelab.catalog import (
 )
 from closurelab.errors import SimplicityError, ValidationError
 from closurelab.perm import parse_cycles
+from closurelab.stabchain import build_chain
 
 from oracles import brute_elements
 
@@ -163,6 +166,19 @@ def test_degenerate_dihedral_conventions():
     D2 = dihedral(2)
     assert D2.degree == 4 and D2.order() == 4
     assert len(D2.orbits()) == 2
+
+
+@pytest.mark.parametrize("n", range(3, 16))
+def test_bounded_order_checks_keep_the_full_scan_chain(n):
+    # symmetric and alternating stop their chains at n! and n!/2; once the
+    # chain is complete the rest of the scan finds nothing to add
+    for G, bound in ((symmetric(n), factorial(n)), (alternating(n), factorial(n) // 2)):
+        full = build_chain(n, [g.images for g in G.generators]).levels
+        bounded = G.chain().levels
+        assert [level.beta for level in bounded] == [level.beta for level in full]
+        assert [level.gens for level in bounded] == [level.gens for level in full]
+        assert [list(level.orbit) for level in bounded] == [list(level.orbit) for level in full]
+        assert G.order() == bound
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ CASES = {
     "ktrans_PSL2_7_14": ["ktrans", "--catalog", "PSL(2,7)", "--max-degree", "14"],
     "ktrans_S5_10": ["ktrans", "--catalog", "S5", "--max-degree", "10"],
     "ktrans_PSL2_13_14": ["ktrans", "--catalog", "PSL(2,13)", "--max-degree", "14"],
+    "verify_psl_bases": ["verify", "--suite", "psl-bases"],
 }
 
 

@@ -61,6 +61,14 @@ def test_cycles_structure():
     assert print_cycles(p) == "(1 3 5)(2 6)"
 
 
+def test_parity_counts_transpositions():
+    assert Permutation.identity(4).is_even()
+    assert not parse_cycles("(1 2)", 4).is_even()
+    assert parse_cycles("(1 2 3)", 4).is_even()
+    assert not parse_cycles("(1 2 3 4)", 4).is_even()
+    assert parse_cycles("(1 2)(3 4)", 4).is_even()
+
+
 def test_parse_empty_and_unit_cycles():
     assert parse_cycles("", 4).is_identity()
     assert parse_cycles("()", 4).is_identity()
