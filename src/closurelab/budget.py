@@ -1,15 +1,17 @@
 """Search budgets: node counters and wall-clock limits.
 
-The two searches, the closure backtrack and the base-size
-branch-and-bound, charge nodes against a Budget. Exhausting the budget
-raises BudgetExceededError, and every search built on them lets it
-propagate with the finished part of the search as its partial; no function
+A Budget is the one cap on work. The closure backtrack and the base-size
+branch-and-bound charge a node per search node; listing a group's
+elements (PermGroup._element_images) charges a node per element before
+it lists any, so a group larger than what is left of the cap is refused
+with nothing listed; and the subgroup enumeration charges a node per
+extension it scans and per conjugate it stores. Exhausting the budget
+raises BudgetExceededError, and every search lets it propagate with its
+finished part as the partial; no function
 returns a partial result as its answer, so there is no silent truncation
-anywhere in the package. Listing a group's elements is bounded by group
-order instead: PermGroup._element_images refuses an order above
-DEFAULT_ORDER_BOUND with DegreeLimitError before it lists one, and subgroup
-enumeration also refuses a degree past perm.py's bytes line (its elements
-are bytes); neither is a budget.
+anywhere in the package. The other limits are about representation, not
+work: the degree guard below, and perm.py's bytes line for the subgroup
+enumeration, whose elements are bytes.
 """
 
 from __future__ import annotations
@@ -22,9 +24,6 @@ from .errors import BudgetExceededError
 ENV_BUDGET_NODES = "CLOSURELAB_BUDGET_NODES"
 DEFAULT_BUDGET_NODES = 20_000_000
 DEFAULT_MAX_DEGREE = 5000
-# Largest group order whose elements PermGroup._element_images lists one by
-# one, for subgroup classes and the conjugacy classes of the simplicity check.
-DEFAULT_ORDER_BOUND = 3000
 
 
 def default_budget_nodes() -> int:

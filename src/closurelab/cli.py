@@ -55,6 +55,9 @@ def _allowance(kind):
     return parse
 
 
+_ACTION_FORMS = "natural, ksubsets:K, partitions:AxB or cosets:FILE"
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="closurelab",
@@ -66,12 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p, budget_flags=True, csv=False):
         p.add_argument("--catalog", metavar="NAME", help="catalog group, e.g. A5 or PSL(3,2)")
         p.add_argument("--group-file", metavar="PATH", help="generator file (degree + cycles)")
-        p.add_argument(
-            "--action",
-            default="natural",
-            metavar="SPEC",
-            help="natural | ksubsets:K | partitions:AxB | cosets:FILE",
-        )
+        p.add_argument("--action", default="natural", metavar="SPEC", help=_ACTION_FORMS)
         output = p.add_mutually_exclusive_group()
         output.add_argument("--json", action="store_true", help="machine-readable output")
         if csv:
@@ -135,16 +133,23 @@ def _resolve_group(args) -> tuple[str, ActionInstance]:
     raise ClosureLabError("a group is required: pass --catalog NAME or --group-file PATH")
 
 
+def _spec_numbers(spec: str, count: int):
+    """The count whole numbers, joined by x, after an action spec's colon."""
+    numbers = spec.split(":", 1)[1].split("x")
+    if len(numbers) != count or not all(n.isdecimal() for n in numbers):
+        raise ClosureLabError(f"malformed action spec {spec!r}; the forms are {_ACTION_FORMS}")
+    return map(int, numbers)
+
+
 def _resolve_action(spec: str, base: ActionInstance) -> ActionInstance:
     if spec == "natural":
         return base
     if spec.startswith("ksubsets:"):
-        k = int(spec.split(":", 1)[1])
+        (k,) = _spec_numbers(spec, 1)
         return ksubsets_action(base.group, k)
     if spec.startswith("partitions:"):
-        shape = spec.split(":", 1)[1]
-        a, _, b = shape.partition("x")
-        return partitions_action(base.group, int(a), int(b))
+        a, b = _spec_numbers(spec, 2)
+        return partitions_action(base.group, a, b)
     if spec.startswith("cosets:"):
         path = spec.split(":", 1)[1]
         with open(path, "r", encoding="utf-8") as fh:
@@ -155,7 +160,7 @@ def _resolve_action(spec: str, base: ActionInstance) -> ActionInstance:
                 f"{base.group.degree}"
             )
         return coset_action(base.group, PermGroup(degree, gens))
-    raise ClosureLabError(f"unknown action spec {spec!r}")
+    raise ClosureLabError(f"unknown action spec {spec!r}; the forms are {_ACTION_FORMS}")
 
 
 def _labels(A: ActionInstance, points) -> list[str]:
@@ -236,20 +241,15 @@ def _run_command(args) -> int:
             report = closure_spectrum(A, k_max=args.k_max, budget=budget)
         except BudgetExceededError as exc:
             exhausted, report = exc, exc.partial
-        # "error" stays in the --json schema, always null: a step that ran out
-        # is not an entry
         result = {
             "minimal_k": report.minimal_k,
-            "entries": [
-                {"k": e.k, "order": e.order, "nodes": e.nodes, "error": None}
-                for e in report.entries
-            ],
+            "entries": [{"k": e.k, "order": e.order, "nodes": e.nodes} for e in report.entries],
         }
         lines = [f"k {e.k}: order {e.order}" for e in report.entries]
         if exhausted is None:
             lines.append(f"minimal k: {report.minimal_k}")
-        csv_rows = [["group", "action", "k", "order", "error"]] + [
-            [name, A.provenance, e.k, e.order, ""] for e in report.entries
+        csv_rows = [["group", "action", "k", "order"]] + [
+            [name, A.provenance, e.k, e.order] for e in report.entries
         ]
     elif args.command == "base":
         try:

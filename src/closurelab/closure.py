@@ -394,18 +394,31 @@ def k_trans(
     walked by need. degree_bound only chooses which narrow classes are
     walked regardless.
 
-    A walk that exhausts the budget raises BudgetExceededError whose
-    partial is an uncertified certificate of the entries finished so far,
-    the narrowest actions: exact walks and, before a walk by need, bounds.
+    The enumeration and the walks charge the one budget. Exhausting it
+    raises BudgetExceededError whose partial is an uncertified certificate
+    of the entries finished so far, the narrowest actions: exact walks and,
+    before a walk by need, bounds; none if the enumeration stopped.
     """
     if budget is None:
         budget = Budget()
     N = G.order()
-    classes, over = subgroup_lattice(G)
     entries: list[KTransEntry] = []
+    exact_max = 0
+
+    def stopped(what, exc):
+        note = (
+            "partial: the budget ran out; k is the largest exact "
+            "value among the finished actions, a lower bound"
+        )
+        partial = KTransCertificate(exact_max, False, tuple(entries), note)
+        return BudgetExceededError(f"{what} stopped: {exc}", partial=partial)
+
+    try:
+        classes, over = subgroup_lattice(G, budget)
+    except BudgetExceededError as exc:
+        raise stopped("the subgroup enumeration", exc) from None
     # class index -> (recorded base size, the source naming that class)
     base: dict[int, tuple[int, str]] = {}
-    exact_max = 0
     for i in reversed(range(len(classes))):
         H = classes[i]
         degree = N // H.order()
@@ -426,16 +439,7 @@ def k_trans(
             try:
                 value = _closure_index(A, size, budget)
             except BudgetExceededError as exc:
-                raise BudgetExceededError(
-                    f"the degree-{degree} action's walk stopped: {exc}",
-                    partial=KTransCertificate(
-                        exact_max,
-                        False,
-                        tuple(entries),
-                        "partial: the budget ran out; k is the largest exact "
-                        "value among the finished actions, a lower bound",
-                    ),
-                ) from None
+                raise stopped(f"the degree-{degree} action's walk", exc) from None
             exact_max = max(exact_max, value)
             kind, source = "exact", "own"
         entries.append(KTransEntry(degree, H.order(), kind, value, source))
@@ -448,15 +452,16 @@ def k_trans(
 # simplicity
 
 
-def require_nonabelian_simple(G: PermGroup) -> None:
+def require_nonabelian_simple(G: PermGroup, budget: Budget | None = None) -> None:
     """Exact simplicity check: raise SimplicityError unless G is nonabelian
     and every nontrivial conjugacy class generates G. Every normal subgroup
     is a union of classes, and the subgroup a class generates is the normal
     closure of each of its members, so this decides simplicity. The classes
-    are read off the element set, so a nonabelian group of order above
-    DEFAULT_ORDER_BOUND raises DegreeLimitError when its elements are
-    listed; each class gets one chain, which stops once it reaches the
-    order of G."""
+    are read off the element set, whose listing charges budget (a fresh
+    Budget() when None) one node per element first, so a nonabelian group
+    larger than the cap raises BudgetExceededError with nothing listed;
+    each class gets one chain, which stops once it reaches the order of
+    G."""
     order = G.order()
     if order == 1:
         raise SimplicityError("the trivial group is not nonabelian simple")
@@ -469,8 +474,10 @@ def require_nonabelian_simple(G: PermGroup) -> None:
         inv, g = pair
         return compose_images(compose_images(inv, y), g)
 
+    if budget is None:
+        budget = Budget()
     seen = {identity_images(G.degree)}
-    for x in G._element_images():
+    for x in G._element_images(budget):
         if x in seen:
             continue
         # x represents a new class: its orbit under conjugation
@@ -512,21 +519,23 @@ def intransitive_certificate(
     totally k-closed from per-orbit data.
 
     Requires: the group is nonabelian simple, which
-    require_nonabelian_simple checks exactly (a nonabelian group of order
-    above DEFAULT_ORDER_BOUND raises DegreeLimitError), and it acts
-    faithfully on every orbit. The certificate then needs, for every
-    ordered orbit pair, a point stabilizer from the first orbit that is
-    intransitive on the second (one point per orbit suffices, stabilizers
-    of orbit-mates being conjugate), plus each orbit restriction equal to
-    its own k-closure, decided by the witness search (_closure_witness),
-    whose witness the failing verdict names; equivalent orbit restrictions
-    share one decision. All the searches charge the one budget.
+    require_nonabelian_simple checks exactly, charging the budget one node
+    per element of the group, and it acts faithfully on every orbit. The
+    certificate then needs, for every ordered orbit pair, a point
+    stabilizer from the first orbit that is intransitive on the second (one
+    point per orbit suffices, stabilizers of orbit-mates being conjugate),
+    plus each orbit restriction equal to its own k-closure, decided by the
+    witness search (_closure_witness), whose witness the failing verdict
+    names; equivalent orbit restrictions share one decision. The
+    simplicity check and all the searches charge the one budget.
     """
     G = A.group
     orbs = G.orbits()
     if len(orbs) < 2:
         raise ValueError("the action is transitive; the certificate is about orbit unions")
-    require_nonabelian_simple(G)
+    if budget is None:
+        budget = Budget()
+    require_nonabelian_simple(G, budget)
     insts = [restriction(A, orbit) for orbit in orbs]
     for idx, inst in enumerate(insts):
         if not inst.faithful:
@@ -555,8 +564,6 @@ def intransitive_certificate(
             for r in class_reps
         ):
             class_reps.append(idx)
-    if budget is None:
-        budget = Budget()
     for r in class_reps:
         witness = _closure_witness(insts[r], k, budget)
         if witness is not None:

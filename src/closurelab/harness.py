@@ -586,8 +586,9 @@ def run_suite(name: str) -> SuiteResult:
 
     Unknown names raise ValueError. A suite that records no claims is a
     registration error. A claim whose search runs out raises
-    BudgetExceededError naming that claim, whose partial is the SuiteResult
-    of the claims finished before it.
+    BudgetExceededError naming that claim (or the suite's set-up, when it
+    runs out before the first claim), whose partial is the SuiteResult of
+    the claims finished before it.
     """
     try:
         fn = _SUITES[name]
@@ -599,8 +600,9 @@ def run_suite(name: str) -> SuiteResult:
     try:
         fn(rec)
     except BudgetExceededError as exc:
+        what = f"claim {rec.running}" if rec.running else "the set-up before the first claim"
         raise BudgetExceededError(
-            f"claim {rec.running} stopped: {exc}", partial=SuiteResult(name, tuple(rec.claims))
+            f"{what} stopped: {exc}", partial=SuiteResult(name, tuple(rec.claims))
         ) from None
     if not rec.claims:
         raise RuntimeError(f"suite {name!r} registered no claims")

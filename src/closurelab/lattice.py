@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from math import gcd
 
+from .budget import Budget
 from .perm import (
     Permutation,
     compose_images,
@@ -22,11 +23,13 @@ from .stabchain import PermGroup, _orbit, build_chain
 
 def subgroups_up_to_conjugacy(G: PermGroup) -> list[PermGroup]:
     """One representative per conjugacy class of subgroups, sorted by
-    order: the classes of subgroup_lattice(G)."""
+    order: the classes of subgroup_lattice(G), on a fresh Budget()."""
     return subgroup_lattice(G)[0]
 
 
-def subgroup_lattice(G: PermGroup) -> tuple[list[PermGroup], list[tuple[int, ...]]]:
+def subgroup_lattice(
+    G: PermGroup, budget: Budget | None = None
+) -> tuple[list[PermGroup], list[tuple[int, ...]]]:
     """One representative per conjugacy class of subgroups, sorted by
     order, and over: over[i] lists the classes j of the proper extensions
     <H_i, x> the scan registers or finds, so H_i lies in a member of class
@@ -45,8 +48,13 @@ def subgroup_lattice(G: PermGroup) -> tuple[list[PermGroup], list[tuple[int, ...
     generator of G is one dict lookup per element, so the conjugates of a
     class share their element objects. Past perm.py's bytes line there is
     no table: translation_table raises DegreeLimitError before any element
-    is listed. The listing itself refuses a group of order above
-    DEFAULT_ORDER_BOUND.
+    is listed.
+
+    The budget (a fresh Budget() when None) is charged one node per
+    element before the listing starts, so a group larger than the cap
+    raises BudgetExceededError with nothing listed, then one node per
+    extension scanned and one per conjugate stored, which bounds the
+    memory the stored conjugates take.
 
     The walk over a class records a conjugator for each conjugate, and the
     Schreier generators at its non-tree edges generate the normalizer
@@ -62,13 +70,15 @@ def subgroup_lattice(G: PermGroup) -> tuple[list[PermGroup], list[tuple[int, ...
     stabilizer chain reaches the order of G is G, whose element set is at
     hand, so it is never closed up by multiplication.
     """
+    if budget is None:
+        budget = Budget()
     N = G.order()
     degree = G.degree
     identity = identity_images(degree)
     packed = [pack_images(g.images) for g in G.generators]
     # the tables refuse a degree past the bytes line before the elements are listed
     inverse_tables = [translation_table(inverse_images(g)) for g in packed]
-    elems = sorted(G._element_images())
+    elems = sorted(G._element_images(budget))
     whole = frozenset(elems)
     # per generator g, each element h mapped to g h g^-1: g, then h, then g^-1
     same = {x: x for x in elems}
@@ -94,6 +104,7 @@ def subgroup_lattice(G: PermGroup) -> tuple[list[PermGroup], list[tuple[int, ...
         edges = []
         queue = [H]
         for K in queue:
+            budget.charge()
             for g, cmap in zip(packed, cmaps):
                 L = frozenset(map(cmap.__getitem__, K))
                 if L in conjugator:
@@ -140,6 +151,7 @@ def subgroup_lattice(G: PermGroup) -> tuple[list[PermGroup], list[tuple[int, ...
         for x in elems:
             if x in covered:
                 continue
+            budget.charge()
             powers, step = [x], translation_table(x)
             while powers[-1] != identity:
                 powers.append(powers[-1].translate(step))

@@ -69,7 +69,7 @@ from __future__ import annotations
 from itertools import islice
 from random import Random
 
-from .budget import DEFAULT_MAX_DEGREE, DEFAULT_ORDER_BOUND
+from .budget import DEFAULT_MAX_DEGREE, Budget
 from .errors import DegreeLimitError, DegreeMismatchError
 from .perm import (
     Images,
@@ -552,22 +552,19 @@ class PermGroup:
         stab._chain = tail
         return stab
 
-    def _element_images(self, limit: int = DEFAULT_ORDER_BOUND) -> dict:
-        """Packed elements, keyed in order of breadth-first discovery; a
-        group of order above limit raises DegreeLimitError before any is
-        listed."""
-        order = self.order()
-        if order > limit:
-            raise DegreeLimitError(
-                f"group order {order} exceeds {limit}, the largest whose elements are listed"
-            )
+    def _element_images(self, budget: Budget) -> dict:
+        """Packed elements, keyed in order of breadth-first discovery. One
+        node per element is charged before any is listed, so a group larger
+        than what is left of budget raises BudgetExceededError first."""
+        for _ in range(self.order()):
+            budget.charge()
         gens = [pack_images(g.images) for g in self.generators]
         return _orbit(identity_images(self.degree), gens, compose_images)
 
-    def elements(self, limit: int = 2_000_000):
+    def elements(self):
         """All elements in the order of _element_images (identity first),
-        refused above order limit; order() is the scalable alternative."""
-        return [Permutation(x) for x in self._element_images(limit)]
+        charged to a fresh Budget(); order() is the scalable alternative."""
+        return [Permutation(x) for x in self._element_images(Budget())]
 
     def same_group(self, other: "PermGroup") -> bool:
         """Equality as subgroups of the same symmetric group."""

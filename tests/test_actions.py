@@ -27,9 +27,10 @@ from closurelab.actions import (
     transitivity_degree,
     union,
 )
-from closurelab.budget import DEFAULT_ORDER_BOUND
+from closurelab.budget import Budget
 from closurelab.catalog import catalog_group, symmetric
 from closurelab.errors import (
+    BudgetExceededError,
     DegreeLimitError,
     IntransitiveActionError,
     InvalidPartitionError,
@@ -516,18 +517,24 @@ def _forbid_listing(monkeypatch, why):
 
 
 def test_subgroup_enumeration_respects_bound(monkeypatch):
-    # S7 has order 5040, above DEFAULT_ORDER_BOUND; the listing refuses it
-    # from its chain's order, before the walk lists any element
+    # S7 has order 5040; the listing charges one node per element before
+    # the walk lists any, so a cap one short of the order stops it there
     G = symmetric(7)
-    assert G.order() > DEFAULT_ORDER_BOUND
-    _forbid_listing(monkeypatch, "elements listed before the order was checked")
-    with pytest.raises(DegreeLimitError, match=str(DEFAULT_ORDER_BOUND)):
-        subgroups_up_to_conjugacy(G)
+    assert G.order() == 5040
+    _forbid_listing(monkeypatch, "elements listed before the budget was charged")
+    budget = Budget(5039)
+    with pytest.raises(BudgetExceededError, match="node budget"):
+        subgroup_lattice(G, budget)
+    assert budget.nodes == 5040
+    # a cap of the order itself lets the listing start
+    with pytest.raises(AssertionError, match="listed before the budget"):
+        subgroup_lattice(G, Budget(5040))
 
 
 def test_subgroup_enumeration_refuses_degree_above_256(monkeypatch):
-    # a 257-cycle has order 257, within the order bound, but its points do
-    # not fit in a byte; the refusal comes before any element is listed
+    # a 257-cycle has order 257, well within the default budget, but its
+    # points do not fit in a byte; the refusal comes before any element is
+    # listed
     G = PermGroup(257, [Permutation(tuple(range(1, 257)) + (0,))])
     assert G.order() == 257
     _forbid_listing(monkeypatch, "elements listed before the degree was checked")

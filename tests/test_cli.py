@@ -1,10 +1,15 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+from itertools import count
+from types import SimpleNamespace
 
 import pytest
 
+from closurelab import budget as budget_module
 from closurelab.cli import main
+
+from test_actions import _forbid_listing
 
 
 def run(capsys, *argv):
@@ -83,9 +88,9 @@ def test_spectrum_csv(capsys):
     code, out, _ = run(capsys, "spectrum", "--catalog", "D4", "--csv")
     assert code == 0
     lines = out.splitlines()
-    assert lines[0] == "group,action,k,order,error"
-    assert lines[1] == "D4,catalog(D4),1,24,"
-    assert lines[2] == "D4,catalog(D4),2,8,"
+    assert lines[0] == "group,action,k,order"
+    assert lines[1] == "D4,catalog(D4),1,24"
+    assert lines[2] == "D4,catalog(D4),2,8"
 
 
 @pytest.mark.parametrize("command", ["base", "spectrum"])
@@ -289,6 +294,14 @@ def test_verify_names_the_stopped_claim_when_the_first_search_runs_out(capsys, m
     assert "budget exceeded: claim monotone-A4 stopped" in err
 
 
+def test_verify_names_the_set_up_when_it_runs_out_before_the_first_claim(capsys, monkeypatch):
+    # base-reduction enumerates A5's subgroups before its first claim
+    monkeypatch.setenv("CLOSURELAB_BUDGET_NODES", "0")
+    code, out, err = run(capsys, "verify", "--suite", "base-reduction")
+    assert (code, out) == (3, "")
+    assert "budget exceeded: the set-up before the first claim stopped" in err
+
+
 def test_verify_prints_the_finished_claims_when_a_search_runs_out(capsys, monkeypatch):
     # each claim's walk has its own budget: the first five need at most 8
     # nodes, the S4 pairs walk 17
@@ -310,22 +323,31 @@ def test_verify_prints_the_finished_claims_when_a_search_runs_out(capsys, monkey
     ]
 
 
-def test_ktrans_honours_budget_seconds(capsys):
-    code, out, err = run(capsys, "ktrans", "--catalog", "A5", "--max-degree", "12",
-                         "--budget-seconds", "0.000001")
-    # the natural action's walk is settled by the symmetric shortcut and
-    # charges no node; the degree-6 walk's first node is past the cap, and
-    # the bounds above the degree bound come only after every walk
+def test_ktrans_honours_budget_seconds(capsys, monkeypatch):
+    argv = ["ktrans", "--catalog", "A5", "--max-degree", "12", "--budget-seconds"]
+    # the subgroup enumeration's first charge is past the cap
+    code, out, err = run(capsys, *argv, "0.000001")
+    assert (code, out) == (3, "")
+    assert "budget exceeded: the subgroup enumeration stopped" in err
+    # under a clock that steps one second per read, the cap runs out at
+    # charge 144: the enumeration takes 143 nodes, the natural action's
+    # walk is settled by the symmetric shortcut and charges no node, the
+    # degree-6 walk's first node is past the cap, and the bounds above the
+    # degree bound come only after every walk
+    ticks = count()
+    monkeypatch.setattr(budget_module, "time", SimpleNamespace(monotonic=lambda: float(next(ticks))))
+    code, out, err = run(capsys, *argv, "143.5")
     assert code == 3
     assert out == "  degree 5: exact 4\n"
     assert "budget exceeded" in err
 
 
 def test_ktrans_prints_the_finished_actions_when_the_budget_runs_out(capsys):
-    # the walks run narrowest first: degrees 5, 6 and 10 take 0, 10 and 18
-    # nodes, and the degree-12 one would take 22 more; no wider class is
-    # walked by need, so a partial holds the finished walks and no bound
-    argv = ["ktrans", "--catalog", "A5", "--max-degree", "12", "--budget-nodes", "30"]
+    # the subgroup enumeration takes 143 nodes; then the walks run
+    # narrowest first: degrees 5, 6 and 10 take 0, 10 and 18 nodes, and the
+    # degree-12 one would take 22 more; no wider class is walked by need,
+    # so a partial holds the finished walks and no bound
+    argv = ["ktrans", "--catalog", "A5", "--max-degree", "12", "--budget-nodes", "173"]
     code, out, err = run(capsys, *argv)
     assert code == 3
     assert out == "  degree 5: exact 4\n  degree 6: exact 3\n  degree 10: exact 3\n"
@@ -397,17 +419,31 @@ def test_unknown_action_spec(capsys):
     assert "mystery" in err
 
 
-def test_ktrans_subgroup_enumeration_bound_is_a_size_limit(capsys):
-    # M11 has order 7920, above the enumeration bound; no budget ran out
-    code, out, err = run(capsys, "ktrans", "--catalog", "M11", "--max-degree", "12")
+@pytest.mark.parametrize("spec", ["partitions:5:2", "ksubsets:x"])
+def test_malformed_action_spec_names_the_accepted_forms(capsys, spec):
+    code, out, err = run(capsys, "base", "--catalog", "S10", "--action", spec)
     assert (code, out) == (1, "")
-    assert "budget" not in err
-    assert "3000" in err
+    assert f"malformed action spec {spec!r}" in err
+    assert "ksubsets:K" in err and "partitions:AxB" in err
+    assert "int()" not in err
+
+
+def test_ktrans_subgroup_enumeration_is_capped_by_the_budget(capsys, monkeypatch):
+    # M11 has order 7920 and certifies on the default budget
+    code, out, _ = run(capsys, "ktrans", "--catalog", "M11", "--max-degree", "12")
+    assert code == 0
+    assert out.startswith("k 5\ncertified yes\n")
+    # M24 has order 244823040, past the default node cap: the listing's
+    # charges stop it before any element is listed, and exit 3
+    _forbid_listing(monkeypatch, "elements listed before the budget was charged")
+    code, out, err = run(capsys, "ktrans", "--catalog", "M24", "--max-degree", "24")
+    assert (code, out) == (3, "")
+    assert "budget exceeded: the subgroup enumeration stopped" in err
 
 
 def test_ktrans_degree_above_256_is_a_size_limit(tmp_path, capsys):
-    # order 257 is within the enumeration bound, but the enumeration holds
-    # elements as bytes, so a 257-cycle is refused by its degree
+    # order 257 is well within the default budget, but the enumeration
+    # holds elements as bytes, so a 257-cycle is refused by its degree
     path = tmp_path / "c257.txt"
     path.write_text("degree 257\n(" + " ".join(str(p) for p in range(1, 258)) + ")\n")
     code, out, err = run(capsys, "ktrans", "--group-file", str(path), "--max-degree", "12")

@@ -16,7 +16,7 @@ from closurelab.actions import (
     union,
 )
 from closurelab.basesize import exact_base_size, greedy_base
-from closurelab.budget import DEFAULT_ORDER_BOUND, Budget
+from closurelab.budget import Budget
 from closurelab.catalog import (
     alternating,
     catalog_group,
@@ -40,7 +40,7 @@ from closurelab.closure import (
     require_nonabelian_simple,
     restriction_lemma_check,
 )
-from closurelab.errors import BudgetExceededError, DegreeLimitError, SimplicityError
+from closurelab.errors import BudgetExceededError, SimplicityError
 from closurelab.lattice import subgroup_lattice, subgroups_up_to_conjugacy
 from closurelab.perm import Permutation, parse_cycles
 from closurelab.stabchain import PermGroup
@@ -52,6 +52,7 @@ from oracles import (
     brute_simplicity_defect,
     brute_tuple_orbits,
 )
+from test_actions import _forbid_listing
 from test_harness import generator_sets
 
 
@@ -349,10 +350,11 @@ def test_k_trans_honours_a_time_budget():
 
 
 def test_k_trans_exhaustion_keeps_the_finished_actions():
-    # the walks run narrowest first: degrees 5, 6 and 10 take 0, 10 and 18
-    # nodes, and the degree-12 one would take 22 more
+    # the subgroup enumeration takes 143 nodes; then the walks run
+    # narrowest first: degrees 5, 6 and 10 take 0, 10 and 18 nodes, and the
+    # degree-12 one would take 22 more
     with pytest.raises(BudgetExceededError) as info:
-        k_trans(alternating(5), 12, budget=Budget(30))
+        k_trans(alternating(5), 12, budget=Budget(143 + 30))
     cert = info.value.partial
     assert isinstance(cert, KTransCertificate)
     assert not cert.certified
@@ -376,6 +378,12 @@ def test_k_trans_a5():
     exact = {e.degree: e.value for e in cert.entries if e.kind == "exact"}
     assert exact == {5: 4, 6: 3, 10: 3, 12: 3}
     assert all(e.value <= 4 for e in cert.entries if e.kind == "bound")
+
+
+def test_k_trans_m11():
+    # M11 has order 7920; its enumeration runs on the default budget
+    value, cert = k_trans(catalog_group("M11").group, 12)
+    assert (value, cert.certified) == (5, True)
 
 
 def test_k_trans_s3():
@@ -527,9 +535,10 @@ def test_k_trans_walks_a_wider_class_by_need():
     # PSL(2,13)'s degree-28 and degree-42 classes inherit 4 from the
     # degree-14 class's greedy base of 3, and their own greedy bases are no
     # smaller; their walks give 3, which then dominates every bound
+    # the subgroup enumeration takes 2,187 of its 2,531 nodes
     budget = Budget()
     value, cert = k_trans(catalog_group("PSL(2,13)").group, 14, budget)
-    assert (value, cert.certified, budget.nodes) == (3, True, 344)
+    assert (value, cert.certified, budget.nodes) == (3, True, 2187 + 344)
     exact = [(e.degree, e.value) for e in cert.entries if e.kind == "exact"]
     assert exact == [(14, 3), (28, 3), (42, 3)]
     assert all(e.value <= 3 for e in cert.entries)
@@ -595,13 +604,15 @@ def test_k_trans_exact_values_have_a_witness_one_below(name, degree_bound):
 def test_require_nonabelian_simple():
     require_nonabelian_simple(alternating(5))
     require_nonabelian_simple(psl_projective(2, 7).group)
-    # two disjoint 64-cycles: abelian of order 4096, above the order bound,
-    # yet rejected from its commuting generators before any listing
+    # two disjoint 64-cycles: abelian of order 4096, rejected from its
+    # commuting generators before any listing, so on no budget at all
     cycles = group(128, *(f"({' '.join(map(str, r))})" for r in (range(1, 65), range(65, 129))))
-    assert cycles.order() == 4096 > DEFAULT_ORDER_BOUND
+    assert cycles.order() == 4096
     for G in [symmetric(4), cyclic(6), alternating(4), PermGroup.trivial(3), cycles]:
         with pytest.raises(SimplicityError):
             require_nonabelian_simple(G)
+    with pytest.raises(SimplicityError):
+        require_nonabelian_simple(cycles, Budget(0))
 
 
 def sl25_on_vectors():
@@ -664,14 +675,29 @@ def test_simplicity_check_above_the_bytes_line():
         require_nonabelian_simple(dihedral(257))
 
 
-def test_simplicity_check_refuses_groups_above_the_order_bound():
-    # A8 has order 20160; the exact check lists elements only up to order
-    # 3000, and refuses in the words the subgroup enumeration uses
-    with pytest.raises(DegreeLimitError, match=str(DEFAULT_ORDER_BOUND)) as check:
-        require_nonabelian_simple(alternating(8))
-    with pytest.raises(DegreeLimitError) as enumeration:
-        subgroups_up_to_conjugacy(alternating(8))
+def test_simplicity_check_refuses_groups_above_the_budget(monkeypatch):
+    # A8 has order 20160, and its check lists every element on the default
+    # budget; the listing charges one node per element first, so a cap
+    # below 20160 refuses A8 before any is listed, in the words the
+    # subgroup enumeration uses
+    require_nonabelian_simple(alternating(8))
+    _forbid_listing(monkeypatch, "elements listed before the budget was charged")
+    with pytest.raises(BudgetExceededError, match="20160 > 20159") as check:
+        require_nonabelian_simple(alternating(8), Budget(20159))
+    with pytest.raises(BudgetExceededError) as enumeration:
+        subgroup_lattice(alternating(8), Budget(20159))
     assert str(check.value) == str(enumeration.value)
+
+
+def test_intransitive_certificate_checks_simplicity_on_its_budget(monkeypatch):
+    # two copies of A5: the simplicity check charges 60 nodes before it
+    # lists an element, so 59 stop it with nothing listed
+    nat = natural_action(alternating(5))
+    _forbid_listing(monkeypatch, "elements listed before the budget was charged")
+    budget = Budget(59)
+    with pytest.raises(BudgetExceededError):
+        intransitive_certificate(union([nat, nat]), 4, budget=budget)
+    assert budget.nodes == 60
 
 
 def test_intransitive_certificate_two_natural_copies():
@@ -767,7 +793,8 @@ def test_intransitive_certificate_closures_share_one_budget():
     nat = natural_action(alternating(5))
     pairs = ksubsets_action(alternating(5), 2)
     U = union([nat, pairs])
-    _closures_share_one_budget(lambda b: intransitive_certificate(U, 4, budget=b), [6, 12])
+    # the simplicity check lists A5's 60 elements first
+    _closures_share_one_budget(lambda b: intransitive_certificate(U, 4, budget=b), [60, 6, 12])
 
 
 def test_block_lemma_check_closures_share_one_budget():
@@ -815,9 +842,11 @@ def _every_cap(run, nodes):
 
 
 def test_k_trans_budget_caps_give_the_answer_or_an_uncertified_partial():
-    # S4/8: the natural action's walk charges no node, the three wider
-    # walks 8, 10 and 12
-    for G, degree_bound, nodes in [(alternating(5), 12, 50), (symmetric(4), 8, 30)]:
+    # the subgroup enumerations take 143 nodes on A5 and 79 on S4; then on
+    # S4/8 the natural action's walk charges no node, the three wider walks
+    # 8, 10 and 12. A cap that stops the enumeration gives a partial with
+    # no entries.
+    for G, degree_bound, nodes in [(alternating(5), 12, 143 + 50), (symmetric(4), 8, 79 + 30)]:
         full, outcomes = _every_cap(lambda b: k_trans(G, degree_bound, budget=b), nodes)
         for out in outcomes:
             if isinstance(out, BudgetExceededError):
@@ -825,10 +854,12 @@ def test_k_trans_budget_caps_give_the_answer_or_an_uncertified_partial():
                 assert set(out.partial.entries) <= set(full[1].entries)
             else:
                 assert out == full
-    # PSL(2,13)/14: the degree-14 walk takes 125 nodes, and the degree-28
-    # walk by need stops after 75 more
+        assert outcomes[0].partial.entries == ()
+        assert "subgroup enumeration stopped" in str(outcomes[0])
+    # PSL(2,13)/14: after the enumeration's 2,187 nodes, the degree-14 walk
+    # takes 125 nodes, and the degree-28 walk by need stops after 75 more
     with pytest.raises(BudgetExceededError, match="degree-28") as info:
-        k_trans(catalog_group("PSL(2,13)").group, 14, budget=Budget(200))
+        k_trans(catalog_group("PSL(2,13)").group, 14, budget=Budget(2187 + 200))
     cert = info.value.partial
     assert not cert.certified
     assert cert.entries == (KTransEntry(14, 78, "exact", 3, "own"),)
@@ -847,7 +878,7 @@ def _d6_block_lemma(blocks, k):
 @pytest.mark.parametrize("run,nodes", [
     (_d6_block_lemma([[0, 2, 4], [1, 3, 5]], 2), 6),
     (_d6_block_lemma([[0, 3], [1, 4], [2, 5]], 3), 6),
-    (lambda b: intransitive_certificate(_a5_natural_plus_pairs(), 4, budget=b), 18),
+    (lambda b: intransitive_certificate(_a5_natural_plus_pairs(), 4, budget=b), 60 + 18),
     (lambda b: restriction_lemma_check(_a5_natural_plus_pairs(), 3, budget=b), 32),
     (lambda b: complete_lemma_check(
         mathieu("M11"), 4, out_trivial=True, maximal_in_alt=True, budget=b), 32),

@@ -5,7 +5,8 @@ CPython 3.11's parser peak rises by about 0.25 MB once one module passes
 4,096 tokens. Every module under that line stays under it, and no module
 keeps a private top-level name that nothing in the package uses, or an
 import that it never reads. Only perm.py knows where packed images stop
-being bytes, and only the command line ends a budget error without raising.
+being bytes, only the command line ends a budget error without raising, and
+every size limit is about how the input is represented, never about work.
 """
 
 import ast
@@ -146,6 +147,40 @@ def test_only_perm_and_harness_know_the_bytes_line():
         if isinstance(node, ast.Constant) and type(node.value) is int and node.value == 256
     }
     assert holders == {"perm", "harness"}
+
+
+def _raises(node, where, error):
+    """(function, raise) for every raise of error under node, named by the
+    innermost function around it."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _raises(child, child.name, error)
+            continue
+        if isinstance(child, ast.Raise) and child.exc is not None:
+            call = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+            if ast.unparse(call) == error:
+                yield where, child
+        yield from _raises(child, where, error)
+
+
+def test_size_limits_are_about_representation():
+    # the budget is the one cap on work; a size limit is about how the input
+    # is held: the degree guard of chains, coset actions and projective
+    # domains, the bytes line of packed images, and the brute filtration
+    # route's 9 points. A limit on group order would refuse work the budget
+    # can bound, so none is raised.
+    sites = {
+        (module, function)
+        for module, tree in _modules()
+        for function, _ in _raises(tree, None, "DegreeLimitError")
+    }
+    assert sites == {
+        ("actions", "coset_action"),
+        ("catalog", "psl_projective"),
+        ("harness", "filtration_closure_orders"),
+        ("perm", "translation_table"),
+        ("stabchain", "build_chain"),
+    }
 
 
 def _handlers(node, where):

@@ -10,10 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from closurelab import stabchain
 from closurelab.actions import ksubsets_action, natural_action, partitions_action, restriction
-from closurelab.budget import DEFAULT_MAX_DEGREE
+from closurelab.budget import DEFAULT_MAX_DEGREE, ENV_BUDGET_NODES, Budget
 from closurelab.catalog import alternating, catalog_group, dihedral, symmetric
 from closurelab.closure import closure_spectrum
-from closurelab.errors import DegreeLimitError
+from closurelab.errors import BudgetExceededError, DegreeLimitError
 from closurelab.perm import Permutation, parse_cycles
 from closurelab.stabchain import PermGroup, build_chain
 from closurelab.tupleorbits import _canonical_image, _orbitals
@@ -88,12 +88,16 @@ def test_orbits_match_brute():
     assert A5().is_transitive()
 
 
-def test_elements_enumeration():
+def test_elements_enumeration(monkeypatch):
     G = S4()
     got = {p.images for p in G.elements()}
     assert got == brute_elements([g.images for g in G.generators], 4)
-    with pytest.raises(DegreeLimitError):
-        A5().elements(limit=10)
+    # the listing charges one node per element to a fresh default budget
+    monkeypatch.setenv(ENV_BUDGET_NODES, "59")
+    with pytest.raises(BudgetExceededError):
+        A5().elements()
+    monkeypatch.setenv(ENV_BUDGET_NODES, "60")
+    assert len(A5().elements()) == 60
 
 
 def test_chain_base_prefix_is_respected():
@@ -349,7 +353,7 @@ def test_tuple_transversals_compose_paths_longer_than_the_recursion_limit():
 def test_elements_on_either_side_of_the_bytes_line(n, kind):
     # one walk lists the elements, packed as bytes or as tuples by degree
     G = dihedral(n)
-    assert all(type(x) is kind for x in G._element_images())
+    assert all(type(x) is kind for x in G._element_images(Budget()))
     got = [p.images for p in G.elements()]
     assert len(got) == 2 * n
     assert set(got) == brute_elements([g.images for g in G.generators], n)
