@@ -1,13 +1,15 @@
 """Search budgets: node counters and wall-clock limits.
 
 A Budget is the one cap on work. The closure backtrack and the base-size
-branch-and-bound charge a node per search node; listing a group's
+branch-and-bound charge a node per search node. Listing a group's
 elements (PermGroup._element_images) charges a node per element before
-it lists any, so a group larger than what is left of the cap is refused
-with nothing listed; and the subgroup enumeration charges a node per
-extension it scans and per conjugate it stores. Exhausting the budget
-raises BudgetExceededError, and every search lets it propagate with its
-finished part as the partial; no function
+it lists any, and its callers charge one more per element for each table
+of the group's size they build, so a group whose tables exceed what is
+left of the cap is refused with nothing listed. The subgroup enumeration
+then charges a node per extension it scans and per element of each
+conjugate it stores, so what it keeps grows with the nodes charged.
+Exhausting the budget raises BudgetExceededError, and every search lets
+it propagate with its finished part as the partial; no function
 returns a partial result as its answer, so there is no silent truncation
 anywhere in the package. The other limits are about representation, not
 work: the degree guard below, and perm.py's bytes line for the subgroup

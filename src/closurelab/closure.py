@@ -457,11 +457,11 @@ def require_nonabelian_simple(G: PermGroup, budget: Budget | None = None) -> Non
     and every nontrivial conjugacy class generates G. Every normal subgroup
     is a union of classes, and the subgroup a class generates is the normal
     closure of each of its members, so this decides simplicity. The classes
-    are read off the element set, whose listing charges budget (a fresh
-    Budget() when None) one node per element first, so a nonabelian group
-    larger than the cap raises BudgetExceededError with nothing listed;
-    each class gets one chain, which stops once it reaches the order of
-    G."""
+    are read off the element set. Budget (a fresh Budget() when None) is
+    charged two nodes per element first, one for the listing and one for
+    the set of elements seen, so a nonabelian group whose tables exceed the
+    cap raises BudgetExceededError with nothing listed. Each class gets
+    one chain, which stops once it reaches the order of G."""
     order = G.order()
     if order == 1:
         raise SimplicityError("the trivial group is not nonabelian simple")
@@ -476,6 +476,9 @@ def require_nonabelian_simple(G: PermGroup, budget: Budget | None = None) -> Non
 
     if budget is None:
         budget = Budget()
+    # a node per element for seen, beside the listing's own
+    for _ in range(order):
+        budget.charge()
     seen = {identity_images(G.degree)}
     for x in G._element_images(budget):
         if x in seen:
@@ -519,7 +522,7 @@ def intransitive_certificate(
     totally k-closed from per-orbit data.
 
     Requires: the group is nonabelian simple, which
-    require_nonabelian_simple checks exactly, charging the budget one node
+    require_nonabelian_simple checks exactly, charging the budget two nodes
     per element of the group, and it acts faithfully on every orbit. The
     certificate then needs, for every ordered orbit pair, a point
     stabilizer from the first orbit that is intransitive on the second (one

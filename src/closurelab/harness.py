@@ -113,6 +113,7 @@ class _Recorder:
                 elapsed_ms=elapsed,
             )
         )
+        self.running = ""
 
 
 # ---------------------------------------------------------------------------
@@ -586,9 +587,9 @@ def run_suite(name: str) -> SuiteResult:
 
     Unknown names raise ValueError. A suite that records no claims is a
     registration error. A claim whose search runs out raises
-    BudgetExceededError naming that claim (or the suite's set-up, when it
-    runs out before the first claim), whose partial is the SuiteResult of
-    the claims finished before it.
+    BudgetExceededError naming that claim, or the set-up between claims
+    (such as a subgroup enumeration) and the last claim finished before it,
+    whose partial is the SuiteResult of the claims finished before it.
     """
     try:
         fn = _SUITES[name]
@@ -600,7 +601,12 @@ def run_suite(name: str) -> SuiteResult:
     try:
         fn(rec)
     except BudgetExceededError as exc:
-        what = f"claim {rec.running}" if rec.running else "the set-up before the first claim"
+        if rec.running:
+            what = f"claim {rec.running}"
+        elif rec.claims:
+            what = f"the set-up after claim {rec.claims[-1].claim_id}"
+        else:
+            what = "the set-up before the first claim"
         raise BudgetExceededError(
             f"{what} stopped: {exc}", partial=SuiteResult(name, tuple(rec.claims))
         ) from None

@@ -50,11 +50,13 @@ def subgroup_lattice(
     no table: translation_table raises DegreeLimitError before any element
     is listed.
 
-    The budget (a fresh Budget() when None) is charged one node per
-    element before the listing starts, so a group larger than the cap
-    raises BudgetExceededError with nothing listed, then one node per
-    extension scanned and one per conjugate stored, which bounds the
-    memory the stored conjugates take.
+    The budget (a fresh Budget() when None) is charged before the listing
+    starts one node per element for each table of G's size: the listing,
+    elems, whole, same and one cmap per generator. So a group whose tables
+    exceed what is left of the cap raises BudgetExceededError with nothing
+    listed. The scan then charges one node per extension and one per
+    element of each conjugate stored, so what the enumeration keeps grows
+    with the nodes charged.
 
     The walk over a class records a conjugator for each conjugate, and the
     Schreier generators at its non-tree edges generate the normalizer
@@ -78,6 +80,10 @@ def subgroup_lattice(
     packed = [pack_images(g.images) for g in G.generators]
     # the tables refuse a degree past the bytes line before the elements are listed
     inverse_tables = [translation_table(inverse_images(g)) for g in packed]
+    # a node per element for each table of G's size built beside the
+    # listing, which _element_images charges: elems, whole, same, the cmaps
+    for _ in range((3 + len(packed)) * N):
+        budget.charge()
     elems = sorted(G._element_images(budget))
     whole = frozenset(elems)
     # per generator g, each element h mapped to g h g^-1: g, then h, then g^-1
@@ -104,7 +110,9 @@ def subgroup_lattice(
         edges = []
         queue = [H]
         for K in queue:
-            budget.charge()
+            # a node per element of each conjugate stored
+            for _ in K:
+                budget.charge()
             for g, cmap in zip(packed, cmaps):
                 L = frozenset(map(cmap.__getitem__, K))
                 if L in conjugator:

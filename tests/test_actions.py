@@ -1,6 +1,7 @@
 """Induced actions, block systems, and subgroup enumeration."""
 
 import json
+import sys
 from itertools import combinations
 from pathlib import Path
 
@@ -517,18 +518,42 @@ def _forbid_listing(monkeypatch, why):
 
 
 def test_subgroup_enumeration_respects_bound(monkeypatch):
-    # S7 has order 5040; the listing charges one node per element before
-    # the walk lists any, so a cap one short of the order stops it there
+    # S7 has order 5040 and two generators; before the walk lists any
+    # element, the enumeration charges one node per element for each of its
+    # six tables of that size (the listing, elems, whole, same and two
+    # cmaps), so a cap one short of 6 * 5040 stops it there
     G = symmetric(7)
-    assert G.order() == 5040
+    assert (G.order(), len(G.generators)) == (5040, 2)
     _forbid_listing(monkeypatch, "elements listed before the budget was charged")
-    budget = Budget(5039)
+    budget = Budget(6 * 5040 - 1)
     with pytest.raises(BudgetExceededError, match="node budget"):
         subgroup_lattice(G, budget)
-    assert budget.nodes == 5040
-    # a cap of the order itself lets the listing start
+    assert budget.nodes == 6 * 5040
+    # a cap of the six tables itself lets the listing start
     with pytest.raises(AssertionError, match="listed before the budget"):
-        subgroup_lattice(G, Budget(5040))
+        subgroup_lattice(G, Budget(6 * 5040))
+
+
+def test_subgroup_enumeration_charges_what_it_stores(monkeypatch):
+    # the enumeration keeps every subgroup as a set of its elements, and
+    # charges a node per element of each: A5's 59 subgroups hold
+    # 1 + 15*2 + 10*3 + 5*4 + 6*5 + 10*6 + 5*12 + 6*10 + 60 = 351, S4's 30
+    # hold 1 + 9*2 + 4*3 + 3*4 + 4 + 3*4 + 4*6 + 3*8 + 12 + 24 = 143
+    stored = []
+    charge = Budget.charge
+
+    def counted(self, n=1, partial=None):
+        stored.append(sys._getframe(1).f_code.co_name == "register")
+        charge(self, n, partial)
+
+    monkeypatch.setattr(Budget, "charge", counted)
+    for G, elements in [(catalog_group("A5").group, 351), (symmetric(4), 143)]:
+        stored.clear()
+        budget = Budget()
+        subgroup_lattice(G, budget)
+        assert sum(stored) == elements
+        # the rest: six tables of G's size, then one node per extension
+        assert budget.nodes - elements > 6 * G.order()
 
 
 def test_subgroup_enumeration_refuses_degree_above_256(monkeypatch):

@@ -302,6 +302,19 @@ def test_verify_names_the_set_up_when_it_runs_out_before_the_first_claim(capsys,
     assert "budget exceeded: the set-up before the first claim stopped" in err
 
 
+def test_verify_names_the_set_up_after_the_last_finished_claim(capsys, monkeypatch):
+    # each enumeration and claim has its own budget: A5's enumeration takes
+    # 735 nodes and its claims fewer, but A6's enumeration takes 7,219, so
+    # the run stops between claims, and no claim is named as stopped
+    monkeypatch.setenv("CLOSURELAB_BUDGET_NODES", "1000")
+    code, out, err = run(capsys, "verify", "--suite", "base-reduction", "--json")
+    assert code == 3
+    ids = [c["id"] for c in json.loads(out)["result"]["claims"]]
+    assert len(ids) == 10 and all(i.startswith("reduction-A5-") for i in ids)
+    assert ids[-1] == "reduction-A5-deg12-to-6"
+    assert "budget exceeded: the set-up after claim reduction-A5-deg12-to-6 stopped" in err
+
+
 def test_verify_prints_the_finished_claims_when_a_search_runs_out(capsys, monkeypatch):
     # each claim's walk has its own budget: the first five need at most 8
     # nodes, the S4 pairs walk 17
@@ -330,24 +343,24 @@ def test_ktrans_honours_budget_seconds(capsys, monkeypatch):
     assert (code, out) == (3, "")
     assert "budget exceeded: the subgroup enumeration stopped" in err
     # under a clock that steps one second per read, the cap runs out at
-    # charge 144: the enumeration takes 143 nodes, the natural action's
+    # charge 736: the enumeration takes 735 nodes, the natural action's
     # walk is settled by the symmetric shortcut and charges no node, the
     # degree-6 walk's first node is past the cap, and the bounds above the
     # degree bound come only after every walk
     ticks = count()
     monkeypatch.setattr(budget_module, "time", SimpleNamespace(monotonic=lambda: float(next(ticks))))
-    code, out, err = run(capsys, *argv, "143.5")
+    code, out, err = run(capsys, *argv, "735.5")
     assert code == 3
     assert out == "  degree 5: exact 4\n"
     assert "budget exceeded" in err
 
 
 def test_ktrans_prints_the_finished_actions_when_the_budget_runs_out(capsys):
-    # the subgroup enumeration takes 143 nodes; then the walks run
+    # the subgroup enumeration takes 735 nodes; then the walks run
     # narrowest first: degrees 5, 6 and 10 take 0, 10 and 18 nodes, and the
     # degree-12 one would take 22 more; no wider class is walked by need,
     # so a partial holds the finished walks and no bound
-    argv = ["ktrans", "--catalog", "A5", "--max-degree", "12", "--budget-nodes", "173"]
+    argv = ["ktrans", "--catalog", "A5", "--max-degree", "12", "--budget-nodes", "765"]
     code, out, err = run(capsys, *argv)
     assert code == 3
     assert out == "  degree 5: exact 4\n  degree 6: exact 3\n  degree 10: exact 3\n"
@@ -433,12 +446,15 @@ def test_ktrans_subgroup_enumeration_is_capped_by_the_budget(capsys, monkeypatch
     code, out, _ = run(capsys, "ktrans", "--catalog", "M11", "--max-degree", "12")
     assert code == 0
     assert out.startswith("k 5\ncertified yes\n")
-    # M24 has order 244823040, past the default node cap: the listing's
-    # charges stop it before any element is listed, and exit 3
+    # M24 has order 244823040, past any node cap: the enumeration's charges
+    # stop it before any element is listed, and exit 3. A small cap finds
+    # that at once; the default one counts to 20,000,001 first
+    monkeypatch.setenv("CLOSURELAB_BUDGET_NODES", "100000")
     _forbid_listing(monkeypatch, "elements listed before the budget was charged")
     code, out, err = run(capsys, "ktrans", "--catalog", "M24", "--max-degree", "24")
     assert (code, out) == (3, "")
     assert "budget exceeded: the subgroup enumeration stopped" in err
+    assert "100001 > 100000" in err
 
 
 def test_ktrans_degree_above_256_is_a_size_limit(tmp_path, capsys):

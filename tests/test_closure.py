@@ -350,11 +350,11 @@ def test_k_trans_honours_a_time_budget():
 
 
 def test_k_trans_exhaustion_keeps_the_finished_actions():
-    # the subgroup enumeration takes 143 nodes; then the walks run
+    # the subgroup enumeration takes 735 nodes; then the walks run
     # narrowest first: degrees 5, 6 and 10 take 0, 10 and 18 nodes, and the
     # degree-12 one would take 22 more
     with pytest.raises(BudgetExceededError) as info:
-        k_trans(alternating(5), 12, budget=Budget(143 + 30))
+        k_trans(alternating(5), 12, budget=Budget(735 + 30))
     cert = info.value.partial
     assert isinstance(cert, KTransCertificate)
     assert not cert.certified
@@ -535,10 +535,10 @@ def test_k_trans_walks_a_wider_class_by_need():
     # PSL(2,13)'s degree-28 and degree-42 classes inherit 4 from the
     # degree-14 class's greedy base of 3, and their own greedy bases are no
     # smaller; their walks give 3, which then dominates every bound
-    # the subgroup enumeration takes 2,187 of its 2,531 nodes
+    # the subgroup enumeration takes 16,261 of its 16,605 nodes
     budget = Budget()
     value, cert = k_trans(catalog_group("PSL(2,13)").group, 14, budget)
-    assert (value, cert.certified, budget.nodes) == (3, True, 2187 + 344)
+    assert (value, cert.certified, budget.nodes) == (3, True, 16261 + 344)
     exact = [(e.degree, e.value) for e in cert.entries if e.kind == "exact"]
     assert exact == [(14, 3), (28, 3), (42, 3)]
     assert all(e.value <= 3 for e in cert.entries)
@@ -677,27 +677,30 @@ def test_simplicity_check_above_the_bytes_line():
 
 def test_simplicity_check_refuses_groups_above_the_budget(monkeypatch):
     # A8 has order 20160, and its check lists every element on the default
-    # budget; the listing charges one node per element first, so a cap
-    # below 20160 refuses A8 before any is listed, in the words the
-    # subgroup enumeration uses
+    # budget; it charges two nodes per element first (the listing and the
+    # set of elements seen), so a cap below 40320 refuses A8 before any is
+    # listed, in the words the subgroup enumeration uses
     require_nonabelian_simple(alternating(8))
     _forbid_listing(monkeypatch, "elements listed before the budget was charged")
-    with pytest.raises(BudgetExceededError, match="20160 > 20159") as check:
-        require_nonabelian_simple(alternating(8), Budget(20159))
+    with pytest.raises(BudgetExceededError, match="40320 > 40319") as check:
+        require_nonabelian_simple(alternating(8), Budget(40319))
     with pytest.raises(BudgetExceededError) as enumeration:
-        subgroup_lattice(alternating(8), Budget(20159))
+        subgroup_lattice(alternating(8), Budget(40319))
     assert str(check.value) == str(enumeration.value)
+    with pytest.raises(AssertionError, match="listed before the budget"):
+        require_nonabelian_simple(alternating(8), Budget(40320))
 
 
 def test_intransitive_certificate_checks_simplicity_on_its_budget(monkeypatch):
-    # two copies of A5: the simplicity check charges 60 nodes before it
-    # lists an element, so 59 stop it with nothing listed
+    # two copies of A5: the simplicity check charges 120 nodes before it
+    # lists an element, so 59 or 119 stop it with nothing listed
     nat = natural_action(alternating(5))
     _forbid_listing(monkeypatch, "elements listed before the budget was charged")
-    budget = Budget(59)
-    with pytest.raises(BudgetExceededError):
-        intransitive_certificate(union([nat, nat]), 4, budget=budget)
-    assert budget.nodes == 60
+    for cap in (59, 119):
+        budget = Budget(cap)
+        with pytest.raises(BudgetExceededError):
+            intransitive_certificate(union([nat, nat]), 4, budget=budget)
+        assert budget.nodes == cap + 1
 
 
 def test_intransitive_certificate_two_natural_copies():
@@ -793,8 +796,8 @@ def test_intransitive_certificate_closures_share_one_budget():
     nat = natural_action(alternating(5))
     pairs = ksubsets_action(alternating(5), 2)
     U = union([nat, pairs])
-    # the simplicity check lists A5's 60 elements first
-    _closures_share_one_budget(lambda b: intransitive_certificate(U, 4, budget=b), [60, 6, 12])
+    # the simplicity check charges two nodes per element of A5 first
+    _closures_share_one_budget(lambda b: intransitive_certificate(U, 4, budget=b), [120, 6, 12])
 
 
 def test_block_lemma_check_closures_share_one_budget():
@@ -842,11 +845,11 @@ def _every_cap(run, nodes):
 
 
 def test_k_trans_budget_caps_give_the_answer_or_an_uncertified_partial():
-    # the subgroup enumerations take 143 nodes on A5 and 79 on S4; then on
+    # the subgroup enumerations take 735 nodes on A5 and 312 on S4; then on
     # S4/8 the natural action's walk charges no node, the three wider walks
     # 8, 10 and 12. A cap that stops the enumeration gives a partial with
     # no entries.
-    for G, degree_bound, nodes in [(alternating(5), 12, 143 + 50), (symmetric(4), 8, 79 + 30)]:
+    for G, degree_bound, nodes in [(alternating(5), 12, 735 + 50), (symmetric(4), 8, 312 + 30)]:
         full, outcomes = _every_cap(lambda b: k_trans(G, degree_bound, budget=b), nodes)
         for out in outcomes:
             if isinstance(out, BudgetExceededError):
@@ -856,10 +859,10 @@ def test_k_trans_budget_caps_give_the_answer_or_an_uncertified_partial():
                 assert out == full
         assert outcomes[0].partial.entries == ()
         assert "subgroup enumeration stopped" in str(outcomes[0])
-    # PSL(2,13)/14: after the enumeration's 2,187 nodes, the degree-14 walk
+    # PSL(2,13)/14: after the enumeration's 16,261 nodes, the degree-14 walk
     # takes 125 nodes, and the degree-28 walk by need stops after 75 more
     with pytest.raises(BudgetExceededError, match="degree-28") as info:
-        k_trans(catalog_group("PSL(2,13)").group, 14, budget=Budget(2187 + 200))
+        k_trans(catalog_group("PSL(2,13)").group, 14, budget=Budget(16261 + 200))
     cert = info.value.partial
     assert not cert.certified
     assert cert.entries == (KTransEntry(14, 78, "exact", 3, "own"),)
@@ -878,7 +881,7 @@ def _d6_block_lemma(blocks, k):
 @pytest.mark.parametrize("run,nodes", [
     (_d6_block_lemma([[0, 2, 4], [1, 3, 5]], 2), 6),
     (_d6_block_lemma([[0, 3], [1, 4], [2, 5]], 3), 6),
-    (lambda b: intransitive_certificate(_a5_natural_plus_pairs(), 4, budget=b), 60 + 18),
+    (lambda b: intransitive_certificate(_a5_natural_plus_pairs(), 4, budget=b), 120 + 18),
     (lambda b: restriction_lemma_check(_a5_natural_plus_pairs(), 3, budget=b), 32),
     (lambda b: complete_lemma_check(
         mathieu("M11"), 4, out_trivial=True, maximal_in_alt=True, budget=b), 32),
