@@ -587,9 +587,10 @@ def run_suite(name: str) -> SuiteResult:
 
     Unknown names raise ValueError. A suite that records no claims is a
     registration error. A claim whose search runs out raises
-    BudgetExceededError naming that claim, or the set-up between claims
-    (such as a subgroup enumeration) and the last claim finished before it,
-    whose partial is the SuiteResult of the claims finished before it.
+    BudgetExceededError naming that claim; a suite's set-up that runs out
+    between claims, such as a subgroup enumeration, is named by the last
+    claim finished before it. The partial is the SuiteResult of the claims
+    finished before it.
     """
     try:
         fn = _SUITES[name]
