@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import combinations
+from math import comb, factorial
 
 from .budget import DEFAULT_MAX_DEGREE
 from .errors import (
@@ -247,57 +248,76 @@ def quotient_action(A: ActionInstance, S: BlockSystem) -> ActionInstance:
     return ActionInstance(group, domain, f"blocks({S.num_blocks}x{len(S.blocks[0])})", A.source_order)
 
 
+def _blocks(G: PermGroup, k: int):
+    """The k-subsets of G's points in combinations order, their labels
+    "{1,2}", and per generator the index of each subset's image."""
+    subsets = list(combinations(range(G.degree), k))
+    index = {s: i for i, s in enumerate(subsets)}
+    tables = [
+        [index[tuple(sorted([g[p] for p in s]))] for s in subsets]
+        for g in (h.images for h in G.generators)
+    ]
+    labels = ["{" + ",".join(str(p + 1) for p in s) + "}" for s in subsets]
+    return subsets, labels, tables
+
+
 def ksubsets_action(G: PermGroup, k: int) -> ActionInstance:
-    """G (natural on n points) acting on all k-element subsets."""
+    """G (natural on n points) acting on all k-element subsets.
+
+    The number of subsets is checked against the point guard before any
+    is listed."""
     n = G.degree
     if not 1 <= k <= n // 2:
         raise ValueError(f"k must satisfy 1 <= k <= n/2, got k={k} with n={n}")
-    subsets = list(combinations(range(n), k))
-    index = {s: i for i, s in enumerate(subsets)}
-    group = _induced(G, subsets, lambda g, s: index[tuple(sorted(g(p) for p in s))])
-    labels = tuple("{" + ",".join(str(p + 1) for p in s) + "}" for s in subsets)
-    return ActionInstance(group, Domain(labels), f"ksubsets({k})", G.order())
-
-
-def _equal_partitions(n: int, a: int) -> list[tuple[tuple[int, ...], ...]]:
-    out: list[tuple[tuple[int, ...], ...]] = []
-    points = list(range(n))
-
-    def rec(remaining: list[int], blocks: list[tuple[int, ...]]) -> None:
-        if not remaining:
-            out.append(tuple(blocks))
-            return
-        first = remaining[0]
-        for rest in combinations(remaining[1:], a - 1):
-            taken = {first, *rest}
-            blocks.append((first,) + rest)
-            rec([p for p in remaining if p not in taken], blocks)
-            blocks.pop()
-
-    rec(points, [])
-    return out
+    count = comb(n, k)
+    if count > DEFAULT_MAX_DEGREE:
+        raise DegreeLimitError(f"degree {count} exceeds guard {DEFAULT_MAX_DEGREE}")
+    _, labels, tables = _blocks(G, k)
+    group = PermGroup(len(labels), [Permutation(t) for t in tables])
+    return ActionInstance(group, Domain(tuple(labels)), f"ksubsets({k})", G.order())
 
 
 def partitions_action(G: PermGroup, a: int, b: int) -> ActionInstance:
-    """G (natural on n = a*b points) acting on partitions into b parts of size a."""
+    """G (natural on n = a*b points) acting on partitions into b parts of size a.
+
+    A partition is the sorted tuple of the indices of its blocks among the
+    a-subsets in combinations order, so its blocks are ordered by least
+    point, and partitions are listed in lexicographic order, each block
+    taking the least point left. Its image under a generator is its blocks'
+    images from the a-subset table, sorted. The number of partitions,
+    n! / ((a!)^b b!), is checked against the point guard before any is
+    listed."""
     n = G.degree
     if a < 2 or b < 2:
         raise ValueError(f"need part size >= 2 and part count >= 2, got a={a}, b={b}")
     if n != a * b:
         raise ValueError(f"degree {n} is not a*b = {a * b}")
-    parts = _equal_partitions(n, a)
-    index = {p: i for i, p in enumerate(parts)}
-
-    def act(g: Permutation, part) -> int:
-        moved = sorted(tuple(sorted(g(p) for p in block)) for block in part)
-        return index[tuple(moved)]
-
-    labels = tuple(
-        "|".join("{" + ",".join(str(p + 1) for p in block) + "}" for block in part)
-        for part in parts
-    )
+    count = factorial(n) // (factorial(a) ** b * factorial(b))
+    if count > DEFAULT_MAX_DEGREE:
+        raise DegreeLimitError(f"degree {count} exceeds guard {DEFAULT_MAX_DEGREE}")
+    blocks, block_labels, tables = _blocks(G, a)
+    # per least point, the blocks starting there as (bit mask, index)
+    starting: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for i, block in enumerate(blocks):
+        starting[block[0]].append((sum(1 << p for p in block), i))
+    # partial partitions with the points left, as a bit mask
+    level = [((), (1 << n) - 1)]
+    for _ in range(b):
+        level = [
+            (part + (i,), left ^ mask)
+            for part, left in level
+            for mask, i in starting[(left & -left).bit_length() - 1]
+            if mask & left == mask
+        ]
+    parts = [part for part, _ in level]
+    index = {part: i for i, part in enumerate(parts)}
+    images = [
+        Permutation([index[tuple(sorted([t[i] for i in part]))] for part in parts])
+        for t in tables
+    ]
+    labels = tuple("|".join([block_labels[i] for i in part]) for part in parts)
     return ActionInstance(
-        _induced(G, parts, act), Domain(labels), f"partitions({a},{b})", G.order()
+        PermGroup(len(parts), images), Domain(labels), f"partitions({a},{b})", G.order()
     )
 
 

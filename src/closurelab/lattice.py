@@ -21,6 +21,10 @@ from .perm import (
 from .stabchain import PermGroup, _orbit, build_chain
 
 
+def _image(point: int, g: bytes) -> int:
+    return g[point]
+
+
 def subgroups_up_to_conjugacy(G: PermGroup) -> list[PermGroup]:
     """One representative per conjugacy class of subgroups, sorted by
     order: the classes of subgroup_lattice(G), on a fresh Budget()."""
@@ -70,7 +74,8 @@ def subgroup_lattice(
     class was registered first, so the representatives, their generators
     and the over lists do not depend on the marking. An extension whose
     stabilizer chain reaches the order of G is G, whose element set is at
-    hand, so it is never closed up by multiplication.
+    hand, so it is never closed up by multiplication. An extension whose
+    orbit of point 0 is shorter than G's is proper, so it takes no chain.
     """
     if budget is None:
         budget = Budget()
@@ -92,6 +97,10 @@ def subgroup_lattice(
         {h: same[g.translate(translation_table(h)).translate(inv)] for h in elems}
         for g, inv in zip(packed, inverse_tables)
     ]
+
+    # the length of G's orbit of point 0, which only G's extensions reach;
+    # a group of degree 0 has neither the point nor an extension
+    reach = degree and len(_orbit(0, packed, _image))
 
     def generated(seed):
         return frozenset(_orbit(identity, list(map(translation_table, seed)), bytes.translate))
@@ -181,7 +190,10 @@ def subgroup_lattice(
             # Over the trivial group the extension is <x>, x's powers
             if not H_gens:
                 K = frozenset(powers)
-            elif build_chain(degree, K_gens, known_order=N).order() == N:
+            elif (
+                len(_orbit(0, K_gens, _image)) == reach
+                and build_chain(degree, K_gens, known_order=N).order() == N
+            ):
                 K = whole
             else:
                 K = generated(K_gens)

@@ -29,7 +29,7 @@ from closurelab.actions import (
     union,
 )
 from closurelab.budget import Budget
-from closurelab.catalog import catalog_group, symmetric
+from closurelab.catalog import alternating, catalog_group, symmetric
 from closurelab.errors import (
     BudgetExceededError,
     DegreeLimitError,
@@ -247,6 +247,92 @@ def test_partitions_action_shapes():
         partitions_action(S5(), 2, 3)
 
 
+def _brute_ksubsets(G, k):
+    """The k-subset action built point by point: each subset's image is
+    looked up by sorting the images of its points."""
+    subsets = list(combinations(range(G.degree), k))
+    index = {s: i for i, s in enumerate(subsets)}
+    images = [
+        tuple(index[tuple(sorted(g(p) for p in s))] for s in subsets) for g in G.generators
+    ]
+    labels = tuple("{" + ",".join(str(p + 1) for p in s) + "}" for s in subsets)
+    return labels, images, f"ksubsets({k})"
+
+
+def _brute_partitions(G, a, b):
+    """The partition action built point by point: partitions listed
+    recursively as tuples of blocks, each image found by sorting the sorted
+    image blocks."""
+    parts = []
+
+    def rec(remaining, blocks):
+        if not remaining:
+            parts.append(tuple(blocks))
+            return
+        for rest in combinations(remaining[1:], a - 1):
+            block = (remaining[0],) + rest
+            rec([p for p in remaining if p not in block], blocks + [block])
+
+    rec(list(range(G.degree)), [])
+    index = {part: i for i, part in enumerate(parts)}
+    images = [
+        tuple(
+            index[tuple(sorted(tuple(sorted(g(p) for p in block)) for block in part))]
+            for part in parts
+        )
+        for g in G.generators
+    ]
+    labels = tuple(
+        "|".join("{" + ",".join(str(p + 1) for p in block) + "}" for block in part)
+        for part in parts
+    )
+    return labels, images, f"partitions({a},{b})"
+
+
+@pytest.mark.parametrize("family,n,shape", [
+    ("S", 4, (2, 2)),
+    ("S", 6, (2, 3)),
+    ("S", 6, (3, 2)),
+    ("A", 8, (2, 4)),
+    ("A", 8, (4, 2)),
+    ("S", 9, (3, 3)),
+    ("S", 10, (2, 5)),
+    ("S", 10, (5, 2)),
+    ("A", 10, (2, 5)),
+    ("S", 11, (3,)),
+    ("A", 13, (2,)),
+], ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else str(v))
+def test_partition_and_subset_actions_match_the_brute_construction(family, n, shape):
+    # point order, labels, generator images and provenance are what reports,
+    # goldens and relabeled benchmark inputs read, so the block tables must
+    # give exactly what the point-by-point construction gives
+    G = symmetric(n) if family == "S" else alternating(n)
+    if len(shape) == 1:
+        A, want = ksubsets_action(G, *shape), _brute_ksubsets(G, *shape)
+    else:
+        A, want = partitions_action(G, *shape), _brute_partitions(G, *shape)
+    assert (A.domain.labels, [g.images for g in A.group.generators], A.provenance) == want
+    assert (A.degree, A.source_order) == (len(want[0]), G.order())
+
+
+def test_induced_actions_refuse_their_degree_before_listing(monkeypatch):
+    # C(20, 5) = 15,504 subsets, 12! / (2^6 6!) = 10,395 partitions and
+    # C(30, 15) = 155,117,520 subsets are over the 5,000-point guard; each is
+    # refused from its count, before a single subset is listed
+    def listing(*args):
+        raise AssertionError("subsets listed before the degree was checked")
+
+    monkeypatch.setattr(actions, "combinations", listing)
+    with pytest.raises(DegreeLimitError, match="degree 15504 exceeds guard 5000"):
+        ksubsets_action(symmetric(20), 5)
+    with pytest.raises(DegreeLimitError, match="degree 155117520 exceeds guard 5000"):
+        ksubsets_action(symmetric(30), 15)
+    with pytest.raises(DegreeLimitError, match="degree 10395 exceeds guard 5000"):
+        partitions_action(symmetric(12), 2, 6)
+    with pytest.raises(DegreeLimitError, match="degree 5775 exceeds guard 5000"):
+        partitions_action(symmetric(12), 4, 3)
+
+
 def test_partitions_action_is_a_genuine_action():
     S6 = group(6, "(1 2)", "(1 2 3 4 5 6)")
     A = partitions_action(S6, 2, 3)
@@ -452,6 +538,9 @@ def test_subgroup_classes_of_s3_and_a4():
     assert [H.order() for H in subgroups_up_to_conjugacy(S3)] == [1, 2, 3, 6]
     A4 = group(4, "(1 2 3)", "(2 3 4)")
     assert [H.order() for H in subgroups_up_to_conjugacy(A4)] == [1, 2, 3, 4, 12]
+    # the trivial group has one class, also on no points at all
+    for degree in (0, 1):
+        assert subgroup_lattice(PermGroup(degree, [Permutation(range(degree))]))[1] == [()]
 
 
 def test_subgroup_classes_match_brute_enumeration():
@@ -607,20 +696,22 @@ def test_subgroup_enumeration_skips_double_cosets(monkeypatch):
     chains = []
     real = lattice.build_chain
 
-    def counting(*args, **kwargs):
-        chains.append(1)
-        return real(*args, **kwargs)
+    def counting(degree, gens, **kwargs):
+        chains.append(len(stabchain._orbit(0, gens, lambda p, g: g[p])))
+        return real(degree, gens, **kwargs)
 
     monkeypatch.setattr(lattice, "build_chain", counting)
     assert len(subgroups_up_to_conjugacy(catalog_group("A6").group)) == 22
     # the extensions <H, x> of a nontrivial H, one per N_G(H)-orbit of the
-    # double cosets HxH and cyclic subgroup <x>, each checked by a chain;
-    # those whose chain already has the order of the group are not closed
-    # up. The trivial group's extensions are the cyclic subgroups, read off
-    # the powers of x, so they take no chain and no closure. The other
-    # closures grow a normalizer by a kept Schreier generator or regenerate
-    # a canonical member's generators
-    assert 0 < len(chains) <= 133
+    # double cosets HxH and cyclic subgroup <x>; those whose chain already
+    # has the order of the group are not closed up. Only an extension that
+    # moves point 0 over all 6 points can be the group, so only those take
+    # a chain: 42 of the 133 do not. The trivial group's extensions are the
+    # cyclic subgroups, read off the powers of x, so they take no chain and
+    # no closure. The other closures grow a normalizer by a kept Schreier
+    # generator or regenerate a canonical member's generators
+    assert chains and set(chains) == {6}
+    assert len(chains) <= 133 - 42
     assert 0 < len(closures) <= 102
 
 

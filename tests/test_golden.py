@@ -26,6 +26,7 @@ CASES = {
     "spectrum_A5_ksubsets2": ["spectrum", "--catalog", "A5", "--action", "ksubsets:2"],
     "closure_M12_k3": ["closure", "--catalog", "M12", "--k", "3"],
     "base_M24": ["base", "--catalog", "M24"],
+    "base_S10_partitions_2x5": ["base", "--catalog", "S10", "--action", "partitions:2x5"],
     "ktrans_A5_12": ["ktrans", "--catalog", "A5", "--max-degree", "12"],
     "ktrans_S4_8": ["ktrans", "--catalog", "S4", "--max-degree", "8"],
     "ktrans_PSL2_7_14": ["ktrans", "--catalog", "PSL(2,7)", "--max-degree", "14"],

@@ -165,10 +165,10 @@ def _raises(node, where, error):
 
 def test_size_limits_are_about_representation():
     # the budget is the one cap on work; a size limit is about how the input
-    # is held: the degree guard of chains, coset actions and projective
-    # domains, the bytes line of packed images, and the brute filtration
-    # route's 9 points. A limit on group order would refuse work the budget
-    # can bound, so none is raised.
+    # is held: the degree guard of chains, of coset, k-subset and partition
+    # actions and of projective domains, the bytes line of packed images,
+    # and the brute filtration route's 9 points. A limit on group order
+    # would refuse work the budget can bound, so none is raised.
     sites = {
         (module, function)
         for module, tree in _modules()
@@ -176,6 +176,8 @@ def test_size_limits_are_about_representation():
     }
     assert sites == {
         ("actions", "coset_action"),
+        ("actions", "ksubsets_action"),
+        ("actions", "partitions_action"),
         ("catalog", "psl_projective"),
         ("harness", "filtration_closure_orders"),
         ("perm", "translation_table"),
