@@ -1,13 +1,14 @@
 """Search budgets: node counters and wall-clock limits.
 
 A Budget is the one cap on work. The closure backtrack and the base-size
-branch-and-bound charge a node per search node. Listing a group's
-elements (PermGroup._element_images) charges a node per element before
-it lists any, and its callers charge one more per element for each table
-of the group's size they build, so a group whose tables exceed what is
-left of the cap is refused with nothing listed. The subgroup enumeration
-then charges a node per extension it scans and per element of each
-conjugate it stores, so what it keeps grows with the nodes charged.
+branch-and-bound charge a node per search node. A table of a group's size
+costs a node per element, charged in bulk before it is built: listing the
+elements (PermGroup._element_images) charges the order in one call, and
+its callers charge the tables they build beside it in one more, so a group
+past what is left of the cap is refused with nothing listed. The subgroup
+enumeration then charges a node per extension it scans, and a node per
+element of each conjugate it stores in one call per conjugate, so what it
+keeps grows with the nodes charged.
 Exhausting the budget raises BudgetExceededError, and every search lets
 it propagate with its finished part as the partial; no function
 returns a partial result as its answer, so there is no silent truncation
@@ -69,7 +70,7 @@ class Budget:
             raise BudgetExceededError(
                 f"node budget exhausted ({self.nodes} > {self.max_nodes})", partial=partial
             )
-        # Time is only sampled every charge; fine at the granularity we need.
+        # a time cap is checked once per charge, whatever its count
         if not self._late and self.max_seconds is not None:
             self._late = time.monotonic() - self._t0 > self.max_seconds
         if self._late:

@@ -458,10 +458,10 @@ def require_nonabelian_simple(G: PermGroup, budget: Budget | None = None) -> Non
     is a union of classes, and the subgroup a class generates is the normal
     closure of each of its members, so this decides simplicity. The classes
     are read off the element set. Budget (a fresh Budget() when None) is
-    charged two nodes per element first, one for the listing and one for
-    the set of elements seen, so a nonabelian group whose tables exceed the
-    cap raises BudgetExceededError with nothing listed. Each class gets
-    one chain, which stops once it reaches the order of G."""
+    charged the order of G twice first, in one call each, for the set of
+    elements seen and for the listing, so a nonabelian group whose tables
+    exceed the cap raises BudgetExceededError with nothing listed. Each
+    class gets one chain, which stops once it reaches the order of G."""
     order = G.order()
     if order == 1:
         raise SimplicityError("the trivial group is not nonabelian simple")
@@ -477,8 +477,7 @@ def require_nonabelian_simple(G: PermGroup, budget: Budget | None = None) -> Non
     if budget is None:
         budget = Budget()
     # a node per element for seen, beside the listing's own
-    for _ in range(order):
-        budget.charge()
+    budget.charge(order)
     seen = {identity_images(G.degree)}
     for x in G._element_images(budget):
         if x in seen:

@@ -56,11 +56,12 @@ def subgroup_lattice(
 
     The budget (a fresh Budget() when None) is charged before the listing
     starts one node per element for each table of G's size: the listing,
-    elems, whole, same and one cmap per generator. So a group whose tables
-    exceed what is left of the cap raises BudgetExceededError with nothing
-    listed. The scan then charges one node per extension and one per
-    element of each conjugate stored, so what the enumeration keeps grows
-    with the nodes charged.
+    elems, whole, same and one cmap per generator, in two calls, one for
+    the listing and one for the rest. So a group whose tables exceed what
+    is left of the cap raises BudgetExceededError at one of these charges,
+    with nothing listed. The scan then charges one node per extension, and
+    one call per conjugate stored, one node per element of it, so what the
+    enumeration keeps grows with the nodes charged.
 
     The walk over a class records a conjugator for each conjugate, and the
     Schreier generators at its non-tree edges generate the normalizer
@@ -87,8 +88,7 @@ def subgroup_lattice(
     inverse_tables = [translation_table(inverse_images(g)) for g in packed]
     # a node per element for each table of G's size built beside the
     # listing, which _element_images charges: elems, whole, same, the cmaps
-    for _ in range((3 + len(packed)) * N):
-        budget.charge()
+    budget.charge((3 + len(packed)) * N)
     elems = sorted(G._element_images(budget))
     whole = frozenset(elems)
     # per generator g, each element h mapped to g h g^-1: g, then h, then g^-1
@@ -120,8 +120,7 @@ def subgroup_lattice(
         queue = [H]
         for K in queue:
             # a node per element of each conjugate stored
-            for _ in K:
-                budget.charge()
+            budget.charge(len(K))
             for g, cmap in zip(packed, cmaps):
                 L = frozenset(map(cmap.__getitem__, K))
                 if L in conjugator:

@@ -554,10 +554,9 @@ class PermGroup:
 
     def _element_images(self, budget: Budget) -> dict:
         """Packed elements, keyed in order of breadth-first discovery. One
-        node per element is charged before any is listed, so a group larger
-        than what is left of budget raises BudgetExceededError first."""
-        for _ in range(self.order()):
-            budget.charge()
+        charge of a node per element comes first, so a group larger than
+        what is left of budget raises BudgetExceededError before the listing."""
+        budget.charge(self.order())
         gens = [pack_images(g.images) for g in self.generators]
         return _orbit(identity_images(self.degree), gens, compose_images)
 

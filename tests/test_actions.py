@@ -555,7 +555,7 @@ def test_subgroup_classes_match_brute_enumeration():
 
 
 @pytest.mark.parametrize("name,total", [
-    ("S4", 30), ("A5", 59), ("S5", 156), ("PSL(2,7)", 179), ("A6", 501),
+    ("S4", 30), ("A5", 59), ("S5", 156), ("PSL(2,7)", 179), ("A6", 501), ("A7", 3786),
 ])
 def test_class_sizes_add_up_to_the_number_of_subgroups(name, total):
     # a class has |G : N_G(H)| members; N_G(H) is found here by conjugating
@@ -625,22 +625,24 @@ def test_subgroup_enumeration_respects_bound(monkeypatch):
 
 def test_subgroup_enumeration_charges_what_it_stores(monkeypatch):
     # the enumeration keeps every subgroup as a set of its elements, and
-    # charges a node per element of each: A5's 59 subgroups hold
-    # 1 + 15*2 + 10*3 + 5*4 + 6*5 + 10*6 + 5*12 + 6*10 + 60 = 351, S4's 30
-    # hold 1 + 9*2 + 4*3 + 3*4 + 4 + 3*4 + 4*6 + 3*8 + 12 + 24 = 143
+    # charges a node per element of each, in one call per subgroup: A5's 59
+    # subgroups hold 1 + 15*2 + 10*3 + 5*4 + 6*5 + 10*6 + 5*12 + 6*10 + 60
+    # = 351, S4's 30 hold 1 + 9*2 + 4*3 + 3*4 + 4 + 3*4 + 4*6 + 3*8 + 12 + 24
+    # = 143
     stored = []
     charge = Budget.charge
 
     def counted(self, n=1, partial=None):
-        stored.append(sys._getframe(1).f_code.co_name == "register")
+        if sys._getframe(1).f_code.co_name == "register":
+            stored.append(n)
         charge(self, n, partial)
 
     monkeypatch.setattr(Budget, "charge", counted)
-    for G, elements in [(catalog_group("A5").group, 351), (symmetric(4), 143)]:
+    for G, subgroups, elements in [(catalog_group("A5").group, 59, 351), (symmetric(4), 30, 143)]:
         stored.clear()
         budget = Budget()
         subgroup_lattice(G, budget)
-        assert sum(stored) == elements
+        assert (len(stored), sum(stored)) == (subgroups, elements)
         # the rest: six tables of G's size, then one node per extension
         assert budget.nodes - elements > 6 * G.order()
 

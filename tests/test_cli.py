@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 from closurelab import budget as budget_module
+from closurelab.budget import Budget
 from closurelab.cli import main
 
 from test_actions import _forbid_listing
@@ -343,13 +344,13 @@ def test_ktrans_honours_budget_seconds(capsys, monkeypatch):
     assert (code, out) == (3, "")
     assert "budget exceeded: the subgroup enumeration stopped" in err
     # under a clock that steps one second per read, the cap runs out at
-    # charge 736: the enumeration takes 735 nodes, the natural action's
-    # walk is settled by the symmetric shortcut and charges no node, the
-    # degree-6 walk's first node is past the cap, and the bounds above the
-    # degree bound come only after every walk
+    # charge 86: the enumeration takes 735 nodes in 85 charges, the natural
+    # action's walk is settled by the symmetric shortcut and charges no
+    # node, the degree-6 walk's first node is past the cap, and the bounds
+    # above the degree bound come only after every walk
     ticks = count()
     monkeypatch.setattr(budget_module, "time", SimpleNamespace(monotonic=lambda: float(next(ticks))))
-    code, out, err = run(capsys, *argv, "735.5")
+    code, out, err = run(capsys, *argv, "85.5")
     assert code == 3
     assert out == "  degree 5: exact 4\n"
     assert "budget exceeded" in err
@@ -446,15 +447,36 @@ def test_ktrans_subgroup_enumeration_is_capped_by_the_budget(capsys, monkeypatch
     code, out, _ = run(capsys, "ktrans", "--catalog", "M11", "--max-degree", "12")
     assert code == 0
     assert out.startswith("k 5\ncertified yes\n")
-    # M24 has order 244823040, past any node cap: the enumeration's charges
-    # stop it before any element is listed, and exit 3. A small cap finds
-    # that at once; the default one counts to 20,000,001 first
+    # M24 has order 244823040, past any node cap: the enumeration's first
+    # charge, its six tables beside the listing for M24's three generators
+    # in one call, stops it before any element is listed, and exits 3
     monkeypatch.setenv("CLOSURELAB_BUDGET_NODES", "100000")
     _forbid_listing(monkeypatch, "elements listed before the budget was charged")
     code, out, err = run(capsys, "ktrans", "--catalog", "M24", "--max-degree", "24")
     assert (code, out) == (3, "")
     assert "budget exceeded: the subgroup enumeration stopped" in err
-    assert "100001 > 100000" in err
+    assert f"{6 * 244823040} > 100000" in err
+
+
+def test_ktrans_refuses_m24_on_the_default_cap_in_a_few_charges(capsys, monkeypatch):
+    # the tables of M24's size are charged in bulk, so the default cap
+    # refuses it at once, not after 20,000,001 charges of one node each
+    monkeypatch.delenv("CLOSURELAB_BUDGET_NODES", raising=False)
+    _forbid_listing(monkeypatch, "elements listed before the budget was charged")
+    calls = count(1)
+    charge = Budget.charge
+
+    def few(self, n=1, partial=None):
+        assert next(calls) < 1000, "a thousand charges before the refusal"
+        charge(self, n, partial)
+
+    monkeypatch.setattr(Budget, "charge", few)
+    code, out, err = run(capsys, "ktrans", "--catalog", "M24", "--max-degree", "24")
+    assert (code, out) == (3, "")
+    assert err == (
+        "budget exceeded: the subgroup enumeration stopped: "
+        f"node budget exhausted ({6 * 244823040} > 20000000)\n"
+    )
 
 
 def test_ktrans_degree_above_256_is_a_size_limit(tmp_path, capsys):

@@ -5,8 +5,9 @@ CPython 3.11's parser peak rises by about 0.25 MB once one module passes
 4,096 tokens. Every module under that line stays under it, and no module
 keeps a private top-level name that nothing in the package uses, or an
 import that it never reads. Only perm.py knows where packed images stop
-being bytes, only the command line ends a budget error without raising, and
-every size limit is about how the input is represented, never about work.
+being bytes, only the command line ends a budget error without raising,
+every size limit is about how the input is represented, never about work,
+and no loop charges the budget one element at a time.
 """
 
 import ast
@@ -147,6 +148,24 @@ def test_only_perm_and_harness_know_the_bytes_line():
         if isinstance(node, ast.Constant) and type(node.value) is int and node.value == 256
     }
     assert holders == {"perm", "harness"}
+
+
+def test_no_loop_charges_the_budget_one_element_at_a_time():
+    # a loop whose whole body is a charge counts a table's size one call
+    # per element, so a group past the cap is refused only after the cap's
+    # worth of calls; charge(count) counts the same nodes in one call
+    loops = {
+        (module, ast.unparse(node.iter))
+        for module, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.For)
+        and len(node.body) == 1
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Call)
+        and isinstance(node.body[0].value.func, ast.Attribute)
+        and node.body[0].value.func.attr == "charge"
+    }
+    assert not loops, loops
 
 
 def _raises(node, where, error):
