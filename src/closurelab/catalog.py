@@ -196,13 +196,16 @@ class ProjectivePointDomain(Record):
     def build(cls, field: FiniteField, n: int) -> "ProjectivePointDomain":
         if n < 2:
             raise ValueError("projective domains need dimension at least 2")
+        q = field.q
+        expected = (q**n - 1) // (q - 1)
+        # the count is refused before any of the q^n vectors is listed
+        if expected > DEFAULT_MAX_DEGREE:
+            raise DegreeLimitError(f"projective domain has {expected} points, limit {DEFAULT_MAX_DEGREE}")
         pts = [
             v
             for v in product(field.elements(), repeat=n)
             if any(v) and v[max(i for i, c in enumerate(v) if c)] == 1
         ]
-        q = field.q
-        expected = (q**n - 1) // (q - 1)
         if len(pts) != expected:
             raise ValidationError("projective point count mismatch")
         return cls(field, n, tuple(pts))
@@ -355,8 +358,6 @@ def psl_projective(
         raise SimplicityError(f"PSL({n},{q}) is not simple; pass allow_nonsimple to build it")
     F = FiniteField(q)
     P = ProjectivePointDomain.build(F, n)
-    if P.count > DEFAULT_MAX_DEGREE:
-        raise DegreeLimitError(f"projective domain has {P.count} points, limit {DEFAULT_MAX_DEGREE}")
     lam = F.primitive_element()
     ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
     transvection = tuple(

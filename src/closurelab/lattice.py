@@ -63,20 +63,26 @@ def subgroup_lattice(
     one call per conjugate stored, one node per element of it, so what the
     enumeration keeps grows with the nodes charged.
 
-    The walk over a class records a conjugator for each conjugate, and the
-    Schreier generators at its non-tree edges generate the normalizer
-    N_G(H); those outside the group generated so far are kept, moved to
-    the canonical member. Since <H, hyh'> = <H, y> for h, h' in H,
+    The walk over a class records a conjugator c for each conjugate
+    c H c^-1, and the Schreier generators at its non-tree edges generate
+    the normalizer N_G(H); those outside the group generated so far are
+    kept. The canonical member is the conjugate whose sorted elements come
+    first. The generators of the extension that registered the class and
+    the kept normalizer generators move to it by conjugation by its
+    conjugator, so no group is closed up to find them. Since
+    <H, hyh'> = <H, y> for h, h' in H,
     <H, x> = <H, x^k> for k prime to the order of x, and
     <H, y^n> = <H, y>^n for n in N_G(H), an uncovered x marks as covered
     the double cosets HyH of every generator y of <x> and of their
     N_G(H)-conjugates, and is the one element of them extended. A covered
     element gives a conjugate of the subgroup of an earlier one, whose
-    class was registered first, so the representatives, their generators
-    and the over lists do not depend on the marking. An extension whose
-    stabilizer chain reaches the order of G is G, whose element set is at
-    hand, so it is never closed up by multiplication. An extension whose
-    orbit of point 0 is shorter than G's is proper, so it takes no chain.
+    class was registered first. So a class is first registered at an
+    uncovered element, from the same H and x with or without the marking,
+    and the representatives, their conjugated generators and the over
+    lists do not depend on it. An extension whose stabilizer chain reaches
+    the order of G is G, whose element set is at hand, so it is never
+    closed up by multiplication. An extension whose orbit of point 0 is
+    shorter than G's is proper, so it takes no chain.
     """
     if budget is None:
         budget = Budget()
@@ -129,11 +135,9 @@ def subgroup_lattice(
                     conjugator[L] = compose_images(g, conjugator[K])
                     queue.append(L)
         known.update(dict.fromkeys(conjugator, len(reps)))
-        canon = min(conjugator, key=sorted)
-        if len(conjugator) == 1:
-            # H is normal: N_G(H) is G
-            normalizer = packed
-        else:
+        # a normal H has N_G(H) = G
+        kept = packed
+        if len(conjugator) > 1:
             kept, norm, size = [], H, N // len(conjugator)
             for c_L, g, c_K in edges:
                 if len(norm) == size:
@@ -142,16 +146,14 @@ def subgroup_lattice(
                 if n not in norm:
                     kept.append(n)
                     norm = generated(seed_gens + kept)
-            c = conjugator[canon]
-            normalizer = [compose_images(compose_images(c, n), inverse_images(c)) for n in kept]
-        if canon is not H:
-            # regenerate a small generating list for the canonical member
-            seed_gens, H = [], {identity}
-            for x in sorted(canon):
-                if x not in H:
-                    seed_gens.append(x)
-                    H = generated(seed_gens)
-        reps.append((canon, seed_gens, normalizer))
+        # both lists move to the canonical member: c, then x, then c^-1
+        canon = min(conjugator, key=sorted)
+        c = conjugator[canon]
+        inv = inverse_images(c)
+        seed_gens, kept = (
+            [compose_images(compose_images(c, x), inv) for x in xs] for xs in (seed_gens, kept)
+        )
+        reps.append((canon, seed_gens, kept))
         return known[canon]
 
     register(frozenset([identity]), [])

@@ -667,8 +667,9 @@ def _pinned_group(name):
 
 @pytest.mark.parametrize("name", ["A5", "A6", "PSL(2,7)", "PSL(2,8)", "S4"])
 def test_subgroup_representatives_are_pinned(name):
-    # (order, generator images) of every representative, recorded before the
-    # enumeration skipped double cosets; the skip must not change one of them
+    # (order, generator images) of every representative: the generators of
+    # the extension that first registered the class, conjugated to its
+    # canonical member
     want = json.loads(PINNED_SUBGROUPS.read_text(encoding="utf-8"))[name]
     reps = subgroups_up_to_conjugacy(_pinned_group(name))
     got = [[H.order(), [list(g.images) for g in H.generators]] for H in reps]
@@ -711,10 +712,44 @@ def test_subgroup_enumeration_skips_double_cosets(monkeypatch):
     # a chain: 42 of the 133 do not. The trivial group's extensions are the
     # cyclic subgroups, read off the powers of x, so they take no chain and
     # no closure. The other closures grow a normalizer by a kept Schreier
-    # generator or regenerate a canonical member's generators
+    # generator: 16 of them, beside 74 extension closures
     assert chains and set(chains) == {6}
     assert len(chains) <= 133 - 42
-    assert 0 < len(closures) <= 102
+    assert 0 < len(closures) <= 90
+
+
+@pytest.mark.parametrize("name", ["S4", "A5", "PSL(2,7)", "A6"])
+def test_representative_generators_build_the_canonical_member(name):
+    # the generators close up, by brute force, to the conjugate whose sorted
+    # element tuple is the least of the class
+    G = _pinned_group(name)
+    elements = [g.images for g in G.elements()]
+    for H in subgroups_up_to_conjugacy(G):
+        members = brute_elements([g.images for g in H.generators], G.degree)
+        assert len(members) == H.order()
+        least = min(sorted(mul(mul(inv(g), h), g) for h in members) for g in elements)
+        assert sorted(members) == least
+
+
+@pytest.mark.parametrize("name", ["S4", "A5", "A6", "PSL(2,7)", "PSL(2,8)"])
+def test_subgroup_lattice_does_not_depend_on_the_marking(monkeypatch, name):
+    # a class is first registered at an uncovered element, so a scan that
+    # marks no double coset as covered extends by more elements but registers
+    # each class from the same extension
+    G = _pinned_group(name)
+
+    def lattice_of():
+        budget = Budget()
+        reps, over = subgroup_lattice(G, budget)
+        return [[g.images for g in H.generators] for H in reps], over, budget.nodes
+
+    *marked, nodes = lattice_of()
+    # no power of x is then a generator of <x>, so no element is marked,
+    # and the scan charges a node for each further extension
+    monkeypatch.setattr(lattice, "gcd", lambda a, b: 0)
+    *unmarked, more = lattice_of()
+    assert unmarked == marked
+    assert more > nodes
 
 
 @pytest.mark.parametrize("name", ["A6", "PSL(2,7)"])

@@ -21,7 +21,7 @@ from closurelab.catalog import (
     read_generator_file,
     symmetric,
 )
-from closurelab.errors import SimplicityError, ValidationError
+from closurelab.errors import DegreeLimitError, SimplicityError, ValidationError
 from closurelab.perm import parse_cycles
 from closurelab.stabchain import build_chain
 
@@ -227,6 +227,21 @@ def test_psl_nonsimple_cases_need_opt_in():
         psl_projective(2, 3)
     assert psl_projective(2, 2, allow_nonsimple=True).group.order() == 6
     assert psl_projective(2, 3, allow_nonsimple=True).group.order() == 12
+
+
+def test_projective_domain_past_the_guard_is_refused_before_listing(monkeypatch):
+    # PSL(7,9) has (9^7 - 1)/8 = 597,871 points; the count is known from q
+    # and n, so none of the 9^7 vectors is listed before the refusal
+    import closurelab.catalog as cat
+
+    def listing(*args, **kwargs):
+        raise AssertionError("vectors listed before the point count was checked")
+
+    monkeypatch.setattr(cat, "product", listing)
+    with pytest.raises(DegreeLimitError, match="597871 points, limit 5000"):
+        psl_projective(7, 9)
+    with pytest.raises(DegreeLimitError, match="5380840 points"):
+        ProjectivePointDomain.build(FiniteField(9), 8)
 
 
 def test_frame_base_sizes_and_verification():
