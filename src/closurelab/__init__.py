@@ -49,11 +49,10 @@ from .catalog import (
     catalog_group,
     catalog_names,
     mathieu,
-    psl_frame_base,
-    psl_projective,
     read_generator_file,
     symmetric,
 )
+from .classical import psl_frame_base, psl_projective
 from .closure import (
     block_lemma_check,
     closure_spectrum,

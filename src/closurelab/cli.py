@@ -182,7 +182,9 @@ def _stringify_big(value):
     return value
 
 
-def _emit_json(payload: dict) -> None:
+def _emit_json(command: str, **fields) -> None:
+    """Print fields as JSON under the envelope naming the tool version and command."""
+    payload = {"tool_version": __version__, "command": command, **fields}
     sys.stdout.write(json.dumps(_stringify_big(payload), sort_keys=True, indent=2) + "\n")
 
 
@@ -303,17 +305,11 @@ def _run_command(args) -> int:
         sys.stdout.write(buf.getvalue())
     elif args.json:
         _emit_json(
-            {
-                "tool_version": __version__,
-                "command": args.command,
-                "group": {"name": name, "degree": base.group.degree, "order": base.group.order()},
-                "action": {"provenance": A.provenance, "degree": A.degree},
-                "result": result,
-                "budget": {
-                    "nodes_used": budget.nodes,
-                    "elapsed_ms": elapsed if args.timings else 0,
-                },
-            }
+            args.command,
+            group={"name": name, "degree": base.group.degree, "order": base.group.order()},
+            action={"provenance": A.provenance, "degree": A.degree},
+            result=result,
+            budget={"nodes_used": budget.nodes, "elapsed_ms": elapsed if args.timings else 0},
         )
     else:
         for line in lines:
@@ -338,7 +334,7 @@ def _run_verify(args) -> int:
         if not args.timings:
             for claim in payload["claims"]:
                 claim["elapsed_ms"] = 0
-        _emit_json({"tool_version": __version__, "command": "verify", "result": payload})
+        _emit_json("verify", result=payload)
     else:
         for c in result.claims:
             status = "pass" if c.passed else "FAIL"
@@ -353,13 +349,7 @@ def _run_verify(args) -> int:
 
 def _run_catalog(args) -> int:
     if args.json:
-        _emit_json(
-            {
-                "tool_version": __version__,
-                "command": "catalog",
-                "result": {"groups": list(catalog_names()), "suites": list(suite_names())},
-            }
-        )
+        _emit_json("catalog", result={"groups": list(catalog_names()), "suites": list(suite_names())})
         return 0
     print("catalog groups:")
     for entry in catalog_names():

@@ -672,22 +672,10 @@ def complete_lemma_check(
     witness = _closure_witness(A, k, budget)
     ck1 = k_closure(A, k + 1, budget=budget).order()
     if ck == full and ck1 == G.order():
-        return report(
-            "confirmed",
-            m,
-            ck=ck,
-            ck1=ck1,
-            witness=witness,
-            detail="k-closure is the full symmetric group, (k+1)-closure is the group",
-        )
-    return report(
-        "prediction-fails",
-        m,
-        ck=ck,
-        ck1=ck1,
-        witness=witness,
-        detail="the computed closures do not match the predicted collapse",
-    )
+        status, detail = "confirmed", "k-closure is the full symmetric group, (k+1)-closure is the group"
+    else:
+        status, detail = "prediction-fails", "the computed closures do not match the predicted collapse"
+    return report(status, m, ck=ck, ck1=ck1, witness=witness, detail=detail)
 
 
 # ---------------------------------------------------------------------------

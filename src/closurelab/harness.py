@@ -21,7 +21,8 @@ from .actions import (
     union,
 )
 from .basesize import exact_base_size, halasi_base, partition_base_check
-from .catalog import catalog_group, psl_frame_base, psl_projective
+from .catalog import catalog_group
+from .classical import psl_frame_base, psl_projective
 from .closure import (
     block_lemma_check,
     closure_spectrum,
@@ -31,7 +32,7 @@ from .closure import (
     k_trans,
     restriction_lemma_check,
 )
-from .errors import BudgetExceededError, DegreeLimitError, ValidationError
+from .errors import BudgetExceededError, DegreeLimitError
 from .lattice import subgroups_up_to_conjugacy
 from .perm import Record
 
@@ -214,24 +215,14 @@ def _suite_an_closure(rec: _Recorder) -> None:
     rec.claim(
         "a6-minimal-k", cite, 5, lambda: closure_spectrum(catalog_group("A6")).minimal_k
     )
-    rec.claim(
-        "a5-ktrans",
-        "over every faithful transitive action of Alt(5) the largest minimal closure index is 4",
-        (4, True),
-        lambda: _k_trans_verdict(a5.group, 12),
-    )
-    rec.claim(
-        "a6-ktrans",
-        "over every faithful transitive action of Alt(6) the largest minimal closure index is 5",
-        (5, True),
-        lambda: _k_trans_verdict(catalog_group("A6").group, 15),
-    )
-    rec.claim(
-        "a7-ktrans",
-        "over every faithful transitive action of Alt(7) the largest minimal closure index is 6",
-        (6, True),
-        lambda: _k_trans_verdict(catalog_group("A7").group, 21),
-    )
+    for n, degree_bound in [(5, 12), (6, 15), (7, 21)]:
+        rec.claim(
+            f"a{n}-ktrans",
+            f"over every faithful transitive action of Alt({n}) the largest minimal "
+            f"closure index is {n - 1}",
+            (n - 1, True),
+            lambda n=n, d=degree_bound: _k_trans_verdict(catalog_group(f"A{n}").group, d),
+        )
 
 
 def _suite_symmetric_collapse(rec: _Recorder) -> None:
@@ -316,10 +307,7 @@ def _halasi_summary(n: int) -> str:
 
 
 def _psl_witness_summary(n: int, q: int):
-    A, base_points = psl_frame_base(n, q)
-    stab = A.group.pointwise_stabilizer(list(base_points))
-    if stab.order() != 1:
-        raise ValidationError(f"PSL({n},{q}) witness stabilizer has order {stab.order()}")
+    _, base_points = psl_frame_base(n, q)  # raises unless the points are a base
     return (len(base_points), "trivial stabilizer")
 
 
@@ -455,13 +443,13 @@ def _suite_block_lemma(rec: _Recorder) -> None:
     for name in _BLOCK_POOL:
         A = catalog_group(name)
         for S in maximal_block_systems(A):
-            if not 1 < S.num_blocks < A.degree:
+            if S.num_blocks == A.degree:
                 continue
             for k in sorted({2, min(3, S.num_blocks)}):
                 cases.append((f"{name}", A, S, k))
     pairs = ksubsets_action(catalog_group("S4").group, 2)
     for S in maximal_block_systems(pairs):
-        if 1 < S.num_blocks < pairs.degree:
+        if S.num_blocks < pairs.degree:
             cases.append(("S4-pairs", pairs, S, 2))
     for label, A, S, k in cases:
         rec.claim(
@@ -523,7 +511,7 @@ def _suite_base_reduction(rec: _Recorder) -> None:
             if not A.faithful:
                 continue
             for S in maximal_block_systems(A):
-                if not 1 < S.num_blocks < A.degree:
+                if S.num_blocks == A.degree:
                     continue
                 Q = quotient_action(A, S)
                 if not Q.faithful:

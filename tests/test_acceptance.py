@@ -10,7 +10,8 @@ from math import factorial
 
 from closurelab.actions import ksubsets_action, partitions_action
 from closurelab.basesize import exact_base_size, halasi_base, partition_base_check
-from closurelab.catalog import alternating, catalog_group, psl_frame_base, psl_projective, symmetric
+from closurelab.catalog import alternating, catalog_group, symmetric
+from closurelab.classical import psl_frame_base, psl_projective
 from closurelab.closure import closure_spectrum, complete_lemma_check, k_closure, k_trans
 from closurelab.harness import run_suite, suite_names
 

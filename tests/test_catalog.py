@@ -4,10 +4,8 @@ from math import factorial
 
 import pytest
 
-from closurelab.actions import transitivity_degree
+from closurelab.actions import natural_action, transitivity_degree
 from closurelab.catalog import (
-    FiniteField,
-    ProjectivePointDomain,
     alternating,
     catalog_group,
     catalog_names,
@@ -15,11 +13,15 @@ from closurelab.catalog import (
     dihedral,
     format_generator_file,
     mathieu,
+    read_generator_file,
+    symmetric,
+)
+from closurelab.classical import (
+    FiniteField,
+    ProjectivePointDomain,
     psl_frame_base,
     psl_order,
     psl_projective,
-    read_generator_file,
-    symmetric,
 )
 from closurelab.errors import DegreeLimitError, SimplicityError, ValidationError
 from closurelab.perm import parse_cycles
@@ -85,6 +87,10 @@ def test_bad_field_orders_rejected():
         FiniteField(25)  # no modulus on file
     with pytest.raises(ZeroDivisionError):
         FiniteField(5).inv(0)
+    assert FiniteField(4).coeffs(3) == (1, 1)
+    for a in (4, -1):
+        with pytest.raises(ValueError, match=f"element code {a} out of range for GF\\(4\\)"):
+            FiniteField(4).coeffs(a)
 
 
 # ---------------------------------------------------------------------------
@@ -229,15 +235,30 @@ def test_psl_nonsimple_cases_need_opt_in():
     assert psl_projective(2, 3, allow_nonsimple=True).group.order() == 12
 
 
+def test_projective_dimension_below_two_is_refused():
+    with pytest.raises(ValueError, match="dimension at least 2"):
+        ProjectivePointDomain.build(FiniteField(3), 1)
+    with pytest.raises(ValueError, match="need n >= 2"):
+        psl_projective(1, 5)
+
+
+def test_psl_order_check_refuses_generators_short_of_the_formula(monkeypatch):
+    import closurelab.classical as classical
+
+    monkeypatch.setattr(classical, "psl_order", lambda n, q: 61)
+    with pytest.raises(ValidationError, match=r"PSL\(2,5\): order check failed, got 60, expected 61"):
+        psl_projective(2, 5)
+
+
 def test_projective_domain_past_the_guard_is_refused_before_listing(monkeypatch):
     # PSL(7,9) has (9^7 - 1)/8 = 597,871 points; the count is known from q
     # and n, so none of the 9^7 vectors is listed before the refusal
-    import closurelab.catalog as cat
+    import closurelab.classical as classical
 
     def listing(*args, **kwargs):
         raise AssertionError("vectors listed before the point count was checked")
 
-    monkeypatch.setattr(cat, "product", listing)
+    monkeypatch.setattr(classical, "product", listing)
     with pytest.raises(DegreeLimitError, match="597871 points, limit 5000"):
         psl_projective(7, 9)
     with pytest.raises(DegreeLimitError, match="5380840 points"):
@@ -258,6 +279,19 @@ def test_frame_base_torus_remnant_for_q_above_two():
     A2, base2 = psl_frame_base(3, 2)
     # q = 2: the basis points already form the base
     assert len(base2) == 3
+
+
+def test_frame_base_refuses_points_that_do_not_pin_the_group(monkeypatch):
+    import closurelab.classical as classical
+
+    # S7 on the seven points of the Fano plane keeps the frame's stabilizer
+    monkeypatch.setattr(classical, "psl_projective", lambda n, q: natural_action(symmetric(7)))
+    with pytest.raises(ValidationError, match="frame point set is not a base"):
+        psl_frame_base(3, 2)
+    # the regular C6 on the six points of the line over GF(5) leaves no torus
+    monkeypatch.setattr(classical, "psl_projective", lambda n, q: natural_action(cyclic(6)))
+    with pytest.raises(ValidationError, match="basis points alone were a base"):
+        psl_frame_base(2, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +348,19 @@ def test_mathieu_validation_catches_corrupt_data(monkeypatch):
         mathieu("M11")
 
 
+def test_mathieu_validation_catches_wrong_facts(monkeypatch):
+    import closurelab.catalog as cat
+
+    monkeypatch.setitem(cat._MATHIEU_FACTS, "M11", (12, 7920, 4))
+    with pytest.raises(ValidationError, match="M11: degree check failed, file says 11, expected 12"):
+        mathieu("M11")
+    monkeypatch.setitem(cat._MATHIEU_FACTS, "M11", (11, 7920, 5))
+    with pytest.raises(
+        ValidationError, match="M11: transitivity check failed, got 4-transitive, expected 5"
+    ):
+        mathieu("M11")
+
+
 # ---------------------------------------------------------------------------
 # generator files
 
@@ -331,6 +378,9 @@ def test_generator_file_checksum_mismatch():
     text = "degree 3\n(1 2 3)\nchecksum 00000000\n"
     with pytest.raises(ValidationError, match="checksum"):
         read_generator_file(text)
+    for line in ("checksum", "checksum 0 1"):
+        with pytest.raises(ValidationError, match="malformed checksum line"):
+            read_generator_file(f"degree 3\n(1 2 3)\n{line}\n")
 
 
 def test_generator_file_header_required():
@@ -338,6 +388,8 @@ def test_generator_file_header_required():
         read_generator_file("(1 2 3)\n")
     with pytest.raises(ValidationError, match="empty"):
         read_generator_file("\n  \n")
+    with pytest.raises(ValidationError, match="degree must be positive"):
+        read_generator_file("degree 0\n")
 
 
 def test_generator_file_comments_and_no_checksum():

@@ -23,9 +23,9 @@ from closurelab.catalog import (
     cyclic,
     dihedral,
     mathieu,
-    psl_projective,
     symmetric,
 )
+from closurelab.classical import psl_projective
 from closurelab.closure import (
     KTransCertificate,
     KTransEntry,

@@ -12,7 +12,8 @@ import pytest
 
 from closurelab.actions import ActionInstance, BlockSystem
 from closurelab.basesize import BaseRecord, PartitionBaseRecord
-from closurelab.catalog import FiniteField, ProjectivePointDomain, symmetric
+from closurelab.catalog import symmetric
+from closurelab.classical import FiniteField, ProjectivePointDomain
 from closurelab.closure import (
     BlockLemmaRecord,
     ClosureEntry,

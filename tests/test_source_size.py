@@ -197,7 +197,7 @@ def test_size_limits_are_about_representation():
         ("actions", "coset_action"),
         ("actions", "ksubsets_action"),
         ("actions", "partitions_action"),
-        ("catalog", "build"),
+        ("classical", "build"),
         ("harness", "filtration_closure_orders"),
         ("perm", "translation_table"),
         ("stabchain", "build_chain"),
